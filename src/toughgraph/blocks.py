@@ -277,6 +277,8 @@ def inflation_cutset(g: Graph) -> frozenset[int]:
         indeg[w2] += 1
         j = g.neighbors(w2).index(w1)
         picked.append(3 * w2 + j)
-    assert len(picked) == g.edge_count and len(set(picked)) == len(picked)
-    assert all(d <= 2 for d in indeg)
+    if len(picked) != g.edge_count or len(set(picked)) != len(picked):
+        raise RuntimeError("Euler circuit does not pick each cross edge once")
+    if any(d > 2 for d in indeg):
+        raise RuntimeError("orientation puts three cross edges on one triangle")
     return frozenset(picked)

@@ -192,9 +192,11 @@ def toughness_exact(
     finally:
         if pool is not None:
             pool.shutdown()
-    assert found, "non-complete graph must have a cutset"
+    if not found:
+        raise RuntimeError("non-complete graph must have a cutset")
     witness = cutset_witness(g, frozenset(_bits(best_mask)))
-    assert witness.component_count == best_c
+    if witness.component_count != best_c:
+        raise RuntimeError("witness recount disagrees with the enumeration")
     return ToughnessResult(Fraction(best_s, best_c), witness)
 
 
@@ -437,7 +439,8 @@ def _dp_walk_back(nbr, dp, full: int, last: int, start: int) -> tuple[int, ...]:
     while mask != (1 << start):
         mask ^= 1 << cur
         prevs = dp[mask] & nbr[cur]
-        assert prevs, "dp table must chain back to the start"
+        if not prevs:
+            raise RuntimeError("dp table must chain back to the start")
         cur = (prevs & -prevs).bit_length() - 1
         order.append(cur)
     order.reverse()

@@ -7,7 +7,11 @@ smallest admissible integer q, and derives the block counts.  build()
 realizes the plan as a concrete graph plus a certificate holding the
 toughness witness cutset and a checkable nonhamiltonicity argument.
 
-The regimes, by certificate "case" tag:
+Each regime is one record of the table _REGIMES, the one place where
+its range, scale step, derivation, block kinds, formula and the
+formula's hypothesis, witness and builder are written; planning,
+validation, building, the certificate parser and verify_claim_formula
+all read it.  The regimes, by certificate "case" tag:
   1    0 < t < 1      complete bipartite, more independents than the rest
   2    t = 1          a fixed 7-vertex graph
   3    1 < t < 3/2    matched_layers, nonhamiltonian by edge counting
@@ -24,7 +28,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .blocks import (
     BlockKind,
@@ -67,12 +71,8 @@ NONHAM_EDGE_COUNT = "edge_count"
 NONHAM_BLOCK_COUNT = "block_count"
 NONHAM_EXHAUSTIVE = "exhaustive"
 
-_CASE_IDS = ("1", "2", "3", "4", "5.1", "5.2", "6.1", "6.2", "7.1", "7.2")
-
 # kinds with no spanning path between their terminals
 _PATH_FREE_KINDS = frozenset({BlockKind.L1, BlockKind.L2, BlockKind.L3})
-
-_BLOCK_ORDER = {BlockKind.L1: 8, BlockKind.L2: 7, BlockKind.L3: 9, BlockKind.L4: 5}
 
 _SCALE_CAP = 1_000_000
 
@@ -142,91 +142,227 @@ def _as_fraction(t: Union[Fraction, int, str]) -> Fraction:
     raise TypeError(f"cannot interpret {type(t).__name__} as a rational")
 
 
-def _case_for(t: Fraction) -> str:
-    if t < 1:
-        return "1"
-    if t == 1:
-        return "2"
-    if t < Fraction(3, 2):
-        return "3"
-    if t == Fraction(3, 2):
-        return "4"
-    odd = t.denominator % 2 == 1
-    if t < Fraction(7, 4):
-        return "5.1" if odd else "5.2"
-    if t <= 2:
-        return "6.1" if odd else "6.2"
-    return "7.1" if odd else "7.2"
+class _Counts(NamedTuple):
+    """The join clique size l and the block counts of a block regime;
+    m1 and m2 count the L1 and L2-like blocks of the mixed regimes."""
+
+    l: int = 0
+    m: int = 0
+    m1: Optional[int] = None
+    m2: Optional[int] = None
+
+
+# a built graph, its witness cutset and its nonhamiltonicity argument
+_Built = tuple[Graph, frozenset[int], NonHamiltonicityArgument]
 
 
 @dataclass(frozen=True)
-class _Derived:
-    a_s: int
-    b_s: int
-    l: int
-    m: int
-    m1: Optional[int]
-    m2: Optional[int]
-    kinds: tuple[BlockKind, ...]
-    ok: bool
+class _Regime:
+    """One regime of the case analysis.
 
+    Rules over counts read only l, m, m1 and m2, so they take a
+    SynthesisPlan or a bare _Counts alike.  The block regimes share one
+    admissibility rule, order and builder; regimes 1-4 give their own.
+    """
 
-def _derive(case_id: str, t: Fraction, q: int) -> _Derived:
-    """Parameters of a regime at scale q, plus whether q is admissible."""
-    a, b = t.numerator, t.denominator
-    A, B = a * q, b * q
-    l = m = 0
-    m1: Optional[int] = None
-    m2: Optional[int] = None
-    kinds: tuple[BlockKind, ...] = ()
-    if case_id in ("1", "2", "4"):
-        ok = q == 1
-    elif case_id == "3":
-        # nonhamiltonicity needs the independent layer to outgrow the
-        # cycle capacity of the rest: 3*B > 2*A + 2
-        ok = B >= 2 and 3 * B > 2 * A + 2
-    elif case_id == "5.1":
-        m = (B - 1) // 2
-        l = A - 3 * (B - 1) // 2
-        kinds = (BlockKind.L2,) * m
-        ok = B % 2 == 1 and l >= 2 and m >= 1 and m >= 2 * l + 1
-    elif case_id == "5.2":
-        m = B // 2 - 1
-        l = A - 3 * B // 2 + 2
-        kinds = (BlockKind.L2,) * max(m - 1, 0) + (BlockKind.L3,)
-        ok = B % 2 == 0 and l >= 2 and m >= 1 and m >= 2 * l + 1
-    elif case_id == "6.1":
-        m2 = (B - 1) // 2
-        l = A - 3 * (B - 1) // 2
-        m1 = max(1, 2 * l + 1 - m2)
-        m = m1 + m2
-        kinds = (BlockKind.L1,) * m1 + (BlockKind.L2,) * m2
-        ok = B % 2 == 1 and l >= 2 and m2 >= max(0, l - 2) and m >= 2 * l + 1
-    elif case_id == "6.2":
-        m2 = B // 2 - 1
-        l = A - 3 * B // 2 + 2
-        m1 = max(1, 2 * l + 1 - m2)
-        m = m1 + m2
-        kinds = (
-            (BlockKind.L1,) * m1
-            + (BlockKind.L2,) * max(m2 - 1, 0)
-            + (BlockKind.L3,)
+    case_id: str
+    contains: Callable[[Fraction], bool]  # range test on t
+    # the toughness a plan attains; regimes 1 and 3 reach A/B at any scale
+    formula: Callable[..., Fraction] = lambda p: Fraction(p.a_scaled, p.b_scaled)
+    parity: Optional[int] = None  # reduced denominator mod 2, where split
+    # regimes 1-4 only
+    admits: Optional[Callable[[SynthesisPlan], bool]] = None
+    order: Optional[Callable[[SynthesisPlan], int]] = None
+    builder: Optional[Callable[[SynthesisPlan], _Built]] = None
+    # block regimes only: the verify_claim_formula name; l and the counts
+    # at scale (A, B); the formula's hypothesis beyond l >= 2, as floors
+    # on the counts given l; the blocks; the kinds whose cut cores join
+    # the witness cutset
+    family: Optional[str] = None
+    counts: Callable[[int, int], _Counts] = lambda A, B: _Counts()
+    floors: Callable[[int], dict[str, int]] = lambda l: {}
+    kinds: Callable[..., tuple[BlockKind, ...]] = lambda c: ()
+    witness: Callable[..., set[BlockKind]] = lambda c: set()
+    notes: Callable[..., tuple[str, ...]] = lambda c: ()
+
+    @property
+    def step(self) -> int:
+        """Scale increment; odd scales keep an odd denominator odd."""
+        return 2 if self.parity == 1 else 1
+
+    def at_scale(self, t: Fraction, q: int) -> SynthesisPlan:
+        A, B = t.numerator * q, t.denominator * q
+        c = self.counts(A, B)
+        return SynthesisPlan(t, self.case_id, q, A, B, *c, self.kinds(c), self.notes(c))
+
+    def hypothesis_gap(self, c) -> Optional[str]:
+        """The formula's hypothesis if the counts c violate it, else None."""
+        floors = {"l": 2, **self.floors(c.l)}
+        if all(getattr(c, k) is not None and getattr(c, k) >= v
+               for k, v in floors.items()):
+            return None
+        return ", ".join(f"{k} >= {v}" for k, v in floors.items())
+
+    def admissible(self, p: SynthesisPlan) -> bool:
+        """Whether the plan's scale meets the regime's side conditions."""
+        if self.admits is not None:
+            return self.admits(p)
+        return (
+            p.b_scaled % 2 == self.parity
+            and self.hypothesis_gap(p) is None
+            and _path_free(p.block_kinds) >= 2 * p.l + 1
         )
-        ok = B % 2 == 0 and l >= 2 and m2 >= max(1, l - 2) and m >= 2 * l + 1
-    elif case_id == "7.1":
-        m = (B - 1) // 2
-        l = A - 2 * B + 2
-        kinds = (BlockKind.L1,) * m
-        ok = B % 2 == 1 and l >= 2 and m >= 1 and m >= 2 * l + 1
-    elif case_id == "7.2":
-        m = B // 2
-        l = A - 2 * B + 2
-        kinds = (BlockKind.L1,) * max(m - 1, 0) + (BlockKind.L4,)
-        # only the chorded-cycle blocks lack terminal paths here
-        ok = B % 2 == 0 and l >= 2 and m >= 1 and m - 1 >= 2 * l + 1
-    else:
-        raise PlanError(f"unknown case id {case_id!r}")
-    return _Derived(A, B, l, m, m1, m2, kinds, ok)
+
+    def order_of(self, p: SynthesisPlan) -> int:
+        if self.order is not None:
+            return self.order(p)
+        return p.l + sum(block(k).n * p.block_kinds.count(k) for k in BlockKind)
+
+    def realize(self, p: SynthesisPlan) -> _Built:
+        if self.builder is not None:
+            return self.builder(p)
+        blocks = [block(k) for k in p.block_kinds]
+        g = g_construct(p.l, blocks)
+        chosen = self.witness(p)
+        picks = set(range(p.l))
+        offset = p.l
+        for b in blocks:
+            if b.kind in chosen:
+                picks.update(offset + v for v in b.cut_core)
+            offset += b.n
+        arg = NonHamiltonicityArgument(
+            NONHAM_BLOCK_COUNT,
+            {"required": 2 * p.l + 1, "path_free_blocks": _path_free(p.block_kinds)},
+        )
+        return g, frozenset(picks), arg
+
+
+def _path_free(kinds: tuple[BlockKind, ...]) -> int:
+    # one pass over kinds: count the blocks that admit a terminal path
+    with_path = (k for k in BlockKind if k not in _PATH_FREE_KINDS)
+    return len(kinds) - sum(kinds.count(k) for k in with_path)
+
+
+def _mixed(l: int, m2: int) -> _Counts:
+    """Mixed-regime counts: enough L1 blocks, at least one, for 2l+1
+    path-free blocks in all."""
+    m1 = max(1, 2 * l + 1 - m2)
+    return _Counts(l, m1 + m2, m1, m2)
+
+
+# Builders of regimes 1-4.  They name their constructors as module
+# globals at call time, so tracing wrappers installed on this module
+# see the calls.
+
+
+def _build_bipartite(p: SynthesisPlan) -> _Built:
+    A, B = p.a_scaled, p.b_scaled
+    arg = NonHamiltonicityArgument(NONHAM_BIPARTITE, {"independent_side": B})
+    return complete_bipartite(A, B), frozenset(range(A)), arg
+
+
+def _build_unit(p: SynthesisPlan) -> _Built:
+    arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
+    return unit_toughness_graph(), frozenset({0, 3}), arg
+
+
+def _build_layers(p: SynthesisPlan) -> _Built:
+    A, B = p.a_scaled, p.b_scaled
+    n1 = A - B + 1
+    cut = frozenset(range(n1)) | frozenset(n1 + B + i for i in range(B - 1))
+    arg = NonHamiltonicityArgument(
+        NONHAM_EDGE_COUNT,
+        {"required_incidences": 2 * B, "available_incidences": 2 * n1 + B},
+    )
+    return matched_layers(A, B), cut, arg
+
+
+def _build_inflation(p: SynthesisPlan) -> _Built:
+    base = petersen()
+    arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
+    return inflate_triangles(base), inflation_cutset(base), arg
+
+
+_L1, _L2, _L3, _L4 = BlockKind.L1, BlockKind.L2, BlockKind.L3, BlockKind.L4
+_MIXED_NOTE = "regime covers 7/4 <= t <= 2 with both endpoints included"
+_NO_L2_NOTE = (
+    "witness cutset drawn from the chorded-cycle block cores; "
+    "no contracted blocks exist at this t"
+)
+
+_REGIMES = {r.case_id: r for r in (
+    _Regime("1", lambda t: t < 1, admits=lambda p: p.q == 1,
+            order=lambda p: p.a_scaled + p.b_scaled, builder=_build_bipartite),
+    _Regime("2", lambda t: t == 1, formula=lambda p: Fraction(1),
+            admits=lambda p: p.q == 1, order=lambda p: 7, builder=_build_unit),
+    # nonhamiltonicity needs the independent layer to outgrow the cycle
+    # capacity of the rest: 3*B > 2*A + 2
+    _Regime("3", lambda t: 1 < t < Fraction(3, 2),
+            admits=lambda p: p.b_scaled >= 2 and 3 * p.b_scaled > 2 * p.a_scaled + 2,
+            order=lambda p: p.a_scaled + p.b_scaled + 1, builder=_build_layers),
+    _Regime("4", lambda t: t == Fraction(3, 2), formula=lambda p: Fraction(3, 2),
+            admits=lambda p: p.q == 1, order=lambda p: 30, builder=_build_inflation),
+    _Regime("5.1", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=1,
+            family="l2_chain",
+            counts=lambda A, B: _Counts(A - 3 * (B - 1) // 2, (B - 1) // 2),
+            floors=lambda l: {"m": 1}, kinds=lambda c: (_L2,) * c.m,
+            formula=lambda c: Fraction(c.l + 3 * c.m, 1 + 2 * c.m),
+            witness=lambda c: {_L2}),
+    _Regime("5.2", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=0,
+            family="l2_chain_l3",
+            counts=lambda A, B: _Counts(A - 3 * B // 2 + 2, B // 2 - 1),
+            floors=lambda l: {"m": 1}, kinds=lambda c: (_L2,) * (c.m - 1) + (_L3,),
+            formula=lambda c: Fraction(c.l + 3 * c.m + 1, 2 * (c.m + 1)),
+            witness=lambda c: {_L2, _L3}),
+    _Regime("6.1", lambda t: Fraction(7, 4) <= t <= 2, parity=1, family="mixed",
+            counts=lambda A, B: _mixed(A - 3 * (B - 1) // 2, (B - 1) // 2),
+            floors=lambda l: {"m1": 1, "m2": max(0, l - 2)},
+            kinds=lambda c: (_L1,) * c.m1 + (_L2,) * c.m2,
+            formula=lambda c: Fraction(c.l + 3 * c.m2, 2 * c.m2 + 1),
+            # with no L2 blocks at all (t = 2) the L1 cores give the same ratio
+            witness=lambda c: {_L2 if c.m2 else _L1},
+            notes=lambda c: (_MIXED_NOTE,) + ((_NO_L2_NOTE,) if c.m2 == 0 else ())),
+    _Regime("6.2", lambda t: Fraction(7, 4) <= t <= 2, parity=0, family="mixed_l3",
+            counts=lambda A, B: _mixed(A - 3 * B // 2 + 2, B // 2 - 1),
+            floors=lambda l: {"m1": 1, "m2": max(1, l - 2)},
+            kinds=lambda c: (_L1,) * c.m1 + (_L2,) * (c.m2 - 1) + (_L3,),
+            formula=lambda c: Fraction(c.l + 3 * c.m2 + 1, 2 * (c.m2 + 1)),
+            witness=lambda c: {_L2, _L3},
+            notes=lambda c: (_MIXED_NOTE, "l = a_scaled - 3*b_scaled/2 + 2")),
+    _Regime("7.1", lambda t: 2 < t < T_UPPER, parity=1, family="l1_chain",
+            counts=lambda A, B: _Counts(A - 2 * B + 2, (B - 1) // 2),
+            floors=lambda l: {"m": 1}, kinds=lambda c: (_L1,) * c.m,
+            formula=lambda c: Fraction(c.l + 4 * c.m, 2 * c.m + 1),
+            witness=lambda c: {_L1}),
+    # the L4 block admits a terminal path: it adds no path-free block
+    _Regime("7.2", lambda t: 2 < t < T_UPPER, parity=0, family="l1_chain_l4",
+            counts=lambda A, B: _Counts(A - 2 * B + 2, B // 2),
+            floors=lambda l: {"m": 1}, kinds=lambda c: (_L1,) * (c.m - 1) + (_L4,),
+            formula=lambda c: Fraction(c.l + 4 * c.m - 2, 2 * c.m),
+            witness=lambda c: {_L1, _L4},
+            notes=lambda c: ("scale chosen so that t <= 9/4 - 3/b_scaled",
+                             "path-free count excludes the one path-admitting block")),
+)}
+
+_CASE_IDS = tuple(_REGIMES)
+
+# verify_claim_formula's names for the block regimes
+_REGIME_BY_FAMILY = {r.family: r for r in _REGIMES.values() if r.family}
+
+
+def _regime_for(t: Fraction) -> _Regime:
+    odd = t.denominator % 2
+    return next(
+        r for r in _REGIMES.values()
+        if r.contains(t) and r.parity in (None, odd)
+    )
+
+
+def _regime(case_id: str) -> _Regime:
+    try:
+        return _REGIMES[case_id]
+    except KeyError:
+        raise PlanError(f"unknown case id {case_id!r}") from None
 
 
 def plan(t: Union[Fraction, int, str]) -> SynthesisPlan:
@@ -240,45 +376,20 @@ def plan(t: Union[Fraction, int, str]) -> SynthesisPlan:
     t = _as_fraction(t)
     if not 0 < t < T_UPPER:
         raise ValueError("t must satisfy 0 < t < 9/4")
-    case_id = _case_for(t)
-    step = 2 if case_id in ("5.1", "6.1", "7.1") else 1
+    r = _regime_for(t)
     q = 1
-    derived = _derive(case_id, t, q)
-    while not derived.ok:
-        q += step
+    p = r.at_scale(t, q)
+    while not r.admissible(p):
+        q += r.step
         if q > _SCALE_CAP:
             raise PlanError(f"no admissible scale for t={t} below {_SCALE_CAP}")
-        derived = _derive(case_id, t, q)
-
-    notes = []
-    if case_id in ("6.1", "6.2"):
-        notes.append("regime covers 7/4 <= t <= 2 with both endpoints included")
-    if case_id == "6.2":
-        notes.append("l = a_scaled - 3*b_scaled/2 + 2")
-    if case_id == "6.1" and derived.m2 == 0:
-        notes.append(
-            "witness cutset drawn from the chorded-cycle block cores; "
-            "no contracted blocks exist at this t"
-        )
-    if case_id == "7.2":
-        notes.append("scale chosen so that t <= 9/4 - 3/b_scaled")
-        notes.append("path-free count excludes the one path-admitting block")
-
-    p = SynthesisPlan(
-        t=t,
-        case_id=case_id,
-        q=q,
-        a_scaled=derived.a_s,
-        b_scaled=derived.b_s,
-        l=derived.l,
-        m=derived.m,
-        m1=derived.m1,
-        m2=derived.m2,
-        block_kinds=derived.kinds,
-        notes=tuple(notes),
-    )
+        p = r.at_scale(t, q)
     validate_plan(p)
     return p
+
+
+def _derived_fields(p: SynthesisPlan) -> tuple:
+    return (p.a_scaled, p.b_scaled, p.l, p.m, p.m1, p.m2, p.block_kinds)
 
 
 def validate_plan(p: SynthesisPlan) -> None:
@@ -287,125 +398,43 @@ def validate_plan(p: SynthesisPlan) -> None:
     t = p.t
     if not isinstance(t, Fraction) or not 0 < t < T_UPPER:
         raise PlanError("plan target out of range (0, 9/4)")
-    if _case_for(t) != p.case_id:
+    r = _regime_for(t)
+    if r.case_id != p.case_id:
         raise PlanError(f"case {p.case_id} does not match t={t}")
     if p.q < 1:
         raise PlanError("scale must be positive")
-    derived = _derive(p.case_id, t, p.q)
-    if not derived.ok:
+    fresh = r.at_scale(t, p.q)
+    if not r.admissible(fresh):
         raise PlanError(f"scale q={p.q} violates the conditions of case {p.case_id}")
-    stored = (p.a_scaled, p.b_scaled, p.l, p.m, p.m1, p.m2, p.block_kinds)
-    fresh = (
-        derived.a_s, derived.b_s, derived.l, derived.m,
-        derived.m1, derived.m2, derived.kinds,
-    )
-    if stored != fresh:
-        raise PlanError(f"plan fields {stored} disagree with derivation {fresh}")
+    stored, derived = _derived_fields(p), _derived_fields(fresh)
+    if stored != derived:
+        raise PlanError(f"plan fields {stored} disagree with derivation {derived}")
     if predicted_toughness(p) != t:
         raise PlanError("governing formula does not reproduce t")
 
 
 def predicted_toughness(p: SynthesisPlan) -> Fraction:
     """The governing toughness formula of the plan's regime."""
-    c = p.case_id
-    if c in ("1", "3"):
-        return Fraction(p.a_scaled, p.b_scaled)
-    if c == "2":
-        return Fraction(1)
-    if c == "4":
-        return Fraction(3, 2)
-    if c == "5.1":
-        return Fraction(p.l + 3 * p.m, 1 + 2 * p.m)
-    if c == "5.2":
-        return Fraction(p.l + 3 * p.m + 1, 2 * (p.m + 1))
-    if c in ("6.1", "6.2"):
-        if p.m2 is None:
-            raise PlanError(f"case {c} needs m2")
-        if c == "6.1":
-            return Fraction(p.l + 3 * p.m2, 2 * p.m2 + 1)
-        return Fraction(p.l + 3 * p.m2 + 1, 2 * (p.m2 + 1))
-    if c == "7.1":
-        return Fraction(p.l + 4 * p.m, 2 * p.m + 1)
-    if c == "7.2":
-        return Fraction(p.l + 4 * p.m - 2, 2 * p.m)
-    raise PlanError(f"unknown case id {c!r}")
+    r = _regime(p.case_id)
+    missing = [k for k in r.floors(p.l) if getattr(p, k) is None]
+    if missing:
+        raise PlanError(f"case {p.case_id} needs {', '.join(missing)}")
+    try:
+        return r.formula(p)
+    except ZeroDivisionError:
+        raise PlanError(f"case {p.case_id} formula divides by zero") from None
 
 
 def plan_order(p: SynthesisPlan) -> int:
     """Vertex count of the graph the plan builds, without building it."""
-    c = p.case_id
-    if c == "1":
-        return p.a_scaled + p.b_scaled
-    if c == "2":
-        return 7
-    if c == "3":
-        return p.a_scaled + p.b_scaled + 1
-    if c == "4":
-        return 30
-    return p.l + sum(_BLOCK_ORDER[k] for k in p.block_kinds)
-
-
-def _witness_kinds(p: SynthesisPlan) -> frozenset[BlockKind]:
-    """Block kinds whose cut cores join the terminal clique in the
-    standard witness cutset."""
-    table = {
-        "5.1": frozenset({BlockKind.L2}),
-        "5.2": frozenset({BlockKind.L2, BlockKind.L3}),
-        "6.2": frozenset({BlockKind.L2, BlockKind.L3}),
-        "7.1": frozenset({BlockKind.L1}),
-        "7.2": frozenset({BlockKind.L1, BlockKind.L4}),
-    }
-    if p.case_id == "6.1":
-        # with no L2 blocks at all (t = 2) the L1 cores give the same ratio
-        return frozenset({BlockKind.L2 if p.m2 else BlockKind.L1})
-    return table[p.case_id]
+    return _regime(p.case_id).order_of(p)
 
 
 def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
     """Realize a plan: the graph, and a certificate with a verified
     witness cutset and the nonhamiltonicity argument for its regime."""
     validate_plan(p)
-    A, B = p.a_scaled, p.b_scaled
-    if p.case_id == "1":
-        g = complete_bipartite(A, B)
-        cut = frozenset(range(A))
-        arg = NonHamiltonicityArgument(NONHAM_BIPARTITE, {"independent_side": B})
-    elif p.case_id == "2":
-        g = unit_toughness_graph()
-        cut = frozenset({0, 3})
-        arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
-    elif p.case_id == "3":
-        g = matched_layers(A, B)
-        n1 = A - B + 1
-        cut = frozenset(range(n1)) | frozenset(n1 + B + i for i in range(B - 1))
-        arg = NonHamiltonicityArgument(
-            NONHAM_EDGE_COUNT,
-            {
-                "required_incidences": 2 * B,
-                "available_incidences": 2 * (A - B + 1) + B,
-            },
-        )
-    elif p.case_id == "4":
-        base = petersen()
-        g = inflate_triangles(base)
-        cut = inflation_cutset(base)
-        arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
-    else:
-        blocks = [block(k) for k in p.block_kinds]
-        g = g_construct(p.l, blocks)
-        chosen = _witness_kinds(p)
-        picks = set(range(p.l))
-        offset = p.l
-        for b in blocks:
-            if b.kind in chosen:
-                picks.update(offset + v for v in b.cut_core)
-            offset += b.n
-        cut = frozenset(picks)
-        path_free = sum(1 for k in p.block_kinds if k in _PATH_FREE_KINDS)
-        arg = NonHamiltonicityArgument(
-            NONHAM_BLOCK_COUNT,
-            {"required": 2 * p.l + 1, "path_free_blocks": path_free},
-        )
+    g, cut, arg = _REGIMES[p.case_id].realize(p)
     witness = cutset_witness(g, cut)
     predicted = predicted_toughness(p)
     if witness.ratio != predicted:

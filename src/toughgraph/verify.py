@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .blocks import BlockKind, block, g_construct
-from .graphs import Graph, components
+from .graphs import Graph, _bits, components
 from .oracles import (
     SizeLimitError,
     has_hamilton_path,
@@ -35,6 +35,8 @@ from .synth import (
     NONHAM_EXHAUSTIVE,
     Certificate,
     PlanError,
+    _Counts,
+    _REGIME_BY_FAMILY,
     build,
     plan,
     predicted_toughness,
@@ -116,7 +118,7 @@ def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
         queue = [s]
         while queue:
             v = queue.pop()
-            for u in _mask_bits(nbr[v]):
+            for u in _bits(nbr[v]):
                 if color[u] == -1:
                     color[u] = 1 - color[v]
                     side[color[u]] |= 1 << u
@@ -126,18 +128,15 @@ def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
     return side[0], side[1]
 
 
-def _mask_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 @functools.lru_cache(maxsize=None)
 def _kind_lacks_terminal_path(kind: BlockKind) -> bool:
     b = block(kind)
     r = has_hamilton_path(b.graph, b.x, b.y)
-    assert r.verdict is not None, "block-sized searches never hit the budget"
+    if r.verdict is None:
+        raise SizeLimitError(
+            f"terminal-path search on block {kind.value} exhausted its budget "
+            f"after {r.nodes} nodes"
+        )
     return not r.verdict
 
 
@@ -343,68 +342,6 @@ def check_certificate(
 # -- closed-form family recheck -----------------------------------------
 
 
-def _family_l2_chain(l, m, m1, m2):
-    if m is None or not (l >= 2 and m >= 1):
-        raise ValueError("l2_chain needs l >= 2 and m >= 1")
-    return (BlockKind.L2,) * m, Fraction(l + 3 * m, 1 + 2 * m)
-
-
-def _family_l2_chain_l3(l, m, m1, m2):
-    if m is None or not (l >= 2 and m >= 1):
-        raise ValueError("l2_chain_l3 needs l >= 2 and m >= 1")
-    return (
-        (BlockKind.L2,) * (m - 1) + (BlockKind.L3,),
-        Fraction(l + 3 * m + 1, 2 * (m + 1)),
-    )
-
-
-def _family_mixed(l, m, m1, m2):
-    if m1 is None or m2 is None or not (l >= 2 and m1 >= 1 and m2 >= 0):
-        raise ValueError("mixed needs l >= 2, m1 >= 1, m2 >= 0")
-    if m2 < l - 2:
-        raise ValueError("mixed needs m2 >= l - 2")
-    return (
-        (BlockKind.L1,) * m1 + (BlockKind.L2,) * m2,
-        Fraction(l + 3 * m2, 2 * m2 + 1),
-    )
-
-
-def _family_mixed_l3(l, m, m1, m2):
-    if m1 is None or m2 is None or not (l >= 2 and m1 >= 1 and m2 >= 1):
-        raise ValueError("mixed_l3 needs l >= 2, m1 >= 1, m2 >= 1")
-    if m2 < l - 2:
-        raise ValueError("mixed_l3 needs m2 >= l - 2")
-    return (
-        (BlockKind.L1,) * m1 + (BlockKind.L2,) * (m2 - 1) + (BlockKind.L3,),
-        Fraction(l + 3 * m2 + 1, 2 * (m2 + 1)),
-    )
-
-
-def _family_l1_chain(l, m, m1, m2):
-    if m is None or not (l >= 2 and m >= 1):
-        raise ValueError("l1_chain needs l >= 2 and m >= 1")
-    return (BlockKind.L1,) * m, Fraction(l + 4 * m, 2 * m + 1)
-
-
-def _family_l1_chain_l4(l, m, m1, m2):
-    if m is None or not (l >= 2 and m >= 1):
-        raise ValueError("l1_chain_l4 needs l >= 2 and m >= 1")
-    return (
-        (BlockKind.L1,) * (m - 1) + (BlockKind.L4,),
-        Fraction(l + 4 * m - 2, 2 * m),
-    )
-
-
-_FAMILIES = {
-    "l2_chain": _family_l2_chain,
-    "l2_chain_l3": _family_l2_chain_l3,
-    "mixed": _family_mixed,
-    "mixed_l3": _family_mixed_l3,
-    "l1_chain": _family_l1_chain,
-    "l1_chain_l4": _family_l1_chain_l4,
-}
-
-
 def verify_claim_formula(
     family: str,
     l: int,
@@ -415,23 +352,27 @@ def verify_claim_formula(
 ) -> bool:
     """Confront one closed-form toughness formula with the exact oracle.
 
-    Builds the named block composition at the given parameters and
-    returns whether its exact toughness equals the family's formula.
-    Raises SizeLimitError when the instance exceeds the oracle ceiling
-    and ValueError when the parameters violate the family's hypotheses.
+    Each family names a block regime of synth's regime table.  Builds
+    that regime's block composition at the given parameters and returns
+    whether its exact toughness equals the regime's formula.  Raises
+    SizeLimitError when the instance exceeds the oracle ceiling and
+    ValueError when the parameters violate the formula's hypothesis.
     """
     limits = limits or OracleLimits()
     try:
-        fam = _FAMILIES[family]
+        regime = _REGIME_BY_FAMILY[family]
     except KeyError:
         raise ValueError(
-            f"unknown family {family!r}; know {sorted(_FAMILIES)}"
+            f"unknown family {family!r}; know {sorted(_REGIME_BY_FAMILY)}"
         ) from None
-    kinds, formula = fam(l, m, m1, m2)
-    g = g_construct(l, [block(k) for k in kinds])
+    counts = _Counts(l, m, m1, m2)
+    gap = regime.hypothesis_gap(counts)
+    if gap is not None:
+        raise ValueError(f"{family} needs {gap}")
+    g = g_construct(l, [block(k) for k in regime.kinds(counts)])
     if g.n > limits.toughness_n:
         raise SizeLimitError(
             f"family instance has n={g.n} > oracle limit {limits.toughness_n}"
         )
     res = toughness_exact(g, max_n=limits.toughness_n, workers=limits.workers)
-    return res.value == formula
+    return res.value == regime.formula(counts)

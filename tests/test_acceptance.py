@@ -246,8 +246,11 @@ def test_criterion_11_property_suites():
             assert Fraction(p.a_scaled, p.b_scaled) == t
             assert p.q >= 1
 
-        # 2. single-field corruption of a certificate is always rejected
-        for target in ("2/3", "1", "6/5"):
+        # 2. single-field corruption of a certificate is always rejected,
+        # in regimes 1-3 and in each block regime
+        for target in (
+            "2/3", "1", "6/5", "5/3", "13/8", "7/4", "9/5", "2", "11/5", "13/6",
+        ):
             g, cert = synthesize(target)
             payload = json.loads(certificate_to_json(cert))
             for key in payload:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -16,6 +18,7 @@ from toughgraph import (
     certificate_from_json,
     certificate_to_json,
     components,
+    encode_graph6,
     parse_rational,
     plan,
     plan_order,
@@ -152,6 +155,40 @@ def test_plan_random_sweep_formula_identity():
         assert Fraction(p.a_scaled, p.b_scaled) == t
         assert p.q >= 1
     assert len(seen) >= 150
+
+
+# case -> sha256 over graph6 and certificate JSON of every reduced target
+# a/b in (0, 9/4) with b <= 20 in that case, in increasing order of t;
+# recorded from the per-case implementation the regime table replaced
+GOLDEN_DIGESTS = {
+    "1": "820c1a9c1751ebec5d6b1c50171772f211b32ad49c3859f333e56d07db333bf8",
+    "2": "4d1552db72c0a1f35d6bdd0ffd3dd7dd46a0c5b987ef7dd08c83c9b7d5e16e1f",
+    "3": "036d3c04a0a51dc29770906b1e6d1c5411ca4d2160ff99db5d0bceac1b818bcf",
+    "4": "aa9184e2b1ad82b6f9263109a7178893ec9d6bcf2962c65fbbc8c98acaf4fd77",
+    "5.1": "7cdba27aebb9b2ded1137be234422e3c10aa6788f67054428496c2f624b85c70",
+    "5.2": "74ce5f6c56ae65b89d2b4ee5d9fcb1b342ec8d84a050a7c18589b504f66f3dee",
+    "6.1": "e25eb554374575e5dd0194f6edf02048858ddeb5e73229d6de3d7b901163dce6",
+    "6.2": "955f74d89048f9e6ab054f122f5754e0657e360f579fb706510cea0c1a87e78b",
+    "7.1": "715a2f8b74430b5e0463e744927db094b064bd32e0cc40ba826129095b4c1b33",
+    "7.2": "531f030a1572d490b5ba93c2fdd0057b4714afa82e6e5e46075fc364162d2d44",
+}
+
+
+def test_synthesis_bytes_golden():
+    targets = sorted(
+        Fraction(a, b)
+        for b in range(1, 21)
+        for a in range(1, 3 * b)
+        if gcd(a, b) == 1 and Fraction(a, b) < Fraction(9, 4)
+    )
+    assert len(targets) == 286
+    digests = {}
+    for t in targets:
+        g, cert = synthesize(t)
+        h = digests.setdefault(cert.plan.case_id, hashlib.sha256())
+        h.update(encode_graph6(g))
+        h.update(certificate_to_json(cert).encode())
+    assert {case: h.hexdigest() for case, h in digests.items()} == GOLDEN_DIGESTS
 
 
 # -- certificates -------------------------------------------------------------

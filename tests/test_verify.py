@@ -214,6 +214,37 @@ def test_budget_exhaustion_is_a_rejection():
     assert "budget" in _check_named(report, "nonhamiltonicity").detail
 
 
+def test_unknown_terminal_path_verdict_is_a_rejection(monkeypatch):
+    # a block search that gives no verdict must fail the argument, never
+    # count the block as path-free
+    from toughgraph import HamiltonResult
+    from toughgraph import verify
+
+    g, cert = synthesize("9/5")
+    monkeypatch.setattr(
+        verify, "has_hamilton_path",
+        lambda *args, **kwargs: HamiltonResult(None, None, "backtracking", 1),
+    )
+    verify._kind_lacks_terminal_path.cache_clear()
+    try:
+        report = check_certificate(g, cert)
+    finally:
+        verify._kind_lacks_terminal_path.cache_clear()
+    assert not report.accepted
+    assert report.nonhamiltonicity_status == FAILED
+    assert "budget" in _check_named(report, "nonhamiltonicity").detail
+
+
+def test_zero_denominator_formula_is_a_rejection():
+    # m = 0 zeroes the denominator of the 7.2 formula; the forged
+    # certificate must be rejected, not crash the verifier
+    g, cert = synthesize("13/6")
+    bad = dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, m=0))
+    report = check_certificate(g, bad)
+    assert not report.accepted
+    assert "divides by zero" in _check_named(report, "witness").detail
+
+
 def test_limits_downgrade_toughness_tier():
     g, cert = synthesize("6/5")
     report = check_certificate(g, cert, OracleLimits(toughness_n=10))
