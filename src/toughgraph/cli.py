@@ -123,7 +123,6 @@ def _cmd_verify(args) -> int:
     limits = OracleLimits(
         toughness_n=args.max_oracle_n,
         hamilton_nodes=args.budget,
-        workers=args.threads,
     )
     report = check_certificate(g, cert, limits)
     sys.stdout.write(report.to_json())
@@ -133,7 +132,7 @@ def _cmd_verify(args) -> int:
 def _cmd_tau(args) -> int:
     g = _read_graph(args.graph)
     try:
-        res = toughness_exact(g, max_n=args.max_n, workers=args.threads)
+        res = toughness_exact(g, max_n=args.max_n)
     except SizeLimitError:
         witness = toughness_upper_search(g, budget=args.budget)
         if witness is None:
@@ -238,19 +237,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=24,
-                   help="largest n for the exact toughness recheck")
+                   help="largest n for the exact toughness recheck, a serial "
+                        "cutset enumeration over the non-universal vertices")
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="node budget for exhaustive Hamilton search")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for the toughness enumeration")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
-    p.add_argument("--max-n", type=int, default=24)
+    p.add_argument("--max-n", type=int, default=24,
+                   help="largest n for the exact serial cutset enumeration "
+                        "over the non-universal vertices")
     p.add_argument("--budget", type=int, default=2000,
                    help="evaluations for the heuristic fallback")
-    p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("hamilton", help="Hamilton cycle or spanning path search")

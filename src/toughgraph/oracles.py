@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import random
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph, _bits, _reach, count_components_masked
@@ -36,9 +35,6 @@ DEFAULT_TOUGHNESS_LIMIT = 24
 DEFAULT_ALPHA_LIMIT = 48
 DEFAULT_NODE_LIMIT = 10_000_000
 DEFAULT_DP_LIMIT = 22
-
-# a size class is split into chunks for worker processes only past this
-_PARALLEL_THRESHOLD = 50_000
 
 
 class SizeLimitError(ValueError):
@@ -96,60 +92,29 @@ def cutset_witness(g: Graph, cutset: frozenset[int]) -> CutsetWitness:
 # -- exact toughness ---------------------------------------------------
 
 
-def _kth_combination(idx: int, n: int, k: int) -> list[int]:
-    """Lexicographic unranking of k-subsets of range(n)."""
-    out = []
-    x = 0
-    while k > 0:
-        c = comb(n - x - 1, k - 1)
-        if idx < c:
-            out.append(x)
-            k -= 1
-        else:
-            idx -= c
-        x += 1
-    return out
-
-
-def _scan_chunk(args: tuple) -> tuple[int, int]:
-    """Scan one lexicographic run of k-subsets; return the best (component
-    count, cutset mask) found, preferring earlier subsets on ties."""
-    nbr, n, k, start, count = args
-    full = (1 << n) - 1
-    lst = _kth_combination(start, n, k)
-    best_c = 0
-    best_mask = 0
-    for _ in range(count):
-        mask = 0
-        for v in lst:
-            mask |= 1 << v
-        c = count_components_masked(nbr, full ^ mask)
-        if c >= 2 and c > best_c:
-            best_c = c
-            best_mask = mask
-        i = k - 1
-        while i >= 0 and lst[i] == n - k + i:
-            i -= 1
-        if i < 0:
-            break
-        lst[i] += 1
-        for j in range(i + 1, k):
-            lst[j] = lst[j - 1] + 1
-    return best_c, best_mask
-
-
-def toughness_exact(
-    g: Graph,
-    max_n: int = DEFAULT_TOUGHNESS_LIMIT,
-    workers: int = 1,
-) -> ToughnessResult:
+def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
     """Exact toughness: min |S| / omega(G - S) over all cutsets S.
 
-    Enumerates candidate cutsets by increasing size and stops as soon as
-    |S| / (n - |S|) can no longer beat the best ratio, which is sound
-    because a deleted set of size s leaves at most n - s components.
-    The witness is the first optimal cutset in (size, lexicographic)
-    order, independent of the worker count.
+    Two sound reductions keep the enumeration small:
+
+    - Universal vertices.  A vertex adjacent to all others reconnects
+      whatever it survives in, so the set U of universal vertices lies
+      in every cutset.  Only the subsets S' of R = V - U are enumerated,
+      by size k and then in lexicographic order of the labels, each
+      scored as (|U| + k) / omega(G - U - S').
+    - Stop bound.  Deleting |U| + k vertices leaves at most
+      min(|R| - k, alpha(G)) components, the alpha term because one
+      vertex from each component forms an independent set.  Once
+      (|U| + k) / min(|R| - k, alpha(G)) reaches the best ratio, no
+      larger cutset beats it and the enumeration stops.  A size class
+      is left early once one of its cutsets reaches that many
+      components, since no later one of the same size can beat it.
+
+    Only a strict improvement replaces the best cutset, so the witness
+    is the first optimal cutset in (size, lexicographic) order.  Adding
+    U back keeps that order: two cutsets U + S1 and U + S2 of one size
+    differ exactly where S1 and S2 do, and the smallest vertex of that
+    difference decides both comparisons.
     """
     n = g.n
     if n > max_n:
@@ -157,44 +122,35 @@ def toughness_exact(
             f"toughness enumeration capped at n={max_n}, got n={n}; "
             "raise max_n, or fall back to toughness_upper_search"
         )
-    if workers < 1:
-        raise ValueError("workers must be positive")
     if g.is_complete():
         return ToughnessResult(None, None)
     nbr = g.neighbor_masks
     full = (1 << n) - 1
+    universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
+    alive_rest = full ^ universal
+    rest = [1 << v for v in _bits(alive_rest)]
+    u = universal.bit_count()
+    r = len(rest)
+    alpha = independence_number(g, max_n=n)
     found = False
     best_s = best_c = best_mask = 0
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for k in range(n - 1):
-            if found and k * best_c >= best_s * (n - k):
-                break
-            total = comb(n, k)
-            if pool is not None and total >= _PARALLEL_THRESHOLD:
-                nchunks = workers * 4
-                step, extra = divmod(total, nchunks)
-                tasks = []
-                start = 0
-                for i in range(nchunks):
-                    size = step + (1 if i < extra else 0)
-                    if size:
-                        tasks.append((nbr, n, k, start, size))
-                        start += size
-                results = pool.map(_scan_chunk, tasks)
-            else:
-                results = [_scan_chunk((nbr, n, k, 0, total))]
-            for c, mask in results:
-                # accept iff k/c strictly beats the best ratio so far
-                if c >= 2 and (not found or k * best_c < best_s * c):
-                    found = True
-                    best_s, best_c, best_mask = k, c, mask
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for k in range(r - 1):
+        s = u + k
+        cap = min(r - k, alpha)
+        if found and s * best_c >= best_s * cap:
+            break
+        for combo in combinations(rest, k):
+            mask = sum(combo)
+            c = count_components_masked(nbr, alive_rest ^ mask)
+            # accept iff s/c strictly beats the best ratio so far
+            if c >= 2 and (not found or s * best_c < best_s * c):
+                found = True
+                best_s, best_c, best_mask = s, c, mask
+                if c == cap:
+                    break
     if not found:
         raise RuntimeError("non-complete graph must have a cutset")
-    witness = cutset_witness(g, frozenset(_bits(best_mask)))
+    witness = cutset_witness(g, frozenset(_bits(universal | best_mask)))
     if witness.component_count != best_c:
         raise RuntimeError("witness recount disagrees with the enumeration")
     return ToughnessResult(Fraction(best_s, best_c), witness)

@@ -384,7 +384,9 @@ def plan(t: Union[Fraction, int, str]) -> SynthesisPlan:
         if q > _SCALE_CAP:
             raise PlanError(f"no admissible scale for t={t} below {_SCALE_CAP}")
         p = r.at_scale(t, q)
-    validate_plan(p)
+    # the search derived p, so of validate_plan's checks only this can fail
+    if predicted_toughness(p) != t:
+        raise PlanError("governing formula does not reproduce t")
     return p
 
 

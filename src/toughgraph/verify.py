@@ -70,7 +70,6 @@ class OracleLimits:
     alpha_n: int = 48
     hamilton_nodes: int = 10_000_000
     dp_n: int = 22
-    workers: int = 1
 
 
 @dataclass
@@ -307,7 +306,7 @@ def check_certificate(
     if g.n <= limits.toughness_n:
 
         def chk_tau() -> tuple[bool, str]:
-            res = toughness_exact(g, max_n=limits.toughness_n, workers=limits.workers)
+            res = toughness_exact(g, max_n=limits.toughness_n)
             if res.is_infinite:
                 return False, "graph is complete; toughness infinite"
             if res.value != cert.predicted_tau:
@@ -374,5 +373,5 @@ def verify_claim_formula(
         raise SizeLimitError(
             f"family instance has n={g.n} > oracle limit {limits.toughness_n}"
         )
-    res = toughness_exact(g, max_n=limits.toughness_n, workers=limits.workers)
+    res = toughness_exact(g, max_n=limits.toughness_n)
     return res.value == regime.formula(counts)

@@ -43,17 +43,25 @@ def _component_count(adj: dict[int, set[int]], removed: set[int]) -> int:
 
 def naive_toughness(g: Graph) -> Optional[Fraction]:
     """min |S| / omega(G - S) over all cutsets, None when complete."""
+    first = naive_first_optimal_cutset(g)
+    return None if first is None else first[0]
+
+
+def naive_first_optimal_cutset(
+    g: Graph,
+) -> Optional[tuple[Fraction, tuple[int, ...]]]:
+    """The toughness and the first cutset reaching it, in (size,
+    lexicographic) order over all subsets; None when complete."""
     adj = _adjacency(g)
-    best: Optional[Fraction] = None
+    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for k in range(g.n):
         for subset in combinations(range(g.n), k):
-            removed = set(subset)
-            comps = _component_count(adj, removed)
+            comps = _component_count(adj, set(subset))
             if comps < 2:
                 continue
             ratio = Fraction(k, comps)
-            if best is None or ratio < best:
-                best = ratio
+            if best is None or ratio < best[0]:
+                best = (ratio, subset)
     return best
 
 

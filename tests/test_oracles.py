@@ -9,6 +9,7 @@ import pytest
 
 from naive import (
     naive_alpha,
+    naive_first_optimal_cutset,
     naive_hamilton_cycle,
     naive_hamilton_path,
     naive_toughness,
@@ -26,12 +27,12 @@ from toughgraph import (
     inflate_triangles,
     is_hamiltonian,
     make_graph,
+    matched_layers,
     petersen,
     toughness_exact,
     toughness_upper_search,
     unit_toughness_graph,
 )
-from toughgraph.oracles import _kth_combination
 
 
 def _random_graph(rng: random.Random, n: int, p: float):
@@ -89,27 +90,59 @@ def test_toughness_matches_naive_random():
     assert checked >= 20  # the corpus was not all complete graphs
 
 
-def test_toughness_parallel_agrees_with_serial():
-    gs = [
-        complete_bipartite(3, 5),
-        petersen(),
-        _random_graph(random.Random(5), 14, 0.3),
+def _planted_graph(rng: random.Random):
+    """A shuffled random graph on at most 11 vertices: a base part, at
+    times split in two or with isolated vertices, plus 0-3 planted
+    vertices joined to everything else."""
+    planted = rng.randrange(4)
+    base = rng.randrange(1, 12 - planted)
+    shape = rng.choice(("plain", "split", "isolated"))
+    cut = rng.randrange(base + 1) if shape == "split" else 0
+    live = rng.randrange(base) if shape == "isolated" else base
+    p = rng.uniform(0.2, 0.9)
+    edges = [
+        (u, v) for u in range(live) for v in range(u + 1, live)
+        if (u < cut) == (v < cut) and rng.random() < p
     ]
-    for g in gs:
-        a = toughness_exact(g, workers=1)
-        b = toughness_exact(g, workers=2)
-        assert a.value == b.value
-        if a.witness is not None:
-            assert a.witness.cutset == b.witness.cutset
+    n = base + planted
+    edges += [(u, v) for u in range(base, n) for v in range(n) if v != u]
+    label = list(range(n))
+    rng.shuffle(label)
+    return make_graph(n, [(label[u], label[v]) for u, v in edges]), planted
+
+
+def test_toughness_matches_naive_first_optimal_cutset():
+    rng = random.Random(3031)
+    with_universal = 0
+    for trial in range(90):
+        g, planted = _planted_graph(rng)
+        expect = naive_first_optimal_cutset(g)
+        got = toughness_exact(g)
+        if expect is None:
+            assert got.is_infinite
+            continue
+        ratio, cutset = expect
+        assert got.value == ratio
+        assert got.witness.cutset == frozenset(cutset)
+        assert got.witness.ratio == ratio
+        with_universal += planted > 0 and not g.is_complete()
+    assert with_universal >= 30  # the reduction ran on a real share
 
 
 def test_toughness_size_cap():
     star = make_graph(30, [(0, v) for v in range(1, 30)])
     with pytest.raises(SizeLimitError):
         toughness_exact(star)
-    # raising the cap runs fine: the hub cut is found at k=1 and the
-    # size-class bound stops the enumeration right there
+    # raising the cap runs fine: the hub is universal, and cutting it
+    # alone already leaves the most components the bound allows
     assert toughness_exact(star, max_n=30).value == Fraction(1, 29)
+
+
+def test_toughness_reach_with_universal_vertices():
+    # n=23: five universal vertices leave an 18-vertex enumeration
+    assert toughness_exact(matched_layers(13, 9)).value == Fraction(13, 9)
+    # alpha is taken with its own cap lifted, so n=55 raises nothing
+    assert toughness_exact(matched_layers(50, 4), max_n=60).value == Fraction(25, 2)
 
 
 def test_cutset_witness_validates():
@@ -145,16 +178,6 @@ def test_upper_search_never_beats_exact():
         exact = toughness_exact(g).value
         w = toughness_upper_search(g, budget=500, seed=trial)
         assert w.ratio >= exact
-
-
-def test_kth_combination_unranks_lexicographically():
-    from itertools import combinations
-    from math import comb
-
-    for n, k in ((5, 3), (8, 1), (8, 8), (9, 4)):
-        expect = [list(c) for c in combinations(range(n), k)]
-        got = [_kth_combination(i, n, k) for i in range(comb(n, k))]
-        assert got == expect
 
 
 # -- hamiltonicity -----------------------------------------------------------
