@@ -141,11 +141,16 @@ def f_m(blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
         terminals.append((offset + b.x, offset + b.y))
         offset += b.n
     flat = [v for pair in terminals for v in pair]
-    edges = list(base.edges())
-    edges.extend(
-        (flat[i], flat[j]) for i in range(len(flat)) for j in range(i + 1, len(flat))
-    )
-    return make_graph(base.n, edges), tuple(terminals)
+    clique = 0
+    for v in flat:
+        clique |= 1 << v
+    rows = list(base.neighbor_masks)
+    added = 0
+    for v in flat:
+        new = clique & ~rows[v] & ~(1 << v)
+        added += new.bit_count()
+        rows[v] |= new
+    return Graph(base.n, tuple(rows), base.edge_count + added // 2), tuple(terminals)
 
 
 def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
@@ -168,7 +173,10 @@ def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
 
 
 def complete_graph(n: int) -> Graph:
-    return make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    if n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
+    full = (1 << n) - 1
+    return Graph(n, tuple(full & ~(1 << v) for v in range(n)), n * (n - 1) // 2)
 
 
 def complete_bipartite(a: int, b: int) -> Graph:

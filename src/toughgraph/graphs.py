@@ -11,7 +11,9 @@ interchange formats: graph6, DOT, and a small JSON edge-list schema.
 
 from __future__ import annotations
 
+import binascii
 import json
+import re
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -32,6 +34,12 @@ __all__ = [
 GRAPH6_MAX_N = 2**36 - 1
 
 _G6_HEADER = b">>graph6<<"
+_G6_INVALID = re.compile(rb"[^\x3f-\x7e]")
+
+# graph6 writes a 6-bit group as the byte 63 + value, base64 as its alphabet
+_B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
+_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
 
 
 class GraphFormatError(ValueError):
@@ -189,19 +197,20 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     if not graphs:
         raise ValueError("disjoint_union needs at least one graph")
     n = 0
-    edges = []
+    rows: list[int] = []
     for g in graphs:
-        edges.extend((n + u, n + v) for u, v in g.edges())
+        rows.extend(r << n for r in g.neighbor_masks)
         n += g.n
-    return make_graph(n, edges)
+    return Graph(n, tuple(rows), sum(g.edge_count for g in graphs))
 
 
 def join(g: Graph, h: Graph) -> Graph:
     """Join: g, then h shifted by g.n, plus all edges between the two."""
-    edges = list(g.edges())
-    edges.extend((g.n + u, g.n + v) for u, v in h.edges())
-    edges.extend((u, g.n + v) for u in range(g.n) for v in range(h.n))
-    return make_graph(g.n + h.n, edges)
+    low = (1 << g.n) - 1
+    high = ((1 << h.n) - 1) << g.n
+    rows = [r | high for r in g.neighbor_masks]
+    rows.extend((r << g.n) | low for r in h.neighbor_masks)
+    return Graph(g.n + h.n, tuple(rows), g.edge_count + h.edge_count + g.n * h.n)
 
 
 # -- graph6 ------------------------------------------------------------
@@ -220,26 +229,24 @@ def _g6_size_bytes(n: int) -> bytes:
 
 def encode_graph6(g: Graph) -> bytes:
     """Encode in graph6: size field, then the upper triangle column by
-    column ((0,1),(0,2),(1,2),(0,3),...), six bits per byte, offset 63."""
+    column ((0,1),(0,2),(1,2),(0,3),...), six bits per byte, offset 63.
+
+    Column j is the low j bits of row j, lowest first; the columns form
+    one bit string that base64 cuts into the 6-bit groups."""
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 cannot encode n={n}")
-    out = bytearray(_g6_size_bytes(n))
     nbr = g.neighbor_masks
-    val = 0
-    nbits = 0
-    for j in range(1, n):
-        row = nbr[j]
-        for i in range(j):
-            val = (val << 1) | ((row >> i) & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(val + 63)
-                val = 0
-                nbits = 0
-    if nbits:
-        out.append((val << (6 - nbits)) + 63)
-    return bytes(out)
+    bits = "".join(
+        format(nbr[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
+    )
+    need = (len(bits) + 5) // 6
+    if not need:
+        return _g6_size_bytes(n)
+    bits += "0" * (-len(bits) % 24)
+    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    body = binascii.b2a_base64(raw, newline=False)[:need].translate(_B64_TO_G6)
+    return _g6_size_bytes(n) + body
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -251,9 +258,9 @@ def decode_graph6(data: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise GraphFormatError("empty graph6 input")
-    for b in data:
-        if not (63 <= b <= 126):
-            raise GraphFormatError(f"invalid graph6 byte {b}")
+    bad = _G6_INVALID.search(data)
+    if bad:
+        raise GraphFormatError(f"invalid graph6 byte {bad.group()[0]}")
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -282,20 +289,25 @@ def decode_graph6(data: bytes | str) -> Graph:
         )
     if len(body) > need:
         raise GraphFormatError("trailing bytes after graph6 body")
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            byte = body[k // 6] - 63
-            if (byte >> (5 - k % 6)) & 1:
-                edges.append((i, j))
-            k += 1
-    # padding bits must be zero
-    if nbits % 6:
-        last = body[-1] - 63
-        if last & ((1 << (6 - nbits % 6)) - 1):
-            raise GraphFormatError("nonzero padding bits in graph6 body")
-    return make_graph(n, edges)
+    if not need:
+        return Graph(n, (0,) * n, 0)
+    raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-need % 4))
+    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
+    if "1" in bits[nbits : 6 * need]:
+        raise GraphFormatError("nonzero padding bits in graph6 body")
+    # column j holds row j's neighbors below j; laid out as a column-major
+    # n x n matrix padded with zeros, the stride-n slice at v reads row
+    # v's neighbors above v
+    starts = [j * (j - 1) // 2 for j in range(n + 1)]
+    matrix = "".join(
+        bits[starts[j] : starts[j + 1]] + "0" * (n - j) for j in range(n)
+    )
+    rows = tuple(
+        int(matrix[v::n][::-1], 2)
+        | int(bits[starts[v] : starts[v + 1]][::-1] or "0", 2)
+        for v in range(n)
+    )
+    return Graph(n, rows, bits.count("1"))
 
 
 # -- DOT and JSON ------------------------------------------------------

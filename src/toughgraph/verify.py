@@ -39,6 +39,7 @@ from .synth import (
     _REGIME_BY_FAMILY,
     build,
     plan,
+    plan_order,
     predicted_toughness,
 )
 
@@ -166,6 +167,11 @@ def check_certificate(
         fresh = plan(cert.plan.t)
         if fresh != cert.plan:
             return False, f"plan is not the canonical plan for t={cert.plan.t}"
+        # compare orders before building, so a small graph cannot make
+        # the verifier realize a huge plan
+        order = plan_order(fresh)
+        if order != g.n:
+            return False, f"plan builds n={order} vertices but the graph has n={g.n}"
         g2, cert2 = build(fresh)
         rebuilt["graph"] = g2
         rebuilt["cert"] = cert2

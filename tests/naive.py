@@ -1,9 +1,11 @@
 """Slow reference oracles used only to cross-check the fast ones.
 
-Everything here is written against plain dict-of-sets adjacency with
+The oracles are written against plain dict-of-sets adjacency with
 itertools enumeration, deliberately sharing no code with the package
-(which works on bitmasks).  Keep these dumb; their only virtue is that
-they are obviously correct on small graphs.
+(which works on bitmasks).  The construction and graph6 references
+build edge tuples for make_graph and write one bit at a time.  Keep
+these dumb; their only virtue is that they are obviously correct on
+small graphs.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
 
-from toughgraph import Graph
+from toughgraph import Graph, make_graph
 
 
 def _adjacency(g: Graph) -> dict[int, set[int]]:
@@ -102,3 +104,70 @@ def naive_alpha(g: Graph) -> int:
             if all(v not in adj[u] for u, v in combinations(subset, 2)):
                 return k
     return best
+
+
+# -- construction and graph6, one edge tuple or one bit at a time ----------
+
+
+def naive_complete_graph(n: int) -> Graph:
+    return make_graph(n, list(combinations(range(n), 2)))
+
+
+def naive_disjoint_union(graphs: list[Graph]) -> Graph:
+    n = 0
+    edges = []
+    for g in graphs:
+        edges.extend((n + u, n + v) for u, v in g.edges())
+        n += g.n
+    return make_graph(n, edges)
+
+
+def naive_join(g: Graph, h: Graph) -> Graph:
+    edges = list(g.edges())
+    edges.extend((g.n + u, g.n + v) for u, v in h.edges())
+    edges.extend((u, g.n + v) for u in range(g.n) for v in range(h.n))
+    return make_graph(g.n + h.n, edges)
+
+
+def naive_f_m(blocks) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    base = naive_disjoint_union([b.graph for b in blocks])
+    terminals = []
+    offset = 0
+    for b in blocks:
+        terminals.append((offset + b.x, offset + b.y))
+        offset += b.n
+    flat = [v for pair in terminals for v in pair]
+    edges = list(base.edges()) + list(combinations(flat, 2))
+    return make_graph(base.n, edges), tuple(terminals)
+
+
+def naive_g_construct(l: int, blocks) -> Graph:
+    if not blocks:
+        return naive_complete_graph(l)
+    fm, _ = naive_f_m(blocks)
+    return fm if l == 0 else naive_join(naive_complete_graph(l), fm)
+
+
+def naive_encode_graph6(g: Graph) -> bytes:
+    """Size field, then the upper triangle column by column, six bits per
+    byte at offset 63, zero-padded."""
+    n = g.n
+    if n <= 62:
+        out = bytearray([n + 63])
+    elif n <= 258047:
+        out = bytearray([126] + [((n >> sh) & 63) + 63 for sh in (12, 6, 0)])
+    else:
+        out = bytearray([126, 126] + [((n >> sh) & 63) + 63 for sh in range(30, -1, -6)])
+    val = 0
+    nbits = 0
+    for j in range(1, n):
+        for i in range(j):
+            val = (val << 1) | int(g.has_edge(i, j))
+            nbits += 1
+            if nbits == 6:
+                out.append(val + 63)
+                val = 0
+                nbits = 0
+    if nbits:
+        out.append((val << (6 - nbits)) + 63)
+    return bytes(out)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from naive import naive_f_m, naive_g_construct
 
 from toughgraph import (
     Block,
@@ -134,6 +137,22 @@ def test_g_construct_join_layout():
     assert all(
         g.degree(3 + v) == fm.degree(v) + 3 for v in range(fm.n)
     )
+
+
+def test_f_m_and_g_construct_match_edge_tuple_reference():
+    rng = random.Random(909)
+    kinds = list(BlockKind)
+    for trial in range(120):
+        blocks = [block(rng.choice(kinds)) for _ in range(rng.randrange(1, 7))]
+        g, pairs = f_m(blocks)
+        ref, ref_pairs = naive_f_m(blocks)
+        assert pairs == ref_pairs
+        # Graph equality compares n and the rows only, not the stored count
+        assert g == ref and g.edge_count == ref.edge_count
+        for l in range(4):
+            g = g_construct(l, blocks)
+            ref = naive_g_construct(l, blocks)
+            assert g == ref and g.edge_count == ref.edge_count
 
 
 # -- special families --------------------------------------------------------

@@ -5,6 +5,12 @@ from __future__ import annotations
 import random
 
 import pytest
+from naive import (
+    naive_complete_graph,
+    naive_disjoint_union,
+    naive_encode_graph6,
+    naive_join,
+)
 
 from toughgraph import (
     GraphFormatError,
@@ -138,6 +144,25 @@ def test_join_edge_count():
     assert all(g.has_edge(u, 3 + v) for u in range(3) for v in range(4))
 
 
+def _same(g, ref):
+    # Graph equality compares n and the rows only, not the stored count
+    assert g == ref
+    assert g.edge_count == ref.edge_count
+
+
+def test_combinators_match_edge_tuple_reference():
+    rng = random.Random(4242)
+    for n in range(13):
+        _same(complete_graph(n), naive_complete_graph(n))
+    for trial in range(150):
+        parts = [
+            _random_graph(rng, rng.randrange(0, 13), rng.random())
+            for _ in range(rng.randrange(1, 5))
+        ]
+        _same(disjoint_union(parts), naive_disjoint_union(parts))
+        _same(join(parts[0], parts[-1]), naive_join(parts[0], parts[-1]))
+
+
 # -- graph6 ----------------------------------------------------------------
 
 
@@ -199,6 +224,45 @@ def test_graph6_rejects_garbage():
         decode_graph6(b"~?")
     with pytest.raises(GraphFormatError):
         decode_graph6(b"~~???")
+
+
+def test_graph6_matches_reference_encoder_at_every_order():
+    # n = 0..70 covers every padding residue n(n-1)/2 mod 6 and the
+    # switch from the 1-byte to the 4-byte size field at n = 63
+    rng = random.Random(2718)
+    for n in range(71):
+        for p in (0.0, rng.random(), 1.0):
+            g = _random_graph(rng, n, p)
+            data = encode_graph6(g)
+            assert data == naive_encode_graph6(g), n
+            back = decode_graph6(data)
+            assert back == g and back.edge_count == g.edge_count, n
+
+
+def test_graph6_rejects_every_padding_bit():
+    rng = random.Random(314)
+    checked = 0
+    for n in range(71):
+        pad = -(n * (n - 1) // 2) % 6
+        if not pad:
+            continue
+        data = encode_graph6(_random_graph(rng, n, 0.5))
+        for bit in range(pad):
+            value = (data[-1] - 63) ^ (1 << bit)
+            flipped = data[:-1] + bytes([value + 63])
+            with pytest.raises(GraphFormatError, match="padding"):
+                decode_graph6(flipped)
+            checked += 1
+    assert checked == 151
+
+
+def test_graph6_names_the_first_invalid_byte():
+    with pytest.raises(GraphFormatError, match=r"invalid graph6 byte 127$"):
+        decode_graph6(b"D]\x7fo\x00")
+    with pytest.raises(GraphFormatError, match=r"invalid graph6 byte 62$"):
+        decode_graph6(b"D>\x00\xff")
+    with pytest.raises(GraphFormatError, match=r"invalid graph6 byte 255$"):
+        decode_graph6(b"\xff")
 
 
 def test_graph6_huge_size_field_fails_before_allocation():

@@ -18,6 +18,8 @@ from toughgraph import (
     certificate_from_json,
     certificate_to_json,
     components,
+    cutset_witness,
+    decode_graph6,
     encode_graph6,
     parse_rational,
     plan,
@@ -192,6 +194,19 @@ def test_synthesis_bytes_golden():
 
 
 # -- certificates -------------------------------------------------------------
+
+
+def test_large_block_graph_roundtrips_through_graph6():
+    # case 6.1 at n=3925 with 1.46M edges: construction and graph6 at
+    # the sizes where the block regimes live
+    g, cert = synthesize("1301/701")
+    assert (g.n, g.edge_count) == (3925, 1_464_400)
+    back = decode_graph6(encode_graph6(g))
+    assert back == g
+    assert back.edge_count == g.edge_count
+    witness = cutset_witness(back, cert.cutset)
+    assert witness.component_count == cert.components
+    assert witness.ratio == cert.predicted_tau == Fraction(1301, 701)
 
 
 def test_certificate_json_roundtrip():

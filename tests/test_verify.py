@@ -138,6 +138,34 @@ def test_rejects_predicted_tau_tampering():
     assert report.toughness_status == FAILED
 
 
+def test_rebuild_refuses_a_plan_larger_than_the_graph(monkeypatch):
+    # the canonical plan of 1749999/1000000 has 11.2M vertices; paired
+    # with a small graph it must be refused by order, never built
+    from toughgraph import Certificate, complete_bipartite, plan, plan_order
+    from toughgraph import verify
+
+    def no_build(p):
+        pytest.fail(f"verifier tried to build a plan of n={plan_order(p)}")
+
+    monkeypatch.setattr(verify, "build", no_build)
+    p = plan("1749999/1000000")
+    order = plan_order(p)
+    assert order > 11_000_000
+    cert = Certificate(
+        plan=p,
+        n=order,
+        nonhamiltonicity=NonHamiltonicityArgument("block_count", {}),
+        cutset=frozenset({0, 1}),
+        components=3,
+        predicted_tau=p.t,
+    )
+    g = complete_bipartite(2, 3)
+    report = check_certificate(g, cert)
+    assert report.accepted is False
+    detail = _check_named(report, "rebuild").detail
+    assert f"n={order}" in detail and f"n={g.n}" in detail
+
+
 def test_rejects_plan_parameter_tampering():
     g, cert = synthesize("9/5")
     for field, value in (("l", 4), ("m1", 4), ("q", 3)):
