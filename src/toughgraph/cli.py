@@ -237,8 +237,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=24,
-                   help="largest n for the exact toughness recheck, a serial "
-                        "cutset enumeration over the non-universal vertices")
+                   help="largest n for the exact toughness recheck, a pruned "
+                        "depth-first cutset search over the non-universal "
+                        "vertices")
     p.add_argument("--budget", type=int, default=10_000_000,
                    help="node budget for exhaustive Hamilton search")
     p.set_defaults(func=_cmd_verify)
@@ -246,8 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=24,
-                   help="largest n for the exact serial cutset enumeration "
-                        "over the non-universal vertices")
+                   help="largest n for the exact pruned depth-first cutset "
+                        "search over the non-universal vertices")
     p.add_argument("--budget", type=int, default=2000,
                    help="evaluations for the heuristic fallback")
     p.set_defaults(func=_cmd_tau)

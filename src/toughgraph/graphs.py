@@ -14,6 +14,7 @@ from __future__ import annotations
 import binascii
 import json
 import re
+from itertools import compress, repeat
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -40,6 +41,9 @@ _G6_INVALID = re.compile(rb"[^\x3f-\x7e]")
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 _B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
 _G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+
+# the digits of a binary string as the byte values 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class GraphFormatError(ValueError):
@@ -87,15 +91,13 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        out = []
-        for v in range(self.n):
-            row = self._nbr[v] >> (v + 1)
-            u = v + 1
-            while row:
-                if row & 1:
-                    out.append((v, u))
-                row >>= 1
-                u += 1
+        n = self.n
+        out: list[tuple[int, int]] = []
+        for v, row in enumerate(self._nbr):
+            # one byte per later vertex u, 1 iff uv is an edge
+            flags = format(row >> v + 1, f"0{n - v - 1}b")[::-1].encode()
+            later = compress(range(v + 1, n), flags.translate(_BIT_BYTES))
+            out.extend(zip(repeat(v), later))
         return out
 
     def is_connected(self) -> bool:

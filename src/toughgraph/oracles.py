@@ -1,4 +1,4 @@
-"""Exact brute-force oracles with explicit resource limits.
+"""Exact exponential-time oracles with explicit resource limits.
 
 Everything here returns exact answers or refuses loudly: toughness and
 independence raise SizeLimitError beyond their vertex ceilings, and the
@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Optional
 
 from .graphs import Graph, _bits, _reach, count_components_masked
@@ -53,10 +52,14 @@ class CutsetWitness:
 
 @dataclass(frozen=True)
 class ToughnessResult:
-    """Exact toughness; value None means infinite (complete graph)."""
+    """Exact toughness; value None means infinite (complete graph).
+
+    cutsets is the number of cutsets whose components the search counted.
+    """
 
     value: Optional[Fraction]
     witness: Optional[CutsetWitness]
+    cutsets: int = field(default=0, compare=False)
 
     @property
     def is_infinite(self) -> bool:
@@ -95,31 +98,39 @@ def cutset_witness(g: Graph, cutset: frozenset[int]) -> CutsetWitness:
 def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
     """Exact toughness: min |S| / omega(G - S) over all cutsets S.
 
-    Two sound reductions keep the enumeration small:
-
     - Universal vertices.  A vertex adjacent to all others reconnects
       whatever it survives in, so the set U of universal vertices lies
-      in every cutset.  Only the subsets S' of R = V - U are enumerated,
-      by size k and then in lexicographic order of the labels, each
-      scored as (|U| + k) / omega(G - U - S').
+      in every cutset.  Only the subsets S' of R = V - U are searched,
+      by size k, each scored as (|U| + k) / omega(G - U - S').
     - Stop bound.  Deleting |U| + k vertices leaves at most
-      min(|R| - k, alpha(G)) components, the alpha term because one
-      vertex from each component forms an independent set.  Once
-      (|U| + k) / min(|R| - k, alpha(G)) reaches the best ratio, no
-      larger cutset beats it and the enumeration stops.  A size class
-      is left early once one of its cutsets reaches that many
-      components, since no later one of the same size can beat it.
+      cap = min(|R| - k, alpha(G)) components, the alpha term because
+      one vertex from each component forms an independent set.  Once
+      (|U| + k) / cap reaches the best ratio, no larger cutset beats it
+      and the search stops.
+    - Pruned depth-first search.  For one size k the vertices of R are
+      decided in label order, "in S'" before "out of S'", which visits
+      the k-subsets in lexicographic order.  Every vertex that is
+      decided out of S' survives, and so does every undecided vertex
+      that is not cut later.  Such an undecided survivor either touches
+      a decided survivor and joins its component, or touches none of
+      them; so the cutsets below a node leave at most the components of
+      the decided survivors plus the undecided vertices adjacent to none
+      of them (no more than the undecided survivors), and never more
+      than cap.  A subtree whose bound cannot strictly beat the best
+      ratio is skipped, and a size class ends once one of its cutsets
+      reaches cap components.
 
     Only a strict improvement replaces the best cutset, so the witness
     is the first optimal cutset in (size, lexicographic) order.  Adding
     U back keeps that order: two cutsets U + S1 and U + S2 of one size
     differ exactly where S1 and S2 do, and the smallest vertex of that
-    difference decides both comparisons.
+    difference decides both comparisons.  `cutsets` counts the cutsets
+    whose components were counted.
     """
     n = g.n
     if n > max_n:
         raise SizeLimitError(
-            f"toughness enumeration capped at n={max_n}, got n={n}; "
+            f"toughness search capped at n={max_n}, got n={n}; "
             "raise max_n, or fall back to toughness_upper_search"
         )
     if g.is_complete():
@@ -128,32 +139,61 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
     full = (1 << n) - 1
     universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
     alive_rest = full ^ universal
-    rest = [1 << v for v in _bits(alive_rest)]
+    rest = list(_bits(alive_rest))
     u = universal.bit_count()
     r = len(rest)
+    # undecided[i]: the vertices of R from rest[i] on
+    undecided = [alive_rest >> v << v for v in rest] + [0]
     alpha = independence_number(g, max_n=n)
     found = False
     best_s = best_c = best_mask = 0
+    scored = 0
     for k in range(r - 1):
         s = u + k
         cap = min(r - k, alpha)
         if found and s * best_c >= best_s * cap:
             break
-        for combo in combinations(rest, k):
-            mask = sum(combo)
-            c = count_components_masked(nbr, alive_rest ^ mask)
-            # accept iff s/c strictly beats the best ratio so far
-            if c >= 2 and (not found or s * best_c < best_s * c):
-                found = True
-                best_s, best_c, best_mask = s, c, mask
-                if c == cap:
-                    break
+        # node: next vertex index, vertices cut so far, cut mask, the
+        # components of the decided survivors, their joint neighborhood
+        stack = [(0, 0, 0, (), 0)]
+        while stack:
+            i, j, mask, comps, touched = stack.pop()
+            # r - i - (k - j) undecided vertices survive; those that touch
+            # no decided survivor can each add one component at most
+            free = (undecided[i] & ~touched).bit_count()
+            bound = min(len(comps) + min(free, r - i - k + j), cap)
+            if bound < 2 or (found and s * best_c >= best_s * bound):
+                continue
+            if j == k:
+                scored += 1
+                c = count_components_masked(nbr, alive_rest ^ mask)
+                # accept iff s/c strictly beats the best ratio so far
+                if c >= 2 and (not found or s * best_c < best_s * c):
+                    found = True
+                    best_s, best_c, best_mask = s, c, mask
+                    if c == cap:
+                        break
+                continue
+            v = rest[i]
+            if r - i > k - j:
+                row = nbr[v]
+                merged = 1 << v
+                kept = []
+                for comp in comps:
+                    if comp & row:
+                        merged |= comp
+                    else:
+                        kept.append(comp)
+                kept.append(merged)
+                stack.append((i + 1, j, mask, tuple(kept), touched | row))
+            # pushed last, so "v in S'" is searched before "v out of S'"
+            stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
     if not found:
         raise RuntimeError("non-complete graph must have a cutset")
     witness = cutset_witness(g, frozenset(_bits(universal | best_mask)))
     if witness.component_count != best_c:
-        raise RuntimeError("witness recount disagrees with the enumeration")
-    return ToughnessResult(Fraction(best_s, best_c), witness)
+        raise RuntimeError("witness recount disagrees with the search")
+    return ToughnessResult(Fraction(best_s, best_c), witness, scored)
 
 
 def toughness_upper_search(

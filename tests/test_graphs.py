@@ -57,6 +57,19 @@ def test_make_graph_basics():
     assert g.edges() == [(0, 1), (1, 2), (2, 3)]
 
 
+def test_edges_match_the_edge_list_at_every_density():
+    rng = random.Random(5150)
+    for n in (0, 1, 2, 7, 63, 64, 65, 130):
+        for p in (0.0, 0.05, 0.3, 0.7, 1.0):
+            pairs = [
+                (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+            ]
+            # hand make_graph the pairs shuffled and half reversed
+            shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(shuffled)
+            assert make_graph(n, shuffled).edges() == pairs, (n, p)
+
+
 def test_make_graph_dedupes_and_ignores_order():
     g = make_graph(3, [(0, 1), (1, 0), (0, 1)])
     assert g.edge_count == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -127,6 +130,135 @@ def test_toughness_matches_naive_first_optimal_cutset():
         assert got.witness.ratio == ratio
         with_universal += planted > 0 and not g.is_complete()
     assert with_universal >= 30  # the reduction ran on a real share
+
+
+def _assert_first_optimal_cutset(g):
+    expect = naive_first_optimal_cutset(g)
+    got = toughness_exact(g, max_n=g.n)
+    if expect is None:
+        assert got.is_infinite, g
+        return
+    ratio, cutset = expect
+    assert got.value == ratio, (g.edges(), got.value, ratio)
+    assert got.witness.cutset == frozenset(cutset), (g.edges(), got.witness, cutset)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_toughness_first_optimal_cutset_on_every_labeled_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        _assert_first_optimal_cutset(
+            make_graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+        )
+
+
+def _path(n: int):
+    return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _star(n: int):
+    return make_graph(n, [(0, v) for v in range(1, n)])
+
+
+def _grid(a: int, b: int):
+    edges = [(v, v + 1) for v in range(a * b) if (v + 1) % b]
+    edges += [(v, v + b) for v in range(a * b - b)]
+    return make_graph(a * b, edges)
+
+
+def _tree(rng: random.Random, n: int):
+    return make_graph(n, [(v, rng.randrange(v)) for v in range(1, n)])
+
+
+def _cubic(rng: random.Random, n: int):
+    """A random simple 3-regular graph on an even n, by rejection."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = {tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2)}
+        if len(pairs) == len(ends) // 2 and all(u != v for u, v in pairs):
+            return make_graph(n, sorted(pairs))
+
+
+def _shapes(rng: random.Random):
+    """Shapes on which the search prunes badly (sparse, long, many
+    small components after a cut) or well (dense), at most 8 vertices
+    so that 3 planted universal vertices keep n <= 11."""
+    for n in (5, 8):
+        yield _path(n)
+        yield _cycle(n)
+        yield _tree(rng, n)
+        yield _star(n)
+        yield _random_graph(rng, n, 0.8)
+    yield _random_graph(rng, 7, 0.7)
+    yield _grid(2, 3)
+    yield _grid(2, 4)
+    yield _cubic(rng, 6)
+    yield _cubic(rng, 8)
+
+
+def _plant_universal(rng: random.Random, g, planted: int):
+    """g plus planted vertices adjacent to every other vertex, all
+    labels shuffled."""
+    n = g.n + planted
+    edges = g.edges() + [
+        (u, v) for u in range(g.n, n) for v in range(n) if v != u
+    ]
+    label = list(range(n))
+    rng.shuffle(label)
+    return make_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+def test_toughness_first_optimal_cutset_on_shapes():
+    rng = random.Random(2718)
+    for g in _shapes(rng):
+        _assert_first_optimal_cutset(g)  # in its natural labels too
+        for planted in range(4):
+            _assert_first_optimal_cutset(_plant_universal(rng, g, planted))
+
+
+# sha256 over "value|witness" lines of the corpus below, recorded with the
+# flat combinations enumeration that the depth-first search replaced
+RANDOM_CORPUS_DIGEST = "2ec6d1619bc6a9b64e92ba69e08e19ab21e39a2a597f2c1a067fc685c346dc1d"
+
+
+def test_toughness_random_corpus_digest():
+    rng = random.Random(1813)
+    h = hashlib.sha256()
+    for i in range(40):
+        g = _random_graph(rng, 13 + i % 6, rng.choice((0.3, 0.5, 0.7)))
+        r = toughness_exact(g)
+        cut = "" if r.is_infinite else ",".join(map(str, sorted(r.witness.cutset)))
+        h.update(f"{r.value}|{cut}\n".encode())
+    assert h.hexdigest() == RANDOM_CORPUS_DIGEST
+
+
+def test_toughness_search_prunes():
+    rng = random.Random(1)
+    g = _random_graph(rng, 18, 0.6)
+    r = toughness_exact(g)
+    assert r.value == Fraction(13, 4) and len(r.witness.cutset) == 13
+    # no universal vertex, so the flat enumeration scored every cutset
+    # of sizes 0..12 before it reached the witness
+    flat = sum(comb(18, k) for k in range(13))
+    assert r.cutsets < flat // 20
+    # pinned: a subtree whose bound only ties the best ratio is skipped,
+    # since the strict-improvement rule would reject all of its cutsets
+    assert r.cutsets == 1053
+
+
+def test_toughness_search_is_not_recursive():
+    # a star whose hub (the last label) misses one vertex, hung off the
+    # first leaf: no vertex is universal, and the size-1 search decides
+    # every other vertex before it cuts the hub; a walk that recursed
+    # once per vertex would pass the interpreter's recursion limit
+    n = 1500
+    hub = n - 1
+    g = make_graph(n, [(0, n - 2)] + [(v, hub) for v in range(n - 2)])
+    r = toughness_exact(g, max_n=n)
+    assert r.value == Fraction(1, n - 2)
+    assert r.witness.cutset == frozenset({hub})
+    assert r.cutsets == 1 + n  # the empty set, then each single vertex
 
 
 def test_toughness_size_cap():
