@@ -32,6 +32,9 @@ from .graphs import (
     to_edge_json,
 )
 from .oracles import (
+    DEFAULT_ALPHA_LIMIT,
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TOUGHNESS_LIMIT,
     SizeLimitError,
     has_hamilton_path,
     independence_number,
@@ -39,7 +42,7 @@ from .oracles import (
     toughness_exact,
     toughness_upper_search,
 )
-from .synth import CertificateError, certificate_from_json, certificate_to_json, parse_rational, synthesize
+from .synth import certificate_from_json, certificate_to_json, parse_rational, synthesize
 from .verify import OracleLimits, check_certificate
 
 __all__ = ["main"]
@@ -236,17 +239,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a graph/certificate pair")
     p.add_argument("graph")
     p.add_argument("cert")
-    p.add_argument("--max-oracle-n", type=int, default=24,
+    p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for the exact toughness recheck, a pruned "
                         "depth-first cutset search over the non-universal "
                         "vertices")
-    p.add_argument("--budget", type=int, default=10_000_000,
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT,
                    help="node budget for exhaustive Hamilton search")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
-    p.add_argument("--max-n", type=int, default=24,
+    p.add_argument("--max-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for the exact pruned depth-first cutset "
                         "search over the non-universal vertices")
     p.add_argument("--budget", type=int, default=2000,
@@ -257,12 +260,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--path", nargs=2, type=int, metavar=("X", "Y"),
                    help="look for a spanning path between these vertices")
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_hamilton)
 
     p = sub.add_parser("alpha", help="independence number")
     p.add_argument("graph")
-    p.add_argument("--max-n", type=int, default=48)
+    p.add_argument("--max-n", type=int, default=DEFAULT_ALPHA_LIMIT)
     p.set_defaults(func=_cmd_alpha)
 
     p = sub.add_parser("block", help="emit a named building block")
@@ -280,13 +283,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GraphFormatError, CertificateError, SizeLimitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    # GraphFormatError, CertificateError and SizeLimitError are ValueErrors
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -254,7 +254,10 @@ def encode_graph6(g: Graph) -> bytes:
 def decode_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 string; the optional >>graph6<< header is allowed."""
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        if not data.isascii():
+            bad = next(c for c in data if not c.isascii())
+            raise GraphFormatError(f"invalid graph6 character {bad!r}")
+        data = data.encode("ascii")
     data = data.strip()
     if data.startswith(_G6_HEADER):
         data = data[len(_G6_HEADER):]

@@ -3,15 +3,17 @@
 Given a rational t with 0 < t < 9/4 (in lowest terms; inputs are
 normalized first), plan() picks one of ten construction regimes keyed on
 the size of t and the parity of its denominator, scales t by the
-smallest admissible integer q, and derives the block counts.  build()
-realizes the plan as a concrete graph plus a certificate holding the
-toughness witness cutset and a checkable nonhamiltonicity argument.
+smallest admissible integer q, and derives the block counts, held as
+at most three runs (kind, count) so that planning costs the same at any
+scale.  build() realizes exactly plan(t) as a concrete graph plus a
+certificate holding the toughness witness cutset and a checkable
+nonhamiltonicity argument.
 
 Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
 formula's hypothesis, witness and builder are written; planning,
-validation, building, the certificate parser and verify_claim_formula
-all read it.  The regimes, by certificate "case" tag:
+building, the certificate parser and verify_claim_formula all read
+it.  The regimes, by certificate "case" tag:
   1    0 < t < 1      complete bipartite, more independents than the rest
   2    t = 1          a fixed 7-vertex graph
   3    1 < t < 3/2    matched_layers, nonhamiltonian by edge counting
@@ -28,6 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Union
 
 from .blocks import (
@@ -76,6 +79,9 @@ _PATH_FREE_KINDS = frozenset({BlockKind.L1, BlockKind.L2, BlockKind.L3})
 
 _SCALE_CAP = 1_000_000
 
+# a chain of blocks as runs (kind, count)
+_Runs = tuple[tuple[BlockKind, int], ...]
+
 
 class PlanError(RuntimeError):
     """Internal inconsistency in a synthesis plan; sound plans never raise."""
@@ -98,7 +104,7 @@ class SynthesisPlan:
     m: int
     m1: Optional[int]
     m2: Optional[int]
-    block_kinds: tuple[BlockKind, ...]
+    block_kinds: _Runs  # counts > 0, adjacent runs of different kinds
     notes: tuple[str, ...]
 
 
@@ -176,12 +182,12 @@ class _Regime:
     builder: Optional[Callable[[SynthesisPlan], _Built]] = None
     # block regimes only: the verify_claim_formula name; l and the counts
     # at scale (A, B); the formula's hypothesis beyond l >= 2, as floors
-    # on the counts given l; the blocks; the kinds whose cut cores join
+    # on the counts given l; the block runs; the kinds whose cut cores join
     # the witness cutset
     family: Optional[str] = None
     counts: Callable[[int, int], _Counts] = lambda A, B: _Counts()
     floors: Callable[[int], dict[str, int]] = lambda l: {}
-    kinds: Callable[..., tuple[BlockKind, ...]] = lambda c: ()
+    kinds: Callable[..., _Runs] = lambda c: ()
     witness: Callable[..., set[BlockKind]] = lambda c: set()
     notes: Callable[..., tuple[str, ...]] = lambda c: ()
 
@@ -216,12 +222,12 @@ class _Regime:
     def order_of(self, p: SynthesisPlan) -> int:
         if self.order is not None:
             return self.order(p)
-        return p.l + sum(block(k).n * p.block_kinds.count(k) for k in BlockKind)
+        return p.l + sum(block(k).n * count for k, count in p.block_kinds)
 
     def realize(self, p: SynthesisPlan) -> _Built:
         if self.builder is not None:
             return self.builder(p)
-        blocks = [block(k) for k in p.block_kinds]
+        blocks = [block(k) for k in _expand(p.block_kinds)]
         g = g_construct(p.l, blocks)
         chosen = self.witness(p)
         picks = set(range(p.l))
@@ -237,10 +243,18 @@ class _Regime:
         return g, frozenset(picks), arg
 
 
-def _path_free(kinds: tuple[BlockKind, ...]) -> int:
-    # one pass over kinds: count the blocks that admit a terminal path
-    with_path = (k for k in BlockKind if k not in _PATH_FREE_KINDS)
-    return len(kinds) - sum(kinds.count(k) for k in with_path)
+def _runs(*runs: tuple[BlockKind, int]) -> _Runs:
+    """The canonical runs: those with a positive count, in order."""
+    return tuple((k, count) for k, count in runs if count > 0)
+
+
+def _expand(runs: _Runs) -> list[BlockKind]:
+    """The block sequence the runs encode."""
+    return [k for k, count in runs for _ in range(count)]
+
+
+def _path_free(runs: _Runs) -> int:
+    return sum(count for k, count in runs if k in _PATH_FREE_KINDS)
 
 
 def _mixed(l: int, m2: int) -> _Counts:
@@ -305,19 +319,19 @@ _REGIMES = {r.case_id: r for r in (
     _Regime("5.1", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=1,
             family="l2_chain",
             counts=lambda A, B: _Counts(A - 3 * (B - 1) // 2, (B - 1) // 2),
-            floors=lambda l: {"m": 1}, kinds=lambda c: (_L2,) * c.m,
+            floors=lambda l: {"m": 1}, kinds=lambda c: _runs((_L2, c.m)),
             formula=lambda c: Fraction(c.l + 3 * c.m, 1 + 2 * c.m),
             witness=lambda c: {_L2}),
     _Regime("5.2", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=0,
             family="l2_chain_l3",
             counts=lambda A, B: _Counts(A - 3 * B // 2 + 2, B // 2 - 1),
-            floors=lambda l: {"m": 1}, kinds=lambda c: (_L2,) * (c.m - 1) + (_L3,),
+            floors=lambda l: {"m": 1}, kinds=lambda c: _runs((_L2, c.m - 1), (_L3, 1)),
             formula=lambda c: Fraction(c.l + 3 * c.m + 1, 2 * (c.m + 1)),
             witness=lambda c: {_L2, _L3}),
     _Regime("6.1", lambda t: Fraction(7, 4) <= t <= 2, parity=1, family="mixed",
             counts=lambda A, B: _mixed(A - 3 * (B - 1) // 2, (B - 1) // 2),
             floors=lambda l: {"m1": 1, "m2": max(0, l - 2)},
-            kinds=lambda c: (_L1,) * c.m1 + (_L2,) * c.m2,
+            kinds=lambda c: _runs((_L1, c.m1), (_L2, c.m2)),
             formula=lambda c: Fraction(c.l + 3 * c.m2, 2 * c.m2 + 1),
             # with no L2 blocks at all (t = 2) the L1 cores give the same ratio
             witness=lambda c: {_L2 if c.m2 else _L1},
@@ -325,19 +339,19 @@ _REGIMES = {r.case_id: r for r in (
     _Regime("6.2", lambda t: Fraction(7, 4) <= t <= 2, parity=0, family="mixed_l3",
             counts=lambda A, B: _mixed(A - 3 * B // 2 + 2, B // 2 - 1),
             floors=lambda l: {"m1": 1, "m2": max(1, l - 2)},
-            kinds=lambda c: (_L1,) * c.m1 + (_L2,) * (c.m2 - 1) + (_L3,),
+            kinds=lambda c: _runs((_L1, c.m1), (_L2, c.m2 - 1), (_L3, 1)),
             formula=lambda c: Fraction(c.l + 3 * c.m2 + 1, 2 * (c.m2 + 1)),
             witness=lambda c: {_L2, _L3},
             notes=lambda c: (_MIXED_NOTE, "l = a_scaled - 3*b_scaled/2 + 2")),
     _Regime("7.1", lambda t: 2 < t < T_UPPER, parity=1, family="l1_chain",
             counts=lambda A, B: _Counts(A - 2 * B + 2, (B - 1) // 2),
-            floors=lambda l: {"m": 1}, kinds=lambda c: (_L1,) * c.m,
+            floors=lambda l: {"m": 1}, kinds=lambda c: _runs((_L1, c.m)),
             formula=lambda c: Fraction(c.l + 4 * c.m, 2 * c.m + 1),
             witness=lambda c: {_L1}),
     # the L4 block admits a terminal path: it adds no path-free block
     _Regime("7.2", lambda t: 2 < t < T_UPPER, parity=0, family="l1_chain_l4",
             counts=lambda A, B: _Counts(A - 2 * B + 2, B // 2),
-            floors=lambda l: {"m": 1}, kinds=lambda c: (_L1,) * (c.m - 1) + (_L4,),
+            floors=lambda l: {"m": 1}, kinds=lambda c: _runs((_L1, c.m - 1), (_L4, 1)),
             formula=lambda c: Fraction(c.l + 4 * c.m - 2, 2 * c.m),
             witness=lambda c: {_L1, _L4},
             notes=lambda c: ("scale chosen so that t <= 9/4 - 3/b_scaled",
@@ -384,35 +398,10 @@ def plan(t: Union[Fraction, int, str]) -> SynthesisPlan:
         if q > _SCALE_CAP:
             raise PlanError(f"no admissible scale for t={t} below {_SCALE_CAP}")
         p = r.at_scale(t, q)
-    # the search derived p, so of validate_plan's checks only this can fail
+    # the search implies every side condition but the formula itself
     if predicted_toughness(p) != t:
         raise PlanError("governing formula does not reproduce t")
     return p
-
-
-def _derived_fields(p: SynthesisPlan) -> tuple:
-    return (p.a_scaled, p.b_scaled, p.l, p.m, p.m1, p.m2, p.block_kinds)
-
-
-def validate_plan(p: SynthesisPlan) -> None:
-    """Check a plan's internal consistency; raises PlanError when any
-    derived quantity disagrees with its fields."""
-    t = p.t
-    if not isinstance(t, Fraction) or not 0 < t < T_UPPER:
-        raise PlanError("plan target out of range (0, 9/4)")
-    r = _regime_for(t)
-    if r.case_id != p.case_id:
-        raise PlanError(f"case {p.case_id} does not match t={t}")
-    if p.q < 1:
-        raise PlanError("scale must be positive")
-    fresh = r.at_scale(t, p.q)
-    if not r.admissible(fresh):
-        raise PlanError(f"scale q={p.q} violates the conditions of case {p.case_id}")
-    stored, derived = _derived_fields(p), _derived_fields(fresh)
-    if stored != derived:
-        raise PlanError(f"plan fields {stored} disagree with derivation {derived}")
-    if predicted_toughness(p) != t:
-        raise PlanError("governing formula does not reproduce t")
 
 
 def predicted_toughness(p: SynthesisPlan) -> Fraction:
@@ -433,9 +422,11 @@ def plan_order(p: SynthesisPlan) -> int:
 
 
 def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
-    """Realize a plan: the graph, and a certificate with a verified
-    witness cutset and the nonhamiltonicity argument for its regime."""
-    validate_plan(p)
+    """Realize a plan, which must equal plan(p.t): the graph, and a
+    certificate with a verified witness cutset and the nonhamiltonicity
+    argument for its regime."""
+    if p != plan(p.t):
+        raise PlanError(f"plan is not the canonical plan for t={p.t}")
     g, cut, arg = _REGIMES[p.case_id].realize(p)
     witness = cutset_witness(g, cut)
     predicted = predicted_toughness(p)
@@ -489,7 +480,7 @@ def certificate_to_json(cert: Certificate) -> str:
         "m": p.m,
         "m1": p.m1,
         "m2": p.m2,
-        "blocks": [k.value for k in p.block_kinds],
+        "blocks": [k.value for k in _expand(p.block_kinds)],
         "nonhamiltonicity": {"kind": cert.nonhamiltonicity.kind,
                              **cert.nonhamiltonicity.params},
         "cutset": sorted(cert.cutset),
@@ -513,6 +504,8 @@ def certificate_from_json(text: str) -> Certificate:
     Semantic consistency (does the plan derive, does the cutset achieve
     the ratio) is the verifier's job; a schema-valid but wrong
     certificate parses fine and is then rejected by check_certificate.
+    The "blocks" list becomes the plan's runs, which encode it
+    losslessly, so an edited list still yields a noncanonical plan.
     """
     try:
         payload = json.loads(text)
@@ -553,7 +546,10 @@ def certificate_from_json(text: str) -> Certificate:
     if not isinstance(payload["blocks"], list):
         raise CertificateError('"blocks" must be a list')
     try:
-        kinds = tuple(BlockKind(s) for s in payload["blocks"])
+        kinds = tuple(
+            (k, sum(1 for _ in run))
+            for k, run in groupby(BlockKind(s) for s in payload["blocks"])
+        )
     except ValueError as exc:
         raise CertificateError(f"bad block kind: {exc}") from None
     raw_cut = payload["cutset"]

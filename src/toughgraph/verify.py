@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import json
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -23,6 +22,9 @@ from typing import Callable, Optional
 from .blocks import BlockKind, block, g_construct
 from .graphs import Graph, _bits, components
 from .oracles import (
+    DEFAULT_ALPHA_LIMIT,
+    DEFAULT_NODE_LIMIT,
+    DEFAULT_TOUGHNESS_LIMIT,
     SizeLimitError,
     has_hamilton_path,
     independence_number,
@@ -38,6 +40,7 @@ from .synth import (
     PlanError,
     _Counts,
     _REGIME_BY_FAMILY,
+    _expand,
     build,
     plan,
     plan_order,
@@ -68,10 +71,8 @@ FAILED = "FAILED"
 class OracleLimits:
     """Resource ceilings for the exact oracles during verification."""
 
-    toughness_n: int = 24
-    alpha_n: int = 48
-    hamilton_nodes: int = 10_000_000
-    dp_n: int = 22
+    toughness_n: int = DEFAULT_TOUGHNESS_LIMIT
+    hamilton_nodes: int = DEFAULT_NODE_LIMIT
 
 
 @dataclass
@@ -238,8 +239,8 @@ def check_certificate(
                 )
             if 2 * size <= g.n:
                 return False, f"independent side {size} does not exceed n/2 = {g.n}/2"
-            if g.n <= limits.alpha_n:
-                alpha = independence_number(g, max_n=limits.alpha_n)
+            if g.n <= DEFAULT_ALPHA_LIMIT:
+                alpha = independence_number(g)
                 alpha_box["alpha"] = alpha
                 if alpha != size:
                     return False, f"independence oracle gives {alpha}, expected {size}"
@@ -272,8 +273,7 @@ def check_certificate(
                     "with l = 0 a single terminal edge can close a cycle"
                 )
             path_free = sum(
-                count for k, count in Counter(p.block_kinds).items()
-                if _kind_lacks_terminal_path(k)
+                count for k, count in p.block_kinds if _kind_lacks_terminal_path(k)
             )
             if (
                 arg.params.get("required") != 2 * p.l + 1
@@ -292,9 +292,7 @@ def check_certificate(
                 f">= {2 * p.l + 1} = 2l+1"
             )
         if arg.kind == NONHAM_EXHAUSTIVE:
-            r = is_hamiltonian(
-                g, node_limit=limits.hamilton_nodes, dp_limit=limits.dp_n
-            )
+            r = is_hamiltonian(g, node_limit=limits.hamilton_nodes)
             if r.verdict is None:
                 return False, (
                     f"exhaustive search exhausted its budget after {r.nodes} nodes"
@@ -376,7 +374,7 @@ def verify_claim_formula(
     gap = regime.hypothesis_gap(counts)
     if gap is not None:
         raise ValueError(f"{family} needs {gap}")
-    g = g_construct(l, [block(k) for k in regime.kinds(counts)])
+    g = g_construct(l, [block(k) for k in _expand(regime.kinds(counts))])
     if g.n > limits.toughness_n:
         raise SizeLimitError(
             f"family instance has n={g.n} > oracle limit {limits.toughness_n}"

@@ -115,6 +115,30 @@ def test_verify_structural_tier(tmp_path):
     assert report["nonhamiltonicity_status"] == "STRUCTURAL"
 
 
+def test_verify_rejects_a_nine_digit_forgery_in_bounded_memory(tmp_path):
+    # the 2/3 certificate with t = 174999999/100000000 plans 150M blocks;
+    # under a 1.5 GB address-space limit it must still get a JSON report
+    import resource
+
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    run_cli("synth", "2/3", "--out", str(gpath), "--cert", str(cpath))
+    cert = json.loads(cpath.read_text())
+    cert["t"] = "174999999/100000000"
+    cpath.write_text(json.dumps(cert))
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, 1_536_000_000))
+
+    r = subprocess.run(
+        [sys.executable, "-m", "toughgraph", "verify", str(gpath), str(cpath)],
+        capture_output=True, text=True, timeout=600, preexec_fn=limit_memory,
+    )
+    assert r.returncode == 1, r.stderr
+    report = json.loads(r.stdout)
+    assert report["accepted"] is False
+    assert "not the canonical plan" in report["checks"][0]["detail"]
+
+
 def test_verify_bad_inputs_exit_2(tmp_path):
     junk = tmp_path / "junk.g6"
     junk.write_text("garbage here")
@@ -216,6 +240,21 @@ def test_alpha(tmp_path):
     r = run_cli("alpha", str(gpath))
     assert r.returncode == 0
     assert json.loads(r.stdout) == {"alpha": 4}
+
+
+def test_alpha_bad_inputs_exit_2(tmp_path):
+    # "é" must not turn into "?", which would decode as an empty C4
+    bad = tmp_path / "bad.g6"
+    bad.write_text("C\u00e9\n", encoding="utf-8")
+    r = run_cli("alpha", str(bad))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error:") and "invalid graph6 character" in r.stderr
+
+    gpath = tmp_path / "k23.g6"
+    run_cli("synth", "2/3", "--out", str(gpath))
+    r2 = run_cli("alpha", str(gpath), "--max-n", "3")
+    assert r2.returncode == 2
+    assert r2.stderr.startswith("error:")
 
 
 # -- block ----------------------------------------------------------------------

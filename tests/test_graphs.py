@@ -276,6 +276,9 @@ def test_graph6_names_the_first_invalid_byte():
         decode_graph6(b"D>\x00\xff")
     with pytest.raises(GraphFormatError, match=r"invalid graph6 byte 255$"):
         decode_graph6(b"\xff")
+    # a str is not replaced character by character: "?" is a valid byte
+    with pytest.raises(GraphFormatError, match=r"invalid graph6 character 'é'$"):
+        decode_graph6("Cé")
 
 
 def test_graph6_huge_size_field_fails_before_allocation():

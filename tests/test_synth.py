@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -84,7 +85,10 @@ def test_plan_table_frozen():
         assert p.case_id == case, target
         assert p.q == q, target
         assert (p.l, p.m, p.m1, p.m2) == (l, m, m1, m2), target
-        assert tuple(k.value for k in p.block_kinds) == kinds, target
+        runs = p.block_kinds
+        assert all(count > 0 for _, count in runs), target
+        assert all(a != b for (a, _), (b, _) in zip(runs, runs[1:])), target
+        assert tuple(k.value for k, count in runs for _ in range(count)) == kinds, target
         assert plan_order(p) == n, target
         t = parse_rational(target)
         assert p.t == t
@@ -129,6 +133,32 @@ def test_q_is_minimal():
     # q steps by 2 where the scaled denominator must stay odd
     assert plan("5/3").b_scaled % 2 == 1
     assert plan("11/5").b_scaled % 2 == 1
+
+
+def test_plan_cost_does_not_grow_with_the_block_count():
+    # case 5.2 with 1.5M blocks: a plan holds runs, not one entry per block
+    tracemalloc.start()
+    try:
+        p = plan("1749999/1000000")
+        order = plan_order(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert order > 11_000_000
+    assert sum(count for _, count in p.block_kinds) == p.m
+    assert peak < 1_000_000
+
+
+def test_build_refuses_a_noncanonical_plan():
+    # q = 11 is admissible for 5/3 but not minimal; only plan(t) builds
+    from toughgraph import synth
+
+    regime = synth._REGIMES["5.1"]
+    p11 = regime.at_scale(Fraction(5, 3), 11)
+    assert regime.admissible(p11) and predicted_toughness(p11) == Fraction(5, 3)
+    assert p11 != plan("5/3")
+    with pytest.raises(PlanError, match="not the canonical plan"):
+        build(p11)
 
 
 def test_case_boundaries():

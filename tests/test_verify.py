@@ -166,6 +166,22 @@ def test_rebuild_refuses_a_plan_larger_than_the_graph(monkeypatch):
     assert f"n={order}" in detail and f"n={g.n}" in detail
 
 
+def test_rejects_a_nine_digit_target_without_building(monkeypatch):
+    # the 2/3 certificate with only t changed: its canonical plan has
+    # 150M blocks, and the verifier must refuse it by plan equality
+    from fractions import Fraction
+
+    from toughgraph import verify
+
+    monkeypatch.setattr(verify, "build", lambda p: pytest.fail("verifier built a plan"))
+    g, cert = synthesize("2/3")
+    t = Fraction(174999999, 100000000)
+    bad = dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, t=t))
+    report = check_certificate(g, bad)
+    assert not report.accepted
+    assert "not the canonical plan" in _check_named(report, "rebuild").detail
+
+
 def test_rejects_plan_parameter_tampering():
     g, cert = synthesize("9/5")
     for field, value in (("l", 4), ("m1", 4), ("q", 3)):
@@ -179,11 +195,27 @@ def test_rejects_block_list_tampering():
     from toughgraph import BlockKind
 
     g, cert = synthesize("9/5")
-    kinds = cert.plan.block_kinds[:-1] + (BlockKind.L1,)
+    assert cert.plan.block_kinds == ((BlockKind.L1, 5), (BlockKind.L2, 2))
+    # well-formed runs that turn one L2 block into an L1 block
+    kinds = ((BlockKind.L1, 6), (BlockKind.L2, 1))
     bad = dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, block_kinds=kinds))
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert not _check_named(report, "rebuild").ok
+    assert "not the canonical plan" in _check_named(report, "rebuild").detail
+
+
+def test_rejects_a_reordered_block_list():
+    # runs encode the list losslessly: L1, L2, L1 stays three runs
+    from toughgraph import certificate_from_json, certificate_to_json
+
+    g, cert = synthesize("9/5")
+    payload = json.loads(certificate_to_json(cert))
+    payload["blocks"] = ["L1", "L2", "L1"]
+    bad = certificate_from_json(json.dumps(payload))
+    assert len(bad.plan.block_kinds) == 3
+    report = check_certificate(g, bad)
+    assert not report.accepted
+    assert "not the canonical plan" in _check_named(report, "rebuild").detail
 
 
 def test_rejects_argument_kind_swap():
