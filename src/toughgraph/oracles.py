@@ -33,7 +33,7 @@ __all__ = [
 DEFAULT_TOUGHNESS_LIMIT = 24
 DEFAULT_ALPHA_LIMIT = 48
 DEFAULT_NODE_LIMIT = 10_000_000
-DEFAULT_DP_LIMIT = 22
+DP_LIMIT = 22
 
 
 class SizeLimitError(ValueError):
@@ -262,43 +262,40 @@ def toughness_upper_search(
 # -- Hamilton cycle / path ---------------------------------------------
 
 
-class _BudgetExhausted(Exception):
-    pass
-
-
 def _dense(g: Graph) -> bool:
     return 4 * g.edge_count >= g.n * (g.n - 1)
 
 
-def is_hamiltonian(
-    g: Graph,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    dp_limit: int = DEFAULT_DP_LIMIT,
-) -> HamiltonResult:
+def is_hamiltonian(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> HamiltonResult:
     """Decide Hamiltonicity exactly, or return verdict None on budget.
 
-    Dense graphs up to dp_limit vertices go through the subset dynamic
-    program (exact, no budget); everything else through pruned
-    backtracking under node_limit.
+    A Hamilton cycle is a spanning path that starts and ends at one
+    root, so this runs has_hamilton_path's engines with both endpoints
+    at the root: the subset dynamic program (exact, no budget, rooted at
+    0) on dense graphs up to DP_LIMIT vertices, otherwise pruned
+    backtracking under node_limit from the (degree, label)-minimal
+    vertex.  The witness lists every vertex once, root first.
     """
     n = g.n
     if n < 3:
         return HamiltonResult(False, None, "trivial", 0)
     if not g.is_connected() or any(g.degree(v) < 2 for v in range(n)):
         return HamiltonResult(False, None, "trivial", 0)
-    if n <= dp_limit and _dense(g):
-        return _cycle_dp(g)
-    return _cycle_backtrack(g, node_limit)
+    if n <= DP_LIMIT and _dense(g):
+        return _hamilton_dp(g, 0, 0)
+    root = min(range(n), key=lambda v: (g.degree(v), v))
+    return _hamilton_backtrack(g, root, root, node_limit)
 
 
 def has_hamilton_path(
-    g: Graph,
-    x: int,
-    y: int,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-    dp_limit: int = DEFAULT_DP_LIMIT,
+    g: Graph, x: int, y: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> HamiltonResult:
-    """Decide whether a spanning x-y path exists; None verdict on budget."""
+    """Decide whether a spanning x-y path exists; None verdict on budget.
+
+    The subset dynamic program decides dense graphs up to DP_LIMIT
+    vertices, pruned backtracking under node_limit everything else; the
+    witness runs from x to y.
+    """
     n = g.n
     if not (0 <= x < n and 0 <= y < n):
         raise ValueError("path endpoints out of range")
@@ -308,114 +305,79 @@ def has_hamilton_path(
         return HamiltonResult(False, None, "trivial", 0)
     if any(g.degree(v) < 2 for v in range(n) if v != x and v != y):
         return HamiltonResult(False, None, "trivial", 0)
-    if n <= dp_limit and _dense(g):
-        return _path_dp(g, x, y)
-    return _path_backtrack(g, x, y, node_limit)
+    if n <= DP_LIMIT and _dense(g):
+        return _hamilton_dp(g, x, y)
+    return _hamilton_backtrack(g, x, y, node_limit)
 
 
-def _cycle_backtrack(g: Graph, node_limit: int) -> HamiltonResult:
-    n = g.n
-    nbr = g.neighbor_masks
-    full = (1 << n) - 1
-    root = min(range(n), key=lambda v: (nbr[v].bit_count(), v))
-    rbit = 1 << root
-    nodes = 0
-    path = [root]
+def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonResult:
+    """Spanning x-y paths by depth-first search on an explicit stack;
+    y == x asks for a path from x that closes into a cycle at x.
 
-    def extend(cur: int, visited: int) -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes > node_limit:
-            raise _BudgetExhausted
-        if visited == full:
-            return bool(nbr[cur] & rbit)
-        unvisited = full ^ visited
-        alive = unvisited | (1 << cur) | rbit
-        u = unvisited
-        while u:
-            b = u & -u
-            u ^= b
-            t = nbr[b.bit_length() - 1] & alive
-            if t & (t - 1) == 0:  # vertex has < 2 usable neighbors left
-                return False
-        reach = _reach(nbr, 1 << cur, alive)
-        if (reach & unvisited) != unvisited or not (reach & rbit):
-            return False
-        cand = nbr[cur] & unvisited
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            path.append(v)
-            if extend(v, visited | b):
-                return True
-            path.pop()
-        return False
-
-    try:
-        found = extend(root, rbit)
-    except _BudgetExhausted:
-        return HamiltonResult(None, None, "backtracking", nodes)
-    return HamiltonResult(found, tuple(path) if found else None, "backtracking", nodes)
-
-
-def _path_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonResult:
+    A node is a path from x, extended by its end's unvisited neighbors
+    in label order, y only as the last step.  With y counted as alive,
+    a node is pruned when an unvisited vertex other than y has fewer
+    than two alive neighbors, y has none, or the end cannot reach every
+    unvisited vertex and y.  A spanning path is accepted when it ends at
+    y, or for a cycle next to x.  `nodes` counts the nodes entered.
+    """
     n = g.n
     nbr = g.neighbor_masks
     full = (1 << n) - 1
     ybit = 1 << y
-    nodes = 0
+    accepted = nbr[x] if x == y else ybit
     path = [x]
-
-    def extend(cur: int, visited: int) -> bool:
-        nonlocal nodes
+    visited = 1 << x
+    untried = []  # untried[i]: the successors of path[i] still to search
+    nodes = 0
+    while True:
         nodes += 1
         if nodes > node_limit:
-            raise _BudgetExhausted
+            return HamiltonResult(None, None, "backtracking", nodes)
+        cur = path[-1]
+        cand = 0
         if visited == full:
-            return True  # y admission is gated below, so cur == y here
-        unvisited = full ^ visited
-        alive = unvisited | (1 << cur)
-        u = unvisited
-        while u:
-            b = u & -u
-            u ^= b
-            t = nbr[b.bit_length() - 1] & alive
-            if b == ybit:
-                if not t:
-                    return False
-            elif t & (t - 1) == 0:
-                return False
-        reach = _reach(nbr, 1 << cur, alive)
-        if (reach & unvisited) != unvisited:
-            return False
-        cand = nbr[cur] & unvisited
-        if unvisited != ybit:
-            cand &= ~ybit  # enter the far endpoint only as the last step
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            path.append(v)
-            if extend(v, visited | b):
-                return True
-            path.pop()
-        return False
-
-    try:
-        found = extend(x, 1 << x)
-    except _BudgetExhausted:
-        return HamiltonResult(None, None, "backtracking", nodes)
-    return HamiltonResult(found, tuple(path) if found else None, "backtracking", nodes)
+            if accepted >> cur & 1:
+                return HamiltonResult(True, tuple(path), "backtracking", nodes)
+        else:
+            unvisited = full ^ visited
+            alive = unvisited | 1 << cur | ybit
+            u = unvisited
+            while u:
+                b = u & -u
+                u ^= b
+                # y needs one alive neighbor, so it counts as its own second
+                t = nbr[b.bit_length() - 1] & alive | b & ybit
+                if t & (t - 1) == 0:
+                    break
+            else:
+                need = unvisited | ybit
+                if _reach(nbr, 1 << cur, alive) & need == need:
+                    cand = nbr[cur] & unvisited
+                    if unvisited != ybit:
+                        cand &= ~ybit
+        while not cand:
+            if not untried:
+                return HamiltonResult(False, None, "backtracking", nodes)
+            visited ^= 1 << path.pop()
+            cand = untried.pop()
+        b = cand & -cand
+        untried.append(cand ^ b)
+        path.append(b.bit_length() - 1)
+        visited |= b
 
 
-def _endpoint_dp(nbr: tuple[int, ...], n: int, start: int):
-    """dp[mask] = bitmask of vertices that can end a path over mask that
-    starts at start; mask always contains start."""
+def _hamilton_dp(g: Graph, x: int, y: int) -> HamiltonResult:
+    """_hamilton_backtrack's question by a subset dynamic program, exact
+    and without a budget: dp[mask] is the set of vertices that end a
+    path from x over exactly mask.  The witness walks the table back
+    from the lowest accepted end."""
+    n = g.n
+    nbr = g.neighbor_masks
     full = (1 << n) - 1
     dp = array("q", bytes(8 * (full + 1)))
-    dp[1 << start] = 1 << start
-    for mask in range(1 << start, full + 1):
+    dp[1 << x] = 1 << x
+    for mask in range(1 << x, full + 1):
         ends = dp[mask]
         if not ends:
             continue
@@ -425,14 +387,13 @@ def _endpoint_dp(nbr: tuple[int, ...], n: int, start: int):
             r ^= b
             if nbr[b.bit_length() - 1] & ends:
                 dp[mask | b] |= b
-    return dp
-
-
-def _dp_walk_back(nbr, dp, full: int, last: int, start: int) -> tuple[int, ...]:
-    order = [last]
+    accepted = dp[full] & (nbr[x] if x == y else 1 << y)
+    if not accepted:
+        return HamiltonResult(False, None, "subset-dp", 0)
+    cur = (accepted & -accepted).bit_length() - 1
+    order = [cur]
     mask = full
-    cur = last
-    while mask != (1 << start):
+    while mask != 1 << x:
         mask ^= 1 << cur
         prevs = dp[mask] & nbr[cur]
         if not prevs:
@@ -440,29 +401,7 @@ def _dp_walk_back(nbr, dp, full: int, last: int, start: int) -> tuple[int, ...]:
         cur = (prevs & -prevs).bit_length() - 1
         order.append(cur)
     order.reverse()
-    return tuple(order)
-
-
-def _cycle_dp(g: Graph) -> HamiltonResult:
-    n = g.n
-    nbr = g.neighbor_masks
-    full = (1 << n) - 1
-    dp = _endpoint_dp(nbr, n, 0)
-    closing = dp[full] & nbr[0]
-    if not closing:
-        return HamiltonResult(False, None, "subset-dp", 0)
-    last = (closing & -closing).bit_length() - 1
-    return HamiltonResult(True, _dp_walk_back(nbr, dp, full, last, 0), "subset-dp", 0)
-
-
-def _path_dp(g: Graph, x: int, y: int) -> HamiltonResult:
-    n = g.n
-    nbr = g.neighbor_masks
-    full = (1 << n) - 1
-    dp = _endpoint_dp(nbr, n, x)
-    if not (dp[full] >> y) & 1:
-        return HamiltonResult(False, None, "subset-dp", 0)
-    return HamiltonResult(True, _dp_walk_back(nbr, dp, full, y, x), "subset-dp", 0)
+    return HamiltonResult(True, tuple(order), "subset-dp", 0)
 
 
 # -- independence number -----------------------------------------------

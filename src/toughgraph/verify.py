@@ -206,10 +206,14 @@ def check_certificate(
                 f"predicts {cert.predicted_tau}"
             )
         formula = predicted_toughness(cert.plan)
-        if cert.predicted_tau != formula or formula != cert.plan.t:
+        if cert.predicted_tau != formula:
             return False, (
                 f"predicted tau {cert.predicted_tau} disagrees with the governing "
-                f"formula {formula} for t={cert.plan.t}"
+                f"formula {formula}"
+            )
+        if formula != cert.plan.t:
+            return False, (
+                f"governing formula gives {formula}, not the target t={cert.plan.t}"
             )
         return True, f"cutset of {len(cert.cutset)} leaves {omega} components; ratio {ratio}"
 

@@ -234,6 +234,22 @@ def test_hamilton_budget_exhaustion(tmp_path):
     assert payload["summary"] == "unknown (budget exhausted)"
 
 
+def test_hamilton_search_deeper_than_the_recursion_limit(tmp_path):
+    # the search path of a 1500-cycle is 1500 vertices deep, past the
+    # interpreter's default recursion limit of 1000
+    n = 1500
+    gpath = tmp_path / "c.txt"
+    lines = [f"{n} {n}"] + [f"{i} {(i + 1) % n}" for i in range(n)]
+    gpath.write_text("\n".join(lines) + "\n")
+    for extra in ((), ("--path", "0", "1")):
+        r = run_cli("hamilton", str(gpath), *extra)
+        assert r.returncode == 0, r.stderr
+        payload = json.loads(r.stdout)
+        assert payload["verdict"] is True
+        assert payload["nodes"] == n
+        assert len(payload["witness"]) == n
+
+
 def test_alpha(tmp_path):
     gpath = tmp_path / "p.g6"
     run_cli("block", "petersen", "--out", str(gpath))

@@ -36,6 +36,7 @@ from toughgraph import (
     toughness_upper_search,
     unit_toughness_graph,
 )
+from toughgraph.oracles import DEFAULT_NODE_LIMIT, _hamilton_backtrack, _hamilton_dp
 
 
 def _random_graph(rng: random.Random, n: int, p: float):
@@ -345,20 +346,66 @@ def test_hamilton_matches_naive_random():
         assert is_hamiltonian(g).verdict is naive_hamilton_cycle(g)
 
 
+# sha256 over "verdict|witness|method|nodes" lines of the corpus below,
+# recorded with the separate cycle and path engines that the one
+# endpoint search replaced
+HAMILTON_CORPUS_DIGEST = "15e7b7e9350fac3b9387c7137134c87283564084ffb4531acf451226523a0c64"
+
+
+def test_hamilton_random_corpus_digest():
+    rng = random.Random(4242)
+    graphs = [complete_bipartite(a, a + 1) for a in range(1, 6)]
+    graphs.append(inflate_triangles(petersen()))
+    for i in range(160):
+        graphs.append(_random_graph(rng, 5 + i % 8, (0.35, 0.4, 0.45, 0.7)[i % 4]))
+    h = hashlib.sha256()
+    for g in graphs:
+        ends = [tuple(rng.sample(range(g.n), 2)) for _ in range(2)]
+        for limit in (DEFAULT_NODE_LIMIT, 50):
+            results = [is_hamiltonian(g, node_limit=limit)]
+            results += [has_hamilton_path(g, x, y, node_limit=limit) for x, y in ends]
+            for r in results:
+                h.update(f"{r.verdict}|{r.witness}|{r.method}|{r.nodes}\n".encode())
+    assert h.hexdigest() == HAMILTON_CORPUS_DIGEST
+
+
+def _assert_spanning_walk(g, walk, x, y):
+    # a path from x to y, or for y == x a cycle through x, over every vertex
+    assert sorted(walk) == list(range(g.n))
+    assert walk[0] == x
+    steps = list(zip(walk, walk[1:]))
+    if x == y:
+        steps.append((walk[-1], x))
+    else:
+        assert walk[-1] == y
+    for u, v in steps:
+        assert g.has_edge(u, v), (u, v)
+
+
 def test_hamilton_dp_and_backtracking_agree():
+    # the two engines, called directly on the same endpoints: cycles
+    # (y == x) and paths, on dense random graphs and on the dense but
+    # nonhamiltonian K_{a,a+1}, where only paths between two vertices of
+    # the larger side exist
     rng = random.Random(7171)
-    for trial in range(25):
-        n = rng.randrange(6, 13)
-        g = _random_graph(rng, n, 0.7)
-        a = is_hamiltonian(g, dp_limit=n)  # offer the subset DP
-        b = is_hamiltonian(g, dp_limit=0)  # force backtracking
-        assert a.verdict is b.verdict
-        assert a.method in ("subset-dp", "trivial") or not _dense(g)
-        assert b.method in ("backtracking", "trivial")
-
-
-def _dense(g) -> bool:
-    return 4 * g.edge_count >= g.n * (g.n - 1)
+    graphs = [_random_graph(rng, rng.randrange(6, 13), 0.7) for _ in range(25)]
+    graphs += [complete_bipartite(a, a + 1) for a in range(1, 6)]
+    seen = set()
+    for g in graphs:
+        root = rng.randrange(g.n)
+        pairs = [(root, root)] + [tuple(rng.sample(range(g.n), 2)) for _ in range(3)]
+        for x, y in pairs:
+            a = _hamilton_dp(g, x, y)
+            b = _hamilton_backtrack(g, x, y, DEFAULT_NODE_LIMIT)
+            assert (a.method, b.method) == ("subset-dp", "backtracking")
+            assert a.verdict is b.verdict is not None
+            seen.add((x == y, a.verdict))
+            if a.verdict:
+                _assert_spanning_walk(g, a.witness, x, y)
+                _assert_spanning_walk(g, b.witness, x, y)
+            else:
+                assert a.witness is b.witness is None
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_path_matches_naive_random():

@@ -180,6 +180,11 @@ def test_rejects_a_nine_digit_target_without_building(monkeypatch):
     report = check_certificate(g, bad)
     assert not report.accepted
     assert "not the canonical plan" in _check_named(report, "rebuild").detail
+    # the forged plan's formula still gives 2/3, so the witness check
+    # names the mismatch with t, not predicted_tau against an equal formula
+    assert _check_named(report, "witness").detail == (
+        "governing formula gives 2/3, not the target t=174999999/100000000"
+    )
 
 
 def test_rejects_plan_parameter_tampering():
