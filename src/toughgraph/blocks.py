@@ -11,6 +11,10 @@ Also here: the exceptional small graphs used for toughness exactly 1 and
 3/2, the layered family covering 1 < t < 3/2, and triangle inflation of
 cubic graphs together with a cutset that shatters the inflation into one
 component per triangle.
+
+Every family is built directly as neighbor-mask rows, through join or
+row arithmetic; edge lists appear only in the fixed tables of the
+blocks, the unit graph and the Petersen graph.
 """
 
 from __future__ import annotations
@@ -145,12 +149,9 @@ def f_m(blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     for v in flat:
         clique |= 1 << v
     rows = list(base.neighbor_masks)
-    added = 0
     for v in flat:
-        new = clique & ~rows[v] & ~(1 << v)
-        added += new.bit_count()
-        rows[v] |= new
-    return Graph(base.n, tuple(rows), base.edge_count + added // 2), tuple(terminals)
+        rows[v] |= clique & ~(1 << v)
+    return Graph(tuple(rows)), tuple(terminals)
 
 
 def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
@@ -176,12 +177,12 @@ def complete_graph(n: int) -> Graph:
     if n < 0:
         raise ValueError(f"vertex count must be nonnegative, got {n}")
     full = (1 << n) - 1
-    return Graph(n, tuple(full & ~(1 << v) for v in range(n)), n * (n - 1) // 2)
+    return Graph(tuple(full & ~(1 << v) for v in range(n)))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the a-side on 0..a-1."""
-    return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return join(Graph((0,) * a), Graph((0,) * b))
 
 
 def unit_toughness_graph() -> Graph:
@@ -201,12 +202,11 @@ def matched_layers(a: int, b: int) -> Graph:
     """
     if not a > b >= 2:
         raise ValueError(f"need a > b >= 2, got a={a}, b={b}")
-    n1 = a - b + 1
-    n = n1 + 2 * b
-    edges = [(i, j) for i in range(n1) for j in range(i + 1, n)]
-    edges.extend((n1 + b + i, n1 + b + j) for i in range(b) for j in range(i + 1, b))
-    edges.extend((n1 + i, n1 + b + i) for i in range(b))
-    return make_graph(n, edges)
+    # below the universal layer: y_i at i, z_i at b + i
+    y_rows = tuple(1 << b + i for i in range(b))
+    z_clique = ((1 << b) - 1) << b
+    z_rows = tuple(z_clique ^ (1 << b + i) | 1 << i for i in range(b))
+    return join(complete_graph(a - b + 1), Graph(y_rows + z_rows))
 
 
 def petersen() -> Graph:
@@ -231,15 +231,14 @@ def inflate_triangles(g: Graph) -> Graph:
     3n vertices with 3n + m edges.
     """
     _require_cubic(g)
-    edges = []
-    for v in range(g.n):
-        base = 3 * v
-        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-    for u, v in g.edges():
-        i = g.neighbors(u).index(v)
-        j = g.neighbors(v).index(u)
-        edges.append((3 * u + i, 3 * v + j))
-    return make_graph(3 * g.n, edges)
+    nbrs = [g.neighbors(v) for v in range(g.n)]
+    # row 3v+i: the rest of v's triangle, and the vertex of the triangle
+    # of u = nbrs[v][i] dedicated to v
+    return Graph(tuple(
+        (7 << 3 * v) ^ (1 << 3 * v + i) | 1 << 3 * u + nbrs[u].index(v)
+        for v in range(g.n)
+        for i, u in enumerate(nbrs[v])
+    ))
 
 
 def inflation_cutset(g: Graph) -> frozenset[int]:

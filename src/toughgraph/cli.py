@@ -10,7 +10,7 @@ arguments and stdout for --out/--cert, so subcommands compose in pipes.
 
 Exit codes: 0 success or accepted, 1 verification rejected, 2
 operational errors (unreadable input, out-of-range targets, oracle size
-limits).  Identical invocations print identical bytes.
+limits, running out of memory).  Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def _cmd_synth(args) -> int:
     # keep stdout clean for piping when the graph itself goes there
     stream = sys.stderr if args.out == "-" or args.cert == "-" else sys.stdout
     print(
-        f"case={cert.plan.case_id} q={cert.plan.q} n={cert.n} tau={cert.plan.t}",
+        f"case={cert.plan.case_id} q={cert.plan.q} n={g.n} tau={cert.plan.t}",
         file=stream,
     )
     return 0
@@ -286,6 +286,9 @@ def main(argv=None) -> int:
     # GraphFormatError, CertificateError and SizeLimitError are ValueErrors
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

@@ -1,9 +1,10 @@
 """Immutable simple graphs on dense integer vertices.
 
-Vertices are always 0..n-1.  Adjacency is kept as one bitmask per vertex
-(bit u of row v set iff uv is an edge), so the exponential oracles can
-sweep components with a handful of big-int operations per candidate
-cutset instead of touching Python-level adjacency structures.
+Vertices are always 0..n-1.  A graph is stored as one bitmask per
+vertex (bit u of row v set iff uv is an edge) and nothing else: the
+order and the edge count are derived from the rows.  The exponential
+oracles sweep components with a handful of big-int operations per
+candidate cutset instead of touching Python-level adjacency structures.
 
 Besides construction and the union/join combinators this module owns the
 interchange formats: graph6, DOT, and a small JSON edge-list schema.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import binascii
 import json
 import re
+from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Iterable, Sequence
 
@@ -50,50 +52,43 @@ class GraphFormatError(ValueError):
     """Malformed graph6 or JSON graph input."""
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
-    Construct through make_graph (or the combinators); the constructor
-    trusts its arguments.  Equality and hashing are labeled: two graphs
-    compare equal only when they have the same vertex count and the same
-    edge set on the same labels.
+    The neighbor rows are the whole graph: n is their number and
+    edge_count half their total popcount, both derived once here.
+    Construct through make_graph, the combinators, or from rows that
+    are already symmetric and loop-free; the constructor trusts them.
+    Equality and hashing are labeled: two graphs compare equal only
+    when they have the same rows.
     """
 
-    __slots__ = ("n", "_nbr", "_m")
+    neighbor_masks: tuple[int, ...]  # row v has bit u set iff uv is an edge
+    n: int = field(init=False, compare=False)
+    edge_count: int = field(init=False, compare=False)
 
-    def __init__(self, n: int, neighbor_masks: tuple[int, ...], edge_count: int):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_nbr", neighbor_masks)
-        object.__setattr__(self, "_m", edge_count)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
+    def __post_init__(self):
+        rows = self.neighbor_masks
+        object.__setattr__(self, "n", len(rows))
+        object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """Adjacency rows as bitmasks; row v has bit u set iff uv is an edge."""
-        return self._nbr
-
-    @property
-    def edge_count(self) -> int:
-        return self._m
-
     def degree(self, v: int) -> int:
-        return self._nbr[v].bit_count()
+        return self.neighbor_masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._nbr[u] >> v) & 1)
+        return bool((self.neighbor_masks[u] >> v) & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return tuple(_bits(self._nbr[v]))
+        return tuple(_bits(self.neighbor_masks[v]))
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         n = self.n
         out: list[tuple[int, int]] = []
-        for v, row in enumerate(self._nbr):
+        for v, row in enumerate(self.neighbor_masks):
             # one byte per later vertex u, 1 iff uv is an edge
             flags = format(row >> v + 1, f"0{n - v - 1}b")[::-1].encode()
             later = compress(range(v + 1, n), flags.translate(_BIT_BYTES))
@@ -104,21 +99,13 @@ class Graph:
         if self.n == 0:
             return True
         full = (1 << self.n) - 1
-        return _reach(self._nbr, 1, full) == full
+        return _reach(self.neighbor_masks, 1, full) == full
 
     def is_complete(self) -> bool:
-        return self._m == self.n * (self.n - 1) // 2
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self._nbr == other._nbr
-
-    def __hash__(self) -> int:
-        return hash((self.n, self._nbr))
+        return self.edge_count == self.n * (self.n - 1) // 2
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={self._m})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 def _bits(mask: int):
@@ -168,8 +155,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"loop at vertex {u} not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    m = sum(r.bit_count() for r in rows) // 2
-    return Graph(n, tuple(rows), m)
+    return Graph(tuple(rows))
 
 
 def components(g: Graph, removed: Iterable[int] = ()) -> list[list[int]]:
@@ -203,7 +189,7 @@ def disjoint_union(graphs: Sequence[Graph]) -> Graph:
     for g in graphs:
         rows.extend(r << n for r in g.neighbor_masks)
         n += g.n
-    return Graph(n, tuple(rows), sum(g.edge_count for g in graphs))
+    return Graph(tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -212,7 +198,7 @@ def join(g: Graph, h: Graph) -> Graph:
     high = ((1 << h.n) - 1) << g.n
     rows = [r | high for r in g.neighbor_masks]
     rows.extend((r << g.n) | low for r in h.neighbor_masks)
-    return Graph(g.n + h.n, tuple(rows), g.edge_count + h.edge_count + g.n * h.n)
+    return Graph(tuple(rows))
 
 
 # -- graph6 ------------------------------------------------------------
@@ -295,7 +281,7 @@ def decode_graph6(data: bytes | str) -> Graph:
     if len(body) > need:
         raise GraphFormatError("trailing bytes after graph6 body")
     if not need:
-        return Graph(n, (0,) * n, 0)
+        return Graph((0,) * n)
     raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-need % 4))
     bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
     if "1" in bits[nbits : 6 * need]:
@@ -312,7 +298,7 @@ def decode_graph6(data: bytes | str) -> Graph:
         | int(bits[starts[v] : starts[v + 1]][::-1] or "0", 2)
         for v in range(n)
     )
-    return Graph(n, rows, bits.count("1"))
+    return Graph(rows)
 
 
 # -- DOT and JSON ------------------------------------------------------

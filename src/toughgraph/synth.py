@@ -119,7 +119,6 @@ class NonHamiltonicityArgument:
 @dataclass(frozen=True)
 class Certificate:
     plan: SynthesisPlan
-    n: int
     nonhamiltonicity: NonHamiltonicityArgument
     cutset: frozenset[int]
     components: int
@@ -438,7 +437,6 @@ def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
         raise PlanError("built order disagrees with plan_order")
     cert = Certificate(
         plan=p,
-        n=g.n,
         nonhamiltonicity=arg,
         cutset=witness.cutset,
         components=witness.component_count,
@@ -578,7 +576,6 @@ def certificate_from_json(text: str) -> Certificate:
     )
     return Certificate(
         plan=p,
-        n=plan_order(p),
         nonhamiltonicity=NonHamiltonicityArgument(nh["kind"], params),
         cutset=cutset,
         components=components,

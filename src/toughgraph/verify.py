@@ -160,8 +160,6 @@ def check_certificate(
         return ok
 
     # rebuild the graph and the reference certificate from the plan
-    rebuilt: dict = {}
-
     def chk_rebuild() -> tuple[bool, str]:
         # planning and construction are deterministic, so a sound
         # certificate is exactly what its own target regenerates; any
@@ -175,8 +173,6 @@ def check_certificate(
         if order != g.n:
             return False, f"plan builds n={order} vertices but the graph has n={g.n}"
         g2, cert2 = build(fresh)
-        rebuilt["graph"] = g2
-        rebuilt["cert"] = cert2
         if g2 != g:
             return False, (
                 f"plan rebuilds to a different graph "
@@ -186,7 +182,7 @@ def check_certificate(
             return False, "certificate is not the canonical output of its plan"
         return True, f"plan reproduces the graph: n={g2.n}, m={g2.edge_count}"
 
-    rebuild_ok = run("rebuild", chk_rebuild)
+    run("rebuild", chk_rebuild)
 
     def chk_witness() -> tuple[bool, str]:
         if any(not (0 <= v < g.n) for v in cert.cutset):
@@ -222,14 +218,8 @@ def check_certificate(
     alpha_box: dict = {}
 
     def chk_nonham() -> tuple[bool, str]:
+        # a rebuild that passes has matched the argument to the plan's
         arg = cert.nonhamiltonicity
-        if rebuild_ok:
-            expected = rebuilt["cert"].nonhamiltonicity
-            if arg != expected:
-                return False, (
-                    f"argument {arg.kind} {arg.params} does not match the plan's "
-                    f"{expected.kind} {expected.params}"
-                )
         if arg.kind == NONHAM_BIPARTITE:
             sides = _bipartition(g)
             if sides is None:
@@ -335,7 +325,7 @@ def check_certificate(
                 "witness certifies toughness <= predicted only"
             )
 
-        tau_ok = run("toughness-witness-only", chk_tau_upper) and witness_ok
+        run("toughness-witness-only", chk_tau_upper)
         tau_status = WITNESS_UPPER_BOUND_ONLY if witness_ok else FAILED
 
     accepted = all(c.ok for c in checks)
@@ -357,7 +347,6 @@ def verify_claim_formula(
     m: Optional[int] = None,
     m1: Optional[int] = None,
     m2: Optional[int] = None,
-    limits: Optional[OracleLimits] = None,
 ) -> bool:
     """Confront one closed-form toughness formula with the exact oracle.
 
@@ -367,7 +356,6 @@ def verify_claim_formula(
     SizeLimitError when the instance exceeds the oracle ceiling and
     ValueError when the parameters violate the formula's hypothesis.
     """
-    limits = limits or OracleLimits()
     try:
         regime = _REGIME_BY_FAMILY[family]
     except KeyError:
@@ -379,9 +367,8 @@ def verify_claim_formula(
     if gap is not None:
         raise ValueError(f"{family} needs {gap}")
     g = g_construct(l, [block(k) for k in _expand(regime.kinds(counts))])
-    if g.n > limits.toughness_n:
+    if g.n > DEFAULT_TOUGHNESS_LIMIT:
         raise SizeLimitError(
-            f"family instance has n={g.n} > oracle limit {limits.toughness_n}"
+            f"family instance has n={g.n} > oracle limit {DEFAULT_TOUGHNESS_LIMIT}"
         )
-    res = toughness_exact(g, max_n=limits.toughness_n)
-    return res.value == regime.formula(counts)
+    return toughness_exact(g).value == regime.formula(counts)

@@ -148,6 +148,31 @@ def naive_g_construct(l: int, blocks) -> Graph:
     return fm if l == 0 else naive_join(naive_complete_graph(l), fm)
 
 
+def naive_complete_bipartite(a: int, b: int) -> Graph:
+    return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def naive_matched_layers(a: int, b: int) -> Graph:
+    n1 = a - b + 1
+    n = n1 + 2 * b
+    edges = [(i, j) for i in range(n1) for j in range(i + 1, n)]
+    edges.extend((n1 + b + i, n1 + b + j) for i in range(b) for j in range(i + 1, b))
+    edges.extend((n1 + i, n1 + b + i) for i in range(b))
+    return make_graph(n, edges)
+
+
+def naive_inflate_triangles(g: Graph) -> Graph:
+    edges = []
+    for v in range(g.n):
+        base = 3 * v
+        edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
+    for u, v in g.edges():
+        i = g.neighbors(u).index(v)
+        j = g.neighbors(v).index(u)
+        edges.append((3 * u + i, 3 * v + j))
+    return make_graph(3 * g.n, edges)
+
+
 def naive_encode_graph6(g: Graph) -> bytes:
     """Size field, then the upper triangle column by column, six bits per
     byte at offset 63, zero-padded."""

@@ -5,7 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
-from naive import naive_f_m, naive_g_construct
+from naive import (
+    naive_complete_bipartite,
+    naive_f_m,
+    naive_g_construct,
+    naive_inflate_triangles,
+    naive_matched_layers,
+)
 
 from toughgraph import (
     Block,
@@ -147,7 +153,7 @@ def test_f_m_and_g_construct_match_edge_tuple_reference():
         g, pairs = f_m(blocks)
         ref, ref_pairs = naive_f_m(blocks)
         assert pairs == ref_pairs
-        # Graph equality compares n and the rows only, not the stored count
+        # Graph equality compares the rows only; the count is derived
         assert g == ref and g.edge_count == ref.edge_count
         for l in range(4):
             g = g_construct(l, blocks)
@@ -187,6 +193,21 @@ def test_matched_layers_rejects_bad_parameters():
         matched_layers(3, 3)
     with pytest.raises(ValueError):
         matched_layers(5, 1)
+
+
+def test_families_match_edge_tuple_reference(petersen_graph):
+    for a in range(7):
+        for b in range(7):
+            g, ref = complete_bipartite(a, b), naive_complete_bipartite(a, b)
+            assert g == ref and g.edge_count == ref.edge_count, (a, b)
+    for a in range(3, 13):
+        for b in range(2, a):
+            g, ref = matched_layers(a, b), naive_matched_layers(a, b)
+            assert g == ref and g.edge_count == ref.edge_count, (a, b)
+    cube = make_graph(8, [(v, v ^ bit) for v in range(8) for bit in (1, 2, 4)])
+    for base in (petersen_graph, complete_graph(4), cube):
+        g, ref = inflate_triangles(base), naive_inflate_triangles(base)
+        assert g == ref and g.edge_count == ref.edge_count, base
 
 
 def test_petersen_is_moore(petersen_graph):

@@ -139,6 +139,28 @@ def test_verify_rejects_a_nine_digit_forgery_in_bounded_memory(tmp_path):
     assert "not the canonical plan" in report["checks"][0]["detail"]
 
 
+def test_huge_vertex_count_is_refused_in_bounded_memory(tmp_path):
+    # ten billion isolated vertices cannot fit in 1.5 GB; the readers run
+    # out of memory, and the CLI must say so with exit 2, not a traceback
+    import resource
+
+    edges = tmp_path / "huge.txt"
+    edges.write_text("10000000000 0\n")
+    data = tmp_path / "huge.json"
+    data.write_text('{"n": 10000000000, "edges": []}')
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1_536_000_000, 1_536_000_000))
+
+    for cmd, path in (("alpha", edges), ("tau", data)):
+        r = subprocess.run(
+            [sys.executable, "-m", "toughgraph", cmd, str(path)],
+            capture_output=True, text=True, timeout=600, preexec_fn=limit_memory,
+        )
+        assert r.returncode == 2, (cmd, r.stderr)
+        assert r.stderr == "error: out of memory\n"
+
+
 def test_verify_bad_inputs_exit_2(tmp_path):
     junk = tmp_path / "junk.g6"
     junk.write_text("garbage here")

@@ -13,6 +13,7 @@ from naive import (
 )
 
 from toughgraph import (
+    Graph,
     GraphFormatError,
     complete_bipartite,
     complete_graph,
@@ -84,6 +85,15 @@ def test_make_graph_rejects_bad_edges():
         make_graph(3, [(1, 1)])
     with pytest.raises(ValueError):
         make_graph(-1, [])
+
+
+def test_graph_derives_its_order_and_size_from_the_rows():
+    # the path 1 - 0 - 2
+    g = Graph((0b110, 0b001, 0b001))
+    assert g.n == 3 and g.edge_count == 2
+    assert g == make_graph(3, [(0, 1), (0, 2)])
+    assert repr(g) == "Graph(n=3, m=2)"
+    assert Graph(()).n == 0
 
 
 def test_graph_is_immutable():
@@ -158,7 +168,7 @@ def test_join_edge_count():
 
 
 def _same(g, ref):
-    # Graph equality compares n and the rows only, not the stored count
+    # Graph equality compares the rows only; the count is derived
     assert g == ref
     assert g.edge_count == ref.edge_count
 

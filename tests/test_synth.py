@@ -311,6 +311,19 @@ def test_verifier_owns_semantics_not_the_parser():
     assert back.components == 4
 
 
+def test_certificate_parser_is_schema_only(monkeypatch):
+    # parsing must not derive anything from the unchecked plan
+    import toughgraph.synth as synth
+
+    def no_order(p):
+        pytest.fail("certificate_from_json computed the plan's order")
+
+    _, cert = synthesize("9/5")
+    text = certificate_to_json(cert)
+    monkeypatch.setattr(synth, "plan_order", no_order)
+    assert certificate_from_json(text) == cert
+
+
 def test_predicted_toughness_guards_corrupt_plans():
     import dataclasses
 

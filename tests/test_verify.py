@@ -153,7 +153,6 @@ def test_rebuild_refuses_a_plan_larger_than_the_graph(monkeypatch):
     assert order > 11_000_000
     cert = Certificate(
         plan=p,
-        n=order,
         nonhamiltonicity=NonHamiltonicityArgument("block_count", {}),
         cutset=frozenset({0, 1}),
         components=3,
