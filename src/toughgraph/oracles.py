@@ -271,10 +271,13 @@ def is_hamiltonian(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> HamiltonRe
 
     A Hamilton cycle is a spanning path that starts and ends at one
     root, so this runs has_hamilton_path's engines with both endpoints
-    at the root: the subset dynamic program (exact, no budget, rooted at
-    0) on dense graphs up to DP_LIMIT vertices, otherwise pruned
-    backtracking under node_limit from the (degree, label)-minimal
-    vertex.  The witness lists every vertex once, root first.
+    at the root: on dense graphs up to DP_LIMIT vertices the subset
+    dynamic program, rooted at 0 and evaluated lazily (exact, no budget,
+    an 8 * 2^n-byte memo; the witness closes at the lowest possible
+    neighbor of 0 and takes the lowest possible predecessor at each
+    step), otherwise pruned backtracking under node_limit from the
+    (degree, label)-minimal vertex.  The witness lists every vertex
+    once, root first.
     """
     n = g.n
     if n < 3:
@@ -292,9 +295,10 @@ def has_hamilton_path(
 ) -> HamiltonResult:
     """Decide whether a spanning x-y path exists; None verdict on budget.
 
-    The subset dynamic program decides dense graphs up to DP_LIMIT
-    vertices, pruned backtracking under node_limit everything else; the
-    witness runs from x to y.
+    The subset dynamic program, evaluated lazily backward from y (exact,
+    no budget, an 8 * 2^n-byte memo), decides dense graphs up to
+    DP_LIMIT vertices, pruned backtracking under node_limit everything
+    else; the witness runs from x to y.
     """
     n = g.n
     if not (0 <= x < n and 0 <= y < n):
@@ -368,40 +372,77 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
 
 
 def _hamilton_dp(g: Graph, x: int, y: int) -> HamiltonResult:
-    """_hamilton_backtrack's question by a subset dynamic program, exact
-    and without a budget: dp[mask] is the set of vertices that end a
-    path from x over exactly mask.  The witness walks the table back
-    from the lowest accepted end."""
+    """_hamilton_backtrack's question by the Bellman / Held-Karp subset
+    dynamic program, exact and without a budget, evaluated lazily.
+
+    The program's state (R, v), for a set R of vertices other than x and
+    a vertex v in R, is live when some path from x runs over exactly
+    {x} + R and ends at v, i.e. when v is a bit of the bottom-up table's
+    dp[{x} + R]: when R = {v} and v is adjacent to x, or when some
+    neighbor u of v in R - v ends a live (R - v, u).  The answer is
+    whether some accepted end v (y, or for a cycle a neighbor of x) makes
+    (V - x, v) live.  Instead of filling the table bottom up, a
+    depth-first search on an explicit stack walks the states backward
+    from the full set: it tries the accepted ends lowest first, then at
+    each state the predecessors u of v in R - v lowest first (x itself
+    only once R = {v}).  A state is entered when its candidates are
+    computed, and pushed only if it has some; it is exhausted when all
+    of them were tried without reaching x, at once if there were none.
+    dead[R] collects the exhausted ends of R, and candidates in it are
+    skipped.
+
+    - A candidate is taken (its chain reaches x) iff it is live: a
+      predecessor u of v is taken iff it is a bit of the table's
+      dp[{x} + R - v] & nbr[v].  By induction on |R|: an exhausted state
+      tried every candidate not in dead, each of which was dead or
+      exhausted, so by induction none was live, and neither is the
+      state; dead holds only such states.  A live state has a live
+      candidate, and every candidate below the lowest live one is dead
+      or gets exhausted, so the search enters that one, which by
+      induction is taken.  So the first full chain takes the lowest live
+      accepted end and then, at each step, the lowest live predecessor,
+      exactly the witness that the full table gives when walked back
+      from its lowest accepted end.
+    - At most 2^(n-1) * n expansions.  The sets on the stack shrink from
+      bottom to top, so a state is entered at most once before it is
+      taken or exhausted, and an exhausted one is never entered again.
+      There are (n - 1) * 2^(n-2) states (R, v).
+
+    dead is an array of 2^n end bitmasks, 8 * 2^n bytes.  The witness
+    lists the path from x; nodes is 0, as for the table.
+    """
     n = g.n
     nbr = g.neighbor_masks
-    full = (1 << n) - 1
-    dp = array("q", bytes(8 * (full + 1)))
-    dp[1 << x] = 1 << x
-    for mask in range(1 << x, full + 1):
-        ends = dp[mask]
+    start = 1 << x
+    rest = ((1 << n) - 1) ^ start
+    dead = array("q", [0]) * (1 << n)
+    cand = rest & (nbr[x] if x == y else 1 << y)
+    ends = []  # ends[i]: the end of the path over {x} + rest + ends[i:]
+    untried = []  # untried[i]: the candidates left beside ends[i]
+    while True:
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            v = b.bit_length() - 1
+            r = rest ^ b
+            preds = nbr[v] & (r & ~dead[r] if r else start)
+            if not preds:
+                dead[rest] |= b
+            elif r:
+                untried.append(cand)
+                ends.append(v)
+                rest = r
+                cand = preds
+            else:
+                ends += (v, x)
+                ends.reverse()
+                return HamiltonResult(True, tuple(ends), "subset-dp", 0)
         if not ends:
-            continue
-        r = full ^ mask
-        while r:
-            b = r & -r
-            r ^= b
-            if nbr[b.bit_length() - 1] & ends:
-                dp[mask | b] |= b
-    accepted = dp[full] & (nbr[x] if x == y else 1 << y)
-    if not accepted:
-        return HamiltonResult(False, None, "subset-dp", 0)
-    cur = (accepted & -accepted).bit_length() - 1
-    order = [cur]
-    mask = full
-    while mask != 1 << x:
-        mask ^= 1 << cur
-        prevs = dp[mask] & nbr[cur]
-        if not prevs:
-            raise RuntimeError("dp table must chain back to the start")
-        cur = (prevs & -prevs).bit_length() - 1
-        order.append(cur)
-    order.reverse()
-    return HamiltonResult(True, tuple(order), "subset-dp", 0)
+            return HamiltonResult(False, None, "subset-dp", 0)
+        b = 1 << ends.pop()
+        rest |= b
+        dead[rest] |= b
+        cand = untried.pop()
 
 
 # -- independence number -----------------------------------------------

@@ -3,13 +3,15 @@
 The oracles are written against plain dict-of-sets adjacency with
 itertools enumeration, deliberately sharing no code with the package
 (which works on bitmasks).  The construction and graph6 references
-build edge tuples for make_graph and write one bit at a time.  Keep
-these dumb; their only virtue is that they are obviously correct on
-small graphs.
+build edge tuples for make_graph and write one bit at a time.  The
+one exception is the bottom-up subset DP table for Hamilton paths, the
+reference for the package's lazily evaluated one.  Keep these dumb;
+their only virtue is that they are obviously correct on small graphs.
 """
 
 from __future__ import annotations
 
+from array import array
 from fractions import Fraction
 from itertools import combinations, permutations
 from typing import Optional
@@ -94,6 +96,43 @@ def naive_hamilton_path(g: Graph, x: int, y: int) -> bool:
         if all(walk[i + 1] in adj[walk[i]] for i in range(g.n - 1)):
             return True
     return False
+
+
+def naive_hamilton_dp(g: Graph, x: int, y: int) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """Spanning x-y path, or for y == x a cycle through x, by filling the
+    whole subset table: dp[mask] is the set of vertices that end a path
+    from x over exactly mask.  The witness walks the table back from the
+    lowest accepted end, taking the lowest predecessor at each step."""
+    n = g.n
+    nbr = g.neighbor_masks
+    full = (1 << n) - 1
+    dp = array("q", bytes(8 * (full + 1)))
+    dp[1 << x] = 1 << x
+    for mask in range(1 << x, full + 1):
+        ends = dp[mask]
+        if not ends:
+            continue
+        r = full ^ mask
+        while r:
+            b = r & -r
+            r ^= b
+            if nbr[b.bit_length() - 1] & ends:
+                dp[mask | b] |= b
+    accepted = dp[full] & (nbr[x] if x == y else 1 << y)
+    if not accepted:
+        return False, None
+    cur = (accepted & -accepted).bit_length() - 1
+    order = [cur]
+    mask = full
+    while mask != 1 << x:
+        mask ^= 1 << cur
+        prevs = dp[mask] & nbr[cur]
+        if not prevs:
+            raise RuntimeError("dp table must chain back to the start")
+        cur = (prevs & -prevs).bit_length() - 1
+        order.append(cur)
+    order.reverse()
+    return True, tuple(order)
 
 
 def naive_alpha(g: Graph) -> int:

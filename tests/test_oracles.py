@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import signal
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -14,6 +15,7 @@ from naive import (
     naive_alpha,
     naive_first_optimal_cutset,
     naive_hamilton_cycle,
+    naive_hamilton_dp,
     naive_hamilton_path,
     naive_toughness,
 )
@@ -406,6 +408,65 @@ def test_hamilton_dp_and_backtracking_agree():
             else:
                 assert a.witness is b.witness is None
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _two_cliques(k: int):
+    # K_k and K_k sharing vertex k - 1: dense, with a cut vertex in the middle
+    n = 2 * k - 1
+    return make_graph(n, [
+        (u, v) for side in (range(k), range(k - 1, n)) for u, v in combinations(side, 2)
+    ])
+
+
+def test_hamilton_dp_matches_the_full_table():
+    # the lazy search returns the verdict and the witness of the whole
+    # bottom-up table, at cycle (y == x) and path endpoints
+    rng = random.Random(9090)
+    cases = []
+    for p in (0.5, 0.7, 0.9):
+        for _ in range(12):
+            g = _random_graph(rng, rng.randrange(3, 13), p)
+            while not g.is_connected():
+                g = _random_graph(rng, g.n, p)
+            cases.append((g, None))
+    cases += [(complete_bipartite(a, a + 1), None) for a in range(1, 7)]
+    cases += [(_two_cliques(k), None) for k in range(2, 7)]
+    cases += [(b.graph, (b.x, b.y)) for b in map(block, BlockKind)]
+    seen = set()
+    for g, terminals in cases:
+        pairs = [(x, x) for x in range(g.n)]
+        pairs += [terminals] if terminals else [tuple(rng.sample(range(g.n), 2)) for _ in range(4)]
+        for x, y in pairs:
+            res = _hamilton_dp(g, x, y)
+            assert (res.verdict, res.witness) == naive_hamilton_dp(g, x, y), (g, x, y)
+            assert (res.method, res.nodes) == ("subset-dp", 0)
+            seen.add((x == y, res.verdict))
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_hamilton_dp_stops_at_its_first_witness():
+    # the full table over G(22, 0.6) takes several seconds; the lazy
+    # search finds both witnesses in milliseconds
+    g = _random_graph(random.Random(2222), 22, 0.6)
+
+    def timeout(signum, frame):
+        raise TimeoutError("subset DP took more than 2 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for x, y, decide in (
+            (0, 0, lambda: is_hamiltonian(g)),
+            (0, 21, lambda: has_hamilton_path(g, 0, 21)),
+        ):
+            signal.alarm(2)
+            res = decide()
+            signal.alarm(0)
+            assert res.method == "subset-dp"
+            assert res.verdict is True
+            _assert_spanning_walk(g, res.witness, x, y)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_path_matches_naive_random():

@@ -1,13 +1,20 @@
-"""Guards on the package source itself."""
+"""Guards on the package source and the scripts shipped beside it."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import toughgraph
 
 SOURCES = sorted(Path(toughgraph.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_no_assert_statements():
@@ -21,3 +28,12 @@ def test_no_assert_statements():
     ]
     assert len(SOURCES) >= 6
     assert found == []
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    r = subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert r.returncode == 0, r.stderr
