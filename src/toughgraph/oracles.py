@@ -102,11 +102,6 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
       whatever it survives in, so the set U of universal vertices lies
       in every cutset.  Only the subsets S' of R = V - U are searched,
       by size k, each scored as (|U| + k) / omega(G - U - S').
-    - Stop bound.  Deleting |U| + k vertices leaves at most
-      cap = min(|R| - k, alpha(G)) components, the alpha term because
-      one vertex from each component forms an independent set.  Once
-      (|U| + k) / cap reaches the best ratio, no larger cutset beats it
-      and the search stops.
     - Pruned depth-first search.  For one size k the vertices of R are
       decided in label order, "in S'" before "out of S'", which visits
       the k-subsets in lexicographic order.  Every vertex that is
@@ -115,10 +110,12 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
       a decided survivor and joins its component, or touches none of
       them; so the cutsets below a node leave at most the components of
       the decided survivors plus the undecided vertices adjacent to none
-      of them (no more than the undecided survivors), and never more
-      than cap.  A subtree whose bound cannot strictly beat the best
-      ratio is skipped, and a size class ends once one of its cutsets
-      reaches cap components.
+      of them, and no more than the undecided survivors.  A subtree
+      whose bound cannot strictly beat the best ratio is skipped.
+    - No node's bound exceeds |R| - k, its root's, since the decided
+      survivors number at least their components.  So once a size's
+      root is skipped, so is every larger size's, and a cutset that
+      leaves |R| - k components ends its size.
 
     Only a strict improvement replaces the best cutset, so the witness
     is the first optimal cutset in (size, lexicographic) order.  Adding
@@ -144,15 +141,11 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
     r = len(rest)
     # undecided[i]: the vertices of R from rest[i] on
     undecided = [alive_rest >> v << v for v in rest] + [0]
-    alpha = independence_number(g, max_n=n)
-    found = False
-    best_s = best_c = best_mask = 0
+    # the best ratio best_s / best_c starts at the sentinel 1/0
+    best_s, best_c, best_mask = 1, 0, 0
     scored = 0
     for k in range(r - 1):
         s = u + k
-        cap = min(r - k, alpha)
-        if found and s * best_c >= best_s * cap:
-            break
         # node: next vertex index, vertices cut so far, cut mask, the
         # components of the decided survivors, their joint neighborhood
         stack = [(0, 0, 0, (), 0)]
@@ -161,18 +154,15 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
             # r - i - (k - j) undecided vertices survive; those that touch
             # no decided survivor can each add one component at most
             free = (undecided[i] & ~touched).bit_count()
-            bound = min(len(comps) + min(free, r - i - k + j), cap)
-            if bound < 2 or (found and s * best_c >= best_s * bound):
+            bound = len(comps) + min(free, r - i - k + j)
+            if bound < 2 or s * best_c >= best_s * bound:
                 continue
             if j == k:
                 scored += 1
                 c = count_components_masked(nbr, alive_rest ^ mask)
                 # accept iff s/c strictly beats the best ratio so far
-                if c >= 2 and (not found or s * best_c < best_s * c):
-                    found = True
+                if c >= 2 and s * best_c < best_s * c:
                     best_s, best_c, best_mask = s, c, mask
-                    if c == cap:
-                        break
                 continue
             v = rest[i]
             if r - i > k - j:
@@ -188,7 +178,7 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
                 stack.append((i + 1, j, mask, tuple(kept), touched | row))
             # pushed last, so "v in S'" is searched before "v out of S'"
             stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
-    if not found:
+    if not best_c:
         raise RuntimeError("non-complete graph must have a cutset")
     witness = cutset_witness(g, frozenset(_bits(universal | best_mask)))
     if witness.component_count != best_c:
@@ -449,7 +439,9 @@ def _hamilton_dp(g: Graph, x: int, y: int) -> HamiltonResult:
 
 
 def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
-    """Exact independence number by branch and bound on bitmasks."""
+    """Exact independence number by branch and bound on bitmasks, on an
+    explicit stack: a greedy set is the first bound, and a node takes its
+    candidate of most candidate neighbors before leaving it out."""
     n = g.n
     if n > max_n:
         raise SizeLimitError(f"independence oracle capped at n={max_n}, got n={n}")
@@ -463,14 +455,15 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
             taken |= 1 << v
             count += 1
     best = count
-
-    def grow(cand: int, size: int) -> None:
-        nonlocal best
+    # node: candidate vertices, size of the independent set taken so far
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
         if size + cand.bit_count() <= best:
-            return
+            continue
         if not cand:
             best = size
-            return
+            continue
         # branch on the vertex with most candidate neighbors
         pivot = -1
         pivot_deg = -1
@@ -483,8 +476,7 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
             if d > pivot_deg:
                 pivot, pivot_deg = v, d
         pb = 1 << pivot
-        grow(cand & ~(nbr[pivot] | pb), size + 1)
-        grow(cand ^ pb, size)
-
-    grow((1 << n) - 1, 0)
+        stack.append((cand ^ pb, size))
+        # pushed last, so taking the pivot is searched first
+        stack.append((cand & ~(nbr[pivot] | pb), size + 1))
     return best

@@ -108,25 +108,26 @@ class VerificationReport:
 
 def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
     """Two-coloring as a pair of vertex masks, or None if an odd cycle
-    exists.  Isolated vertices land on the first side."""
+    exists.  Breadth-first layers from each component's lowest vertex
+    alternate sides, isolated vertices on the first; no edge skips a
+    layer, so an odd cycle shows as a layer's neighbor on its own side."""
     nbr = g.neighbor_masks
-    color = [-1] * g.n
     side = [0, 0]
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        side[0] |= 1 << s
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for u in _bits(nbr[v]):
-                if color[u] == -1:
-                    color[u] = 1 - color[v]
-                    side[color[u]] |= 1 << u
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
+    rem = (1 << g.n) - 1
+    while rem:
+        layer = seen = rem & -rem
+        s = 0
+        while layer:
+            side[s] |= layer
+            reach = 0
+            for v in _bits(layer):
+                reach |= nbr[v]
+            if reach & side[s]:
+                return None
+            layer = reach & ~seen
+            seen |= layer
+            s ^= 1
+        rem &= ~seen
     return side[0], side[1]
 
 

@@ -145,6 +145,30 @@ def naive_alpha(g: Graph) -> int:
     return best
 
 
+def naive_bipartition(g: Graph) -> Optional[tuple[set[int], set[int]]]:
+    """Two sides by breadth-first search from each uncolored vertex in
+    label order, that vertex on the first side; None on an odd cycle."""
+    adj = _adjacency(g)
+    color: dict[int, int] = {}
+    for start in range(g.n):
+        if start in color:
+            continue
+        color[start] = 0
+        queue = [start]
+        while queue:
+            u = queue.pop(0)
+            for w in adj[u]:
+                if w not in color:
+                    color[w] = 1 - color[u]
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return None
+    return (
+        {v for v in color if color[v] == 0},
+        {v for v in color if color[v] == 1},
+    )
+
+
 # -- construction and graph6, one edge tuple or one bit at a time ----------
 
 

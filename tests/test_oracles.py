@@ -34,6 +34,7 @@ from toughgraph import (
     make_graph,
     matched_layers,
     petersen,
+    synthesize,
     toughness_exact,
     toughness_upper_search,
     unit_toughness_graph,
@@ -264,19 +265,34 @@ def test_toughness_search_is_not_recursive():
     assert r.cutsets == 1 + n  # the empty set, then each single vertex
 
 
+def test_toughness_strips_universal_vertices_under_any_labels():
+    # the 4/3 graph (n=22) with its labels reversed puts its universal
+    # vertices last; searching them as ordinary vertices scores 40,071
+    # cutsets, stripping them first scores 256
+    g, _ = synthesize("4/3")
+    n = g.n
+    h = make_graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
+    r = toughness_exact(h)
+    assert r.value == Fraction(4, 3)
+    assert r.witness.cutset == frozenset(range(8)) | frozenset(range(18, 22))
+    assert r.cutsets == 256
+
+
 def test_toughness_size_cap():
     star = make_graph(30, [(0, v) for v in range(1, 30)])
     with pytest.raises(SizeLimitError):
         toughness_exact(star)
     # raising the cap runs fine: the hub is universal, and cutting it
-    # alone already leaves the most components the bound allows
+    # alone leaves 29 components, the root's bound |R| - 0, so every
+    # other node is skipped
     assert toughness_exact(star, max_n=30).value == Fraction(1, 29)
 
 
 def test_toughness_reach_with_universal_vertices():
     # n=23: five universal vertices leave an 18-vertex enumeration
     assert toughness_exact(matched_layers(13, 9)).value == Fraction(13, 9)
-    # alpha is taken with its own cap lifted, so n=55 raises nothing
+    # n=55: 47 universal vertices leave an 8-vertex search, and no
+    # other oracle with a size cap of its own is consulted
     assert toughness_exact(matched_layers(50, 4), max_n=60).value == Fraction(25, 2)
 
 
@@ -552,3 +568,11 @@ def test_alpha_size_cap():
     with pytest.raises(SizeLimitError):
         independence_number(big)
     assert independence_number(big, max_n=49) == 49
+
+
+def test_alpha_search_is_not_recursive():
+    # the greedy set is already the 1051-side; proving that no larger
+    # one exists leaves out the 1050-side one vertex at a time, so a
+    # walk that recursed once per branch would pass the interpreter's
+    # recursion limit
+    assert independence_number(complete_bipartite(1050, 1051), max_n=3000) == 1051

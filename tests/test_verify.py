@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 
 import pytest
 
+from naive import naive_bipartition
 from toughgraph import (
     FAILED,
     ORACLE_EXACT,
@@ -17,10 +19,13 @@ from toughgraph import (
     OracleLimits,
     SizeLimitError,
     check_certificate,
+    complete_bipartite,
+    disjoint_union,
     make_graph,
     synthesize,
     verify_claim_formula,
 )
+from toughgraph.verify import _bipartition
 
 
 def _check_named(report, name):
@@ -68,6 +73,43 @@ def test_alpha_reported_for_bipartite_arguments():
     assert report.alpha == 3
     g2, cert2 = synthesize("1")
     assert check_certificate(g2, cert2).alpha is None
+
+
+def _random_bipartite(rng: random.Random, a: int, b: int, p: float):
+    # sides 0..a-1 and a..a+b-1, shuffled so the sides interleave in label
+    # order; vertices with no sampled edge stay isolated
+    perm = list(range(a + b))
+    rng.shuffle(perm)
+    edges = [
+        (perm[u], perm[a + v]) for u in range(a) for v in range(b) if rng.random() < p
+    ]
+    return make_graph(a + b, [(min(e), max(e)) for e in edges])
+
+
+def test_bipartition_matches_naive():
+    rng = random.Random(77)
+    graphs = [make_graph(0, []), make_graph(5, []), complete_bipartite(3, 4)]
+    for _ in range(60):
+        g = _random_bipartite(rng, rng.randrange(1, 9), rng.randrange(1, 9), rng.uniform(0.1, 0.6))
+        graphs.append(g)
+        graphs.append(disjoint_union([g, make_graph(1, []), _random_bipartite(rng, 3, 4, 0.5)]))
+        # one extra edge may close an odd cycle
+        u, v = rng.sample(range(g.n), 2)
+        if not g.has_edge(u, v):
+            graphs.append(make_graph(g.n, g.edges() + [(min(u, v), max(u, v))]))
+    odd = make_graph(5, [(i, (i + 1) % 5) for i in range(5)])
+    graphs.append(disjoint_union([complete_bipartite(2, 3), make_graph(2, []), odd]))
+    verdicts = set()
+    for g in graphs:
+        sides = _bipartition(g)
+        want = naive_bipartition(g)
+        verdicts.add(want is None)
+        if want is None:
+            assert sides is None
+        else:
+            assert sides is not None
+            assert [{v for v in range(g.n) if m >> v & 1} for m in sides] == list(want)
+    assert verdicts == {True, False}
 
 
 def test_report_json_shape():
