@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import binascii
 import json
-import re
 from dataclasses import dataclass, field
 from itertools import compress, repeat
 from typing import Iterable, Sequence
@@ -37,12 +36,17 @@ __all__ = [
 GRAPH6_MAX_N = 2**36 - 1
 
 _G6_HEADER = b">>graph6<<"
-_G6_INVALID = re.compile(rb"[^\x3f-\x7e]")
+_G6_VALID = bytes(range(63, 127))
 
 # graph6 writes a 6-bit group as the byte 63 + value, base64 as its alphabet
 _B64 = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_B64_TO_G6 = bytes.maketrans(_B64, bytes(range(63, 127)))
-_G6_TO_B64 = bytes.maketrans(bytes(range(63, 127)), _B64)
+_B64_TO_G6 = bytes.maketrans(_B64, _G6_VALID)
+_G6_TO_B64 = bytes.maketrans(_G6_VALID, _B64)
+
+# each byte with its bit order reversed: MSB-first base64 bytes <-> LSB-first
+_REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# the encoder moves whole bytes out of its accumulator past this many bits
+_G6_FLUSH_BITS = 4096
 
 # the digits of a binary string as the byte values 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -219,26 +223,45 @@ def encode_graph6(g: Graph) -> bytes:
     """Encode in graph6: size field, then the upper triangle column by
     column ((0,1),(0,2),(1,2),(0,3),...), six bits per byte, offset 63.
 
-    Column j is the low j bits of row j, lowest first; the columns form
-    one bit string that base64 cuts into the 6-bit groups."""
+    Column j is the low j bits of row j.  The columns are packed end to
+    end into little-endian bytes, so byte i bit b holds stream bit
+    8i + b; whole bytes are flushed every few thousand bits.  Reversing
+    the bits of each byte puts the stream in the big-endian order that
+    base64 cuts into the 6-bit groups."""
     n = g.n
     if n > GRAPH6_MAX_N:
         raise ValueError(f"graph6 cannot encode n={n}")
-    nbr = g.neighbor_masks
-    bits = "".join(
-        format(nbr[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n)
-    )
-    need = (len(bits) + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return _g6_size_bytes(n)
-    bits += "0" * (-len(bits) % 24)
-    raw = int(bits, 2).to_bytes(len(bits) // 8, "big")
+    nbr = g.neighbor_masks
+    stream = bytearray()
+    acc = pending = 0
+    for j in range(1, n):
+        acc |= (nbr[j] & ((1 << j) - 1)) << pending
+        pending += j
+        if pending >= _G6_FLUSH_BITS:
+            whole = pending >> 3
+            stream += acc.to_bytes(whole + 1, "little")[:whole]
+            acc >>= 8 * whole
+            pending &= 7
+    stream += acc.to_bytes((pending + 7) >> 3, "little")
+    stream += bytes(-len(stream) % 3)  # whole 3-byte groups: no "=" from base64
+    raw = stream.translate(_REVERSE_BITS)
     body = binascii.b2a_base64(raw, newline=False)[:need].translate(_B64_TO_G6)
     return _g6_size_bytes(n) + body
 
 
 def decode_graph6(data: bytes | str) -> Graph:
-    """Decode one graph6 string; the optional >>graph6<< header is allowed."""
+    """Decode one graph6 string; the optional >>graph6<< header is allowed.
+
+    The body is base64-decoded and each byte bit-reversed, so byte i
+    bit b holds stream bit 8i + b and column j (row j's neighbors below
+    j) is read from the few bytes it spans.  The columns are then packed
+    as an n x n bit matrix, nb = ceil(n/8) bytes per row, and every 8x8
+    bit block is transposed in place.  In the result the neighbors of v
+    above v, one byte per 8-row block, sit nb * 8 bytes apart from byte
+    (v & 7) * nb + (v >> 3): a single stride slice."""
     if isinstance(data, str):
         if not data.isascii():
             bad = next(c for c in data if not c.isascii())
@@ -249,9 +272,9 @@ def decode_graph6(data: bytes | str) -> Graph:
         data = data[len(_G6_HEADER):]
     if not data:
         raise GraphFormatError("empty graph6 input")
-    bad = _G6_INVALID.search(data)
+    bad = data.translate(None, _G6_VALID)
     if bad:
-        raise GraphFormatError(f"invalid graph6 byte {bad.group()[0]}")
+        raise GraphFormatError(f"invalid graph6 byte {bad[0]}")
     pos = 0
     if data[0] == 126:
         if len(data) >= 2 and data[1] == 126:
@@ -283,19 +306,32 @@ def decode_graph6(data: bytes | str) -> Graph:
     if not need:
         return Graph((0,) * n)
     raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-need % 4))
-    bits = format(int.from_bytes(raw, "big"), f"0{8 * len(raw)}b")
-    if "1" in bits[nbits : 6 * need]:
+    xb = raw.translate(_REVERSE_BITS)
+    if int.from_bytes(xb[nbits >> 3 :], "little") >> (nbits & 7):
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    # column j holds row j's neighbors below j; laid out as a column-major
-    # n x n matrix padded with zeros, the stride-n slice at v reads row
-    # v's neighbors above v
-    starts = [j * (j - 1) // 2 for j in range(n + 1)]
-    matrix = "".join(
-        bits[starts[j] : starts[j + 1]] + "0" * (n - j) for j in range(n)
-    )
+    cols = []
+    for j in range(n):
+        start = j * (j - 1) // 2
+        chunk = int.from_bytes(xb[start >> 3 : (start + j + 7) >> 3], "little")
+        cols.append((chunk >> (start & 7)) & ((1 << j) - 1))
+    # row j of the matrix is column j.  Round b swaps each in-block bit
+    # (r, c) with r & b clear and c & b set with (r + b, c - b), which
+    # sits b * (stride - 1) bits higher; after the three rounds bit i of
+    # row j is bit j & 7 of row (j & ~7) | (i & 7), in byte column i >> 3
+    nb = (n + 7) >> 3
+    stride = 8 * nb
+    up = int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in cols), "little")
+    for b, pattern in ((1, 0xAA), (2, 0xCC), (4, 0xF0)):
+        mask = int.from_bytes(
+            b"".join(bytes([0 if r & b else pattern]) * nb for r in range(8)) * nb,
+            "little",
+        )
+        shift = b * (stride - 1)
+        t = ((up >> shift) ^ up) & mask
+        up ^= t ^ (t << shift)
+    upper = up.to_bytes(stride * nb, "little")
     rows = tuple(
-        int(matrix[v::n][::-1], 2)
-        | int(bits[starts[v] : starts[v + 1]][::-1] or "0", 2)
+        int.from_bytes(upper[(v & 7) * nb + (v >> 3) :: stride], "little") | cols[v]
         for v in range(n)
     )
     return Graph(rows)

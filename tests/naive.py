@@ -236,19 +236,23 @@ def naive_inflate_triangles(g: Graph) -> Graph:
     return make_graph(3 * g.n, edges)
 
 
+def naive_graph6_size_field(n: int) -> bytes:
+    """One byte n + 63 up to 62, else 126 and 3 six-bit groups up to
+    258047, else 126 126 and 6 groups."""
+    if n <= 62:
+        return bytes([n + 63])
+    if n <= 258047:
+        return bytes([126] + [((n >> sh) & 63) + 63 for sh in (12, 6, 0)])
+    return bytes([126, 126] + [((n >> sh) & 63) + 63 for sh in range(30, -1, -6)])
+
+
 def naive_encode_graph6(g: Graph) -> bytes:
     """Size field, then the upper triangle column by column, six bits per
     byte at offset 63, zero-padded."""
-    n = g.n
-    if n <= 62:
-        out = bytearray([n + 63])
-    elif n <= 258047:
-        out = bytearray([126] + [((n >> sh) & 63) + 63 for sh in (12, 6, 0)])
-    else:
-        out = bytearray([126, 126] + [((n >> sh) & 63) + 63 for sh in range(30, -1, -6)])
+    out = bytearray(naive_graph6_size_field(g.n))
     val = 0
     nbits = 0
-    for j in range(1, n):
+    for j in range(1, g.n):
         for i in range(j):
             val = (val << 1) | int(g.has_edge(i, j))
             nbits += 1
@@ -259,3 +263,31 @@ def naive_encode_graph6(g: Graph) -> bytes:
     if nbits:
         out.append((val << (6 - nbits)) + 63)
     return bytes(out)
+
+
+def naive_decode_graph6(data: bytes) -> Graph:
+    """Read a valid graph6 string as the format defines it: the size
+    field, then six bits per byte, most significant first, one bit per
+    pair (0,1),(0,2),(1,2),(0,3),... and zero padding after the last."""
+    if data[0] != 126:
+        size, pos = data[:1], 1
+    elif data[1] != 126:
+        size, pos = data[1:4], 4
+    else:
+        size, pos = data[2:8], 8
+    n = 0
+    for byte in size:
+        n = n * 64 + (byte - 63)
+    bits = []
+    for byte in data[pos:]:
+        for sh in (5, 4, 3, 2, 1, 0):
+            bits.append(((byte - 63) >> sh) & 1)
+    edges = []
+    k = 0
+    for j in range(1, n):
+        for i in range(j):
+            if bits[k]:
+                edges.append((i, j))
+            k += 1
+    assert not any(bits[k:]), "nonzero padding"
+    return make_graph(n, edges)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from time import perf_counter
 
 import pytest
 from naive import (
     naive_complete_graph,
+    naive_decode_graph6,
     naive_disjoint_union,
     naive_encode_graph6,
+    naive_graph6_size_field,
     naive_join,
 )
 
@@ -296,6 +299,57 @@ def test_graph6_huge_size_field_fails_before_allocation():
     data = bytes([126, 126]) + bytes([126] * 6)
     with pytest.raises(GraphFormatError, match="truncated graph6 body"):
         decode_graph6(data)
+
+
+def test_graph6_decode_matches_reference_decoder():
+    # bodies drawn directly, not encoded: n mod 8 takes every residue
+    # (the decoder's 8-row blocks) and 257 spans 33 bytes per row
+    rng = random.Random(1618)
+    for n in [*range(71), *range(120, 137), 257]:
+        nbits = n * (n - 1) // 2
+        need = (nbits + 5) // 6
+        keep = 63 << (6 * need - nbits) & 63
+        for draw in (lambda: 0, lambda: rng.randrange(64), lambda: 63):
+            groups = [draw() for _ in range(need)]
+            if groups:
+                groups[-1] &= keep
+            data = naive_graph6_size_field(n) + bytes(v + 63 for v in groups)
+            g = decode_graph6(data)
+            ref = naive_decode_graph6(data)
+            assert g == ref and g.edge_count == ref.edge_count, n
+            assert encode_graph6(g) == data == naive_encode_graph6(ref), n
+
+
+def test_graph6_single_bit_flip_moves_one_edge():
+    rng = random.Random(1729)
+    for n in (9, 16, 23, 64, 131):
+        g = _random_graph(rng, n, 0.5)
+        data = encode_graph6(g)
+        pos = len(data) - (n * (n - 1) // 2 + 5) // 6
+        pairs = [(i, j) for j in range(1, n) for i in range(j)]
+        for k, (i, j) in enumerate(pairs):
+            at = pos + k // 6
+            flipped = bytearray(data)
+            flipped[at] = ((data[at] - 63) ^ (32 >> k % 6)) + 63
+            h = decode_graph6(bytes(flipped))
+            diff = [a ^ b for a, b in zip(g.neighbor_masks, h.neighbor_masks)]
+            want = [0] * n
+            want[i], want[j] = 1 << j, 1 << i
+            assert diff == want, (n, k)
+            assert abs(h.edge_count - g.edge_count) == 1, (n, k)
+
+
+def test_graph6_size_field_forms_and_checks_before_allocation():
+    # K_{2,3} with its order written in the 4-byte and the 8-byte form
+    assert decode_graph6(b"~??D]o") == complete_bipartite(2, 3)
+    assert decode_graph6(b"~~?????D]o") == complete_bipartite(2, 3)
+    # n = 2^36 - 1 and n = 258047, the largest of each long form, with
+    # a short body: refused on length before any row is built
+    for header in (b"~~" + b"~" * 6, b"~}~~"):
+        start = perf_counter()
+        with pytest.raises(GraphFormatError, match="truncated graph6 body"):
+            decode_graph6(header + b"?" * 100)
+        assert perf_counter() - start < 0.5
 
 
 # -- DOT -------------------------------------------------------------------
