@@ -440,8 +440,29 @@ def _hamilton_dp(g: Graph, x: int, y: int) -> HamiltonResult:
 
 def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
     """Exact independence number by branch and bound on bitmasks, on an
-    explicit stack: a greedy set is the first bound, and a node takes its
-    candidate of most candidate neighbors before leaving it out."""
+    explicit stack.  A node is a candidate mask and the size of the set
+    taken so far; one scan over the candidates counts each one's
+    candidate neighbors and grows a greedy matching among them.
+
+    - Degree 0 and 1.  A candidate v with at most one candidate neighbor
+      lies in some maximum independent set of the candidates: a maximum
+      set without v holds v's neighbor u, else v could be added, and
+      swapping u for v keeps it independent.  So every candidate of
+      degree 0 is taken at once, and one of degree 1 is taken and its
+      neighbor dropped, then the candidates are scanned again.
+    - Cycles.  When every candidate has exactly two candidate neighbors,
+      the candidates induce disjoint cycles, and a cycle of length L has
+      independence number floor(L / 2).  The node closes without
+      branching.
+    - Matching bound.  An independent set holds at most one end of each
+      edge of a matching, so the node can add at most |cand| - |M| for
+      the greedy matching M; it is pruned when that cannot beat the best.
+
+    Otherwise the candidate with most candidate neighbors (lowest label
+    on ties) is taken first, then dropped.  The greedy set by (degree,
+    label) is the first best; with the matching bound it closes
+    K_{a,a+1} at the root.
+    """
     n = g.n
     if n > max_n:
         raise SizeLimitError(f"independence oracle capped at n={max_n}, got n={n}")
@@ -459,22 +480,47 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
     stack = [((1 << n) - 1, 0)]
     while stack:
         cand, size = stack.pop()
-        if size + cand.bit_count() <= best:
+        while True:
+            free = cand  # candidates the greedy matching has not used
+            matched = 0
+            pivot = leaf = -1
+            pivot_deg = 0
+            c = cand
+            while c:
+                b = c & -c
+                c ^= b
+                v = b.bit_length() - 1
+                row = nbr[v] & cand
+                if not row:
+                    cand ^= b
+                    size += 1
+                    continue
+                if not row & (row - 1):
+                    leaf = v
+                    break
+                d = row.bit_count()
+                if d > pivot_deg:
+                    pivot, pivot_deg = v, d
+                if free & b:
+                    w = row & free
+                    if w:
+                        free ^= b | w & -w
+                        matched += 1
+            if leaf < 0:
+                break
+            cand &= ~(nbr[leaf] | 1 << leaf)
+            size += 1
+        if size + cand.bit_count() - matched <= best:
             continue
-        if not cand:
-            best = size
+        if pivot_deg <= 2:
+            # no candidate is left, or the candidates form disjoint cycles
+            rest = cand
+            while rest:
+                cycle = _reach(nbr, rest & -rest, rest)
+                rest ^= cycle
+                size += cycle.bit_count() // 2
+            best = max(best, size)
             continue
-        # branch on the vertex with most candidate neighbors
-        pivot = -1
-        pivot_deg = -1
-        c = cand
-        while c:
-            b = c & -c
-            c ^= b
-            v = b.bit_length() - 1
-            d = (nbr[v] & cand).bit_count()
-            if d > pivot_deg:
-                pivot, pivot_deg = v, d
         pb = 1 << pivot
         stack.append((cand ^ pb, size))
         # pushed last, so taking the pivot is searched first

@@ -3,10 +3,14 @@
 The oracles are written against plain dict-of-sets adjacency with
 itertools enumeration, deliberately sharing no code with the package
 (which works on bitmasks).  The construction and graph6 references
-build edge tuples for make_graph and write one bit at a time.  The
-one exception is the bottom-up subset DP table for Hamilton paths, the
-reference for the package's lazily evaluated one.  Keep these dumb;
-their only virtue is that they are obviously correct on small graphs.
+build edge tuples for make_graph and write one bit at a time.  Two
+bitmask searches are kept as references for the ones that replaced
+them: the bottom-up subset DP table for Hamilton paths, behind the
+lazily evaluated one, and the plain branch and bound for the
+independence number, behind the one with reductions and a matching
+bound; the latter also checks graphs too large to enumerate.  Keep
+these dumb; their only virtue is that they are obviously correct on
+small graphs.
 """
 
 from __future__ import annotations
@@ -142,6 +146,49 @@ def naive_alpha(g: Graph) -> int:
         for subset in combinations(range(g.n), k):
             if all(v not in adj[u] for u, v in combinations(subset, 2)):
                 return k
+    return best
+
+
+def naive_alpha_branching(g: Graph) -> int:
+    """Exact independence number by branch and bound on bitmasks, on an
+    explicit stack: a greedy set is the first bound, and a node takes its
+    candidate of most candidate neighbors before leaving it out.  The
+    package's search before its reductions and matching bound."""
+    n = g.n
+    if n == 0:
+        return 0
+    nbr = g.neighbor_masks
+    taken = 0
+    count = 0
+    for v in sorted(range(n), key=lambda v: (nbr[v].bit_count(), v)):
+        if not (nbr[v] & taken):
+            taken |= 1 << v
+            count += 1
+    best = count
+    # node: candidate vertices, size of the independent set taken so far
+    stack = [((1 << n) - 1, 0)]
+    while stack:
+        cand, size = stack.pop()
+        if size + cand.bit_count() <= best:
+            continue
+        if not cand:
+            best = size
+            continue
+        # branch on the vertex with most candidate neighbors
+        pivot = -1
+        pivot_deg = -1
+        c = cand
+        while c:
+            b = c & -c
+            c ^= b
+            v = b.bit_length() - 1
+            d = (nbr[v] & cand).bit_count()
+            if d > pivot_deg:
+                pivot, pivot_deg = v, d
+        pb = 1 << pivot
+        stack.append((cand ^ pb, size))
+        # pushed last, so taking the pivot is searched first
+        stack.append((cand & ~(nbr[pivot] | pb), size + 1))
     return best
 
 

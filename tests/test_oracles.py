@@ -13,6 +13,7 @@ import pytest
 
 from naive import (
     naive_alpha,
+    naive_alpha_branching,
     naive_first_optimal_cutset,
     naive_hamilton_cycle,
     naive_hamilton_dp,
@@ -571,8 +572,78 @@ def test_alpha_size_cap():
 
 
 def test_alpha_search_is_not_recursive():
-    # the greedy set is already the 1051-side; proving that no larger
-    # one exists leaves out the 1050-side one vertex at a time, so a
-    # walk that recursed once per branch would pass the interpreter's
-    # recursion limit
+    # the greedy set is already the 1051-side, and the greedy matching
+    # of 1050 edges bounds the root by 2101 - 1050 = 1051, so the search
+    # closes at its first node; a search bounded by size + |cand| alone
+    # leaves out the 1050-side one vertex at a time, and if it recursed
+    # once per branch it would pass the interpreter's recursion limit
     assert independence_number(complete_bipartite(1050, 1051), max_n=3000) == 1051
+
+
+def _cycle_plus_chords(rng: random.Random, n: int, chords: int):
+    """A Hamilton cycle in shuffled order plus distinct random chords."""
+    order = list(range(n))
+    rng.shuffle(order)
+    edges = {tuple(sorted((order[i], order[(i + 1) % n]))) for i in range(n)}
+    while len(edges) < n + chords:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    return make_graph(n, sorted(edges))
+
+
+def _alpha_corpus(rng: random.Random):
+    """Graphs that exercise each rule of the search: sparse ones for the
+    degree-0/1 rule and the matching bound, unions of cycles, paths and
+    isolated vertices for the cycle closed form, and pendant vertices on
+    a hub, whose leaf rule must take the pendant and not the hub."""
+    for n in range(20, 49, 4):
+        yield _cycle_plus_chords(rng, n, n // 2)
+        yield _cycle_plus_chords(rng, n, n)
+    for trial in range(30):
+        n = rng.randrange(2, 49)
+        yield _random_graph(rng, n, rng.uniform(0.5, 3.0) / n)
+    for trial in range(30):
+        parts = [
+            rng.choice((_cycle, _path))(rng.randrange(3, 12))
+            for _ in range(rng.randrange(1, 5))
+        ]
+        parts += [make_graph(1, [])] * rng.randrange(3)
+        yield _plant_universal(rng, disjoint_union(parts), 0)
+    yield _cycle(3)
+    for a, b in ((1, 1), (1, 6), (3, 3), (4, 7), (10, 11), (20, 20)):
+        yield complete_bipartite(a, b)
+    yield petersen()
+    yield inflate_triangles(petersen())
+    for trial in range(20):
+        n = rng.randrange(6, 30)
+        g = _random_graph(rng, n, rng.uniform(0.2, 0.6))
+        hub = max(range(n), key=g.degree)
+        pendants = [(hub, n + i) for i in range(rng.randrange(1, 4))]
+        yield _plant_universal(
+            rng, make_graph(n + len(pendants), g.edges() + pendants), 0
+        )
+
+
+def test_alpha_matches_branching_reference():
+    for g in _alpha_corpus(random.Random(4812)):
+        assert independence_number(g) == naive_alpha_branching(g), g.edges()
+
+
+def test_alpha_sparse_search_is_fast():
+    # average degree 3 at n = 64: a search bounded by size + |cand|
+    # alone, as naive_alpha_branching is, takes about 10 s here, and the
+    # reductions with the matching bound take milliseconds
+    g = _cycle_plus_chords(random.Random(6464), 64, 32)
+
+    def timeout(signum, frame):
+        raise TimeoutError("independence search took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        alpha = independence_number(g, max_n=64)
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert alpha == naive_alpha_branching(g)
