@@ -1,7 +1,9 @@
-"""Command line interface, exercised through real subprocesses."""
+"""Command line interface, exercised through real subprocesses; the
+parser tests at the end run in-process."""
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,6 +11,7 @@ import sys
 import pytest
 
 from toughgraph import decode_graph6, inflate_triangles, petersen, unit_toughness_graph
+from toughgraph.cli import _COMMANDS, _build_parser, main
 
 
 def run_cli(*args, stdin=None):
@@ -356,3 +359,64 @@ def test_subcommands_compose_in_a_pipe():
     )
     assert pipe.returncode == 0
     assert json.loads(pipe.stdout)["tau"] == "6/5"
+
+
+# -- one subparser per call ---------------------------------------------------
+
+# per command: a valid argv, then one with a bad choice or typed value
+_PARSER_FORMS = {
+    "synth": (["2/3", "--format", "dot"], ["2/3", "--format", "xyz"]),
+    "verify": (["g", "c", "--budget", "5"], ["g", "c", "--budget", "x"]),
+    "tau": (["g", "--max-n", "9"], ["g", "--max-n", "x"]),
+    "hamilton": (["g", "--path", "0", "1"], ["g", "--path", "0", "x"]),
+    "alpha": (["g"], ["g", "--max-n", "x"]),
+    "block": (["l2", "--out", "-"], ["l9"]),
+}
+
+
+def _parse(parser, argv, capsys):
+    try:
+        outcome = sorted(vars(parser.parse_args(argv)).items())
+    except SystemExit as exc:
+        outcome = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return outcome, out, err
+
+
+@pytest.mark.parametrize("columns", ["30", "80", "200"])
+def test_single_command_parser_matches_the_full_one(columns, monkeypatch, capsys):
+    # help, usage and error bytes, exit codes and parsed values are those
+    # of the parser that holds every command, also where the usage wraps
+    monkeypatch.setenv("COLUMNS", columns)
+    assert set(_PARSER_FORMS) == set(_COMMANDS)
+    forms = [[], ["-h"], ["bogus"], ["--", "alpha"]]
+    for cmd, (valid, bad) in _PARSER_FORMS.items():
+        forms += [[cmd, "-h"], [cmd, "--bogus", *valid], [cmd], [cmd, *valid], [cmd, *bad]]
+    for argv in forms:
+        expected = _parse(_build_parser([]), argv, capsys)
+        assert _parse(_build_parser(argv), argv, capsys) == expected, argv
+    for cmd, (valid, _) in _PARSER_FORMS.items():
+        parsed, _, _ = _parse(_build_parser([]), [cmd, *valid], capsys)
+        assert ("command", cmd) in parsed
+
+
+def test_a_call_builds_only_its_command_parser(tmp_path, monkeypatch, capsys):
+    gpath = tmp_path / "p.g6"
+    gpath.write_text("IheA@GUAo\n")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["alpha", str(gpath)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"alpha": 4}
+    assert built == ["toughgraph", "toughgraph alpha"]
+
+    built.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert len(built) == 1 + len(_COMMANDS) == 7

@@ -28,6 +28,7 @@ from toughgraph import (
     complete_graph,
     cutset_witness,
     disjoint_union,
+    encode_graph6,
     has_hamilton_path,
     independence_number,
     inflate_triangles,
@@ -632,8 +633,13 @@ def test_alpha_matches_branching_reference():
 def test_alpha_sparse_search_is_fast():
     # average degree 3 at n = 64: a search bounded by size + |cand|
     # alone, as naive_alpha_branching is, takes about 10 s here, and the
-    # reductions with the matching bound take milliseconds
+    # reductions with the matching bound take milliseconds. The expected
+    # 29 is naive_alpha_branching's answer on this graph, recorded once;
+    # the digest fails the test if the generator ever draws another graph
     g = _cycle_plus_chords(random.Random(6464), 64, 32)
+    assert hashlib.sha256(encode_graph6(g)).hexdigest() == (
+        "a9235f91e91b279753fac99acdc05c311a21a7346503841b994fdaca6247eb76"
+    )
 
     def timeout(signum, frame):
         raise TimeoutError("independence search took more than 1 s")
@@ -646,4 +652,4 @@ def test_alpha_sparse_search_is_fast():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert alpha == naive_alpha_branching(g)
+    assert alpha == 29
