@@ -24,6 +24,7 @@ __all__ = [
     "HamiltonResult",
     "cutset_witness",
     "toughness_exact",
+    "toughness_below",
     "toughness_upper_search",
     "is_hamiltonian",
     "has_hamilton_path",
@@ -184,6 +185,77 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
     if witness.component_count != best_c:
         raise RuntimeError("witness recount disagrees with the search")
     return ToughnessResult(Fraction(best_s, best_c), witness, scored)
+
+
+def toughness_below(
+    g: Graph, t: Fraction, max_n: int = DEFAULT_TOUGHNESS_LIMIT
+) -> Optional[CutsetWitness]:
+    """A cutset S with |S| / omega(G - S) < t, or None when there is
+    none, i.e. when the toughness is at least t (always for a complete
+    graph).  This is the parametric decision of Dinkelbach (1967) at
+    lambda = t = a / b: is b |S| - a omega(G - S) negative for some S?
+
+    One depth-first search over the subsets S' of R = V - U, U the
+    universal vertices, deciding R in label order with the decided
+    survivors' components, as toughness_exact does for one size.
+
+    - Bound.  Below a node with j vertices cut, every cutset cuts at
+      least |U| + j vertices and leaves at most `most` components: the
+      decided survivors' plus the undecided vertices adjacent to none
+      of them.  So if most < 2 or b (|U| + j) >= a most, no cutset
+      below has ratio under a / b, and the subtree is skipped.
+    - Leaves.  Once every vertex is decided, `most` is the exact
+      component count of G - U - S', so a leaf that is not skipped is a
+      cutset below t; the search itself counts no components.
+
+    "Out of S'" is searched before "in S'", so the cutset returned is
+    the first below t when the subsets S' are read as binary numbers,
+    smallest first, with the lowest label as the top bit; a
+    disconnected graph gives the empty cutset.
+    """
+    n = g.n
+    if n > max_n:
+        raise SizeLimitError(
+            f"toughness search capped at n={max_n}, got n={n}; "
+            "raise max_n, or fall back to toughness_upper_search"
+        )
+    a, b = t.numerator, t.denominator
+    nbr = g.neighbor_masks
+    full = (1 << n) - 1
+    universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
+    alive_rest = full ^ universal
+    rest = list(_bits(alive_rest))
+    u = universal.bit_count()
+    r = len(rest)
+    # undecided[i]: the vertices of R from rest[i] on
+    undecided = [alive_rest >> v << v for v in rest] + [0]
+    # node: next vertex index, vertices cut so far, cut mask, the
+    # components of the decided survivors, their joint neighborhood
+    stack = [(0, 0, 0, (), 0)]
+    while stack:
+        i, j, mask, comps, touched = stack.pop()
+        most = len(comps) + (undecided[i] & ~touched).bit_count()
+        if most < 2 or b * (u + j) >= a * most:
+            continue
+        if i == r:
+            witness = cutset_witness(g, frozenset(_bits(universal | mask)))
+            if witness.component_count != most:
+                raise RuntimeError("witness recount disagrees with the search")
+            return witness
+        v = rest[i]
+        row = nbr[v]
+        merged = 1 << v
+        kept = []
+        for comp in comps:
+            if comp & row:
+                merged |= comp
+            else:
+                kept.append(comp)
+        kept.append(merged)
+        stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
+        # pushed last, so "v out of S'" is searched before "v in S'"
+        stack.append((i + 1, j, mask, tuple(kept), touched | row))
+    return None
 
 
 def toughness_upper_search(

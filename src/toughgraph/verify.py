@@ -4,10 +4,12 @@ check_certificate answers one question: is this (graph, certificate)
 pair sound?  It rebuilds the graph from the plan, re-verifies the
 witness cutset by counting components (polynomial, runs at any size),
 re-derives the nonhamiltonicity argument, and, whenever the graph is
-small enough, confronts the predicted toughness with the exact oracle.
-Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
-the cutset certifies toughness <= t, and the matching lower bound rests
-on the structural argument rather than enumeration.
+small enough, proves the predicted toughness exact: the witness gives
+toughness <= t, and one exact search for a cutset of ratio below t
+(toughness_below) that finds none gives toughness >= t.  Larger
+instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY: the
+cutset certifies toughness <= t, and the matching lower bound rests on
+the structural argument rather than enumeration.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .oracles import (
     has_hamilton_path,
     independence_number,
     is_hamiltonian,
+    toughness_below,
     toughness_exact,
 )
 from .synth import (
@@ -307,6 +310,12 @@ def check_certificate(
     if g.n <= limits.toughness_n:
 
         def chk_tau() -> tuple[bool, str]:
+            # the witness proves toughness <= t, so one decision that no
+            # cutset has ratio below t proves equality; the full search
+            # runs only to name the true value in a rejection
+            t = cert.predicted_tau
+            if witness_ok and toughness_below(g, t, max_n=limits.toughness_n) is None:
+                return True, f"exact toughness equals {t}"
             res = toughness_exact(g, max_n=limits.toughness_n)
             if res.is_infinite:
                 return False, "graph is complete; toughness infinite"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from typing import Optional
 
 from toughgraph import Graph, make_graph
@@ -71,6 +71,23 @@ def naive_first_optimal_cutset(
             if best is None or ratio < best[0]:
                 best = (ratio, subset)
     return best
+
+
+def naive_cutsets_in_search_order(g: Graph) -> list[tuple[Fraction, tuple[int, ...]]]:
+    """Every cutset with its ratio, in toughness_below's order: a vertex
+    adjacent to all others lies in every cutset, and the subsets of the
+    other vertices go as binary numbers, smallest first, with the lowest
+    label as the top bit."""
+    adj = _adjacency(g)
+    universal = {v for v in adj if len(adj[v]) == g.n - 1}
+    rest = [v for v in adj if v not in universal]
+    order = []
+    for bits in product((False, True), repeat=len(rest)):
+        cut = universal | {v for v, b in zip(rest, bits) if b}
+        comps = _component_count(adj, cut)
+        if comps >= 2:
+            order.append((Fraction(len(cut), comps), tuple(sorted(cut))))
+    return order
 
 
 def naive_component_count(g: Graph, removed: set[int]) -> int:

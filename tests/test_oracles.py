@@ -14,6 +14,8 @@ import pytest
 from naive import (
     naive_alpha,
     naive_alpha_branching,
+    naive_component_count,
+    naive_cutsets_in_search_order,
     naive_first_optimal_cutset,
     naive_hamilton_cycle,
     naive_hamilton_dp,
@@ -37,6 +39,7 @@ from toughgraph import (
     matched_layers,
     petersen,
     synthesize,
+    toughness_below,
     toughness_exact,
     toughness_upper_search,
     unit_toughness_graph,
@@ -296,6 +299,111 @@ def test_toughness_reach_with_universal_vertices():
     # n=55: 47 universal vertices leave an 8-vertex search, and no
     # other oracle with a size cap of its own is consulted
     assert toughness_exact(matched_layers(50, 4), max_n=60).value == Fraction(25, 2)
+
+
+# -- toughness below a threshold ---------------------------------------------
+
+
+def _assert_below_matches_naive(g):
+    """toughness_below at every threshold s/c with 1 <= s, c <= n against
+    the naive toughness and the first cutset below it in search order."""
+    tau = naive_toughness(g)
+    order = naive_cutsets_in_search_order(g)
+    for lam in sorted({Fraction(s, c) for s in range(1, g.n + 1) for c in range(1, g.n + 1)}):
+        got = toughness_below(g, lam, max_n=g.n)
+        if tau is None or tau >= lam:
+            assert got is None, (g.edges(), lam, got)
+            continue
+        assert got is not None and got.ratio < lam, (g.edges(), lam, got)
+        assert cutset_witness(g, got.cutset) == got
+        first = next(cut for ratio, cut in order if ratio < lam)
+        assert got.cutset == frozenset(first), (g.edges(), lam, got, first)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_toughness_below_on_every_labeled_graph(n):
+    pairs = list(combinations(range(n), 2))
+    for code in range(1 << len(pairs)):
+        _assert_below_matches_naive(
+            make_graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+        )
+
+
+def test_toughness_below_on_planted_graphs():
+    rng = random.Random(3031)
+    with_universal = 0
+    for trial in range(90):
+        g, planted = _planted_graph(rng)
+        _assert_below_matches_naive(g)
+        with_universal += planted > 0 and not g.is_complete()
+    assert with_universal >= 30
+
+
+CERTIFY_EXACT_TARGETS = ("2/3", "5/8", "7/10", "1", "7/6", "8/7", "9/7", "5/4", "4/3")
+
+
+def test_toughness_below_brackets_exact_toughness():
+    # with tau = a/b, a ratio s/c (c <= n) other than tau is at least
+    # 1/(b n) away from it, so the cutsets below tau + 1/(b n) are
+    # exactly the optimal ones
+    rng = random.Random(1813)
+    graphs = [
+        _random_graph(rng, 13 + i % 6, rng.choice((0.3, 0.5, 0.7))) for i in range(40)
+    ]
+    graphs += [synthesize(t)[0] for t in CERTIFY_EXACT_TARGETS]
+    for g in graphs:
+        r = toughness_exact(g)
+        if r.is_infinite:
+            assert toughness_below(g, Fraction(g.n)) is None
+            continue
+        tau = r.value
+        assert toughness_below(g, tau) is None, g.edges()
+        w = toughness_below(g, tau + Fraction(1, tau.denominator * g.n))
+        assert w.ratio == tau, (g.edges(), w)
+        assert cutset_witness(g, w.cutset) == w
+
+
+def test_toughness_below_disconnected_gives_the_empty_cutset():
+    for g in (make_graph(4, [(0, 1), (2, 3)]), make_graph(3, [(1, 2)]), make_graph(5, [])):
+        for lam in (Fraction(1, 100), Fraction(1), Fraction(7, 2)):
+            w = toughness_below(g, lam)
+            assert w.cutset == frozenset() and w.ratio == 0, (g.edges(), lam, w)
+            assert w.component_count == naive_component_count(g, set())
+    assert toughness_below(complete_graph(4), Fraction(100)) is None
+
+
+def test_toughness_below_size_cap():
+    star = make_graph(30, [(0, v) for v in range(1, 30)])
+    with pytest.raises(SizeLimitError):
+        toughness_below(star, Fraction(1, 29))
+    assert toughness_below(star, Fraction(1, 29), max_n=30) is None
+    assert toughness_below(star, Fraction(1, 28), max_n=30).cutset == frozenset({0})
+
+
+def test_toughness_below_skips_subtrees_of_one_component():
+    # K_22 minus a perfect matching: toughness 10, no universal vertex.
+    # Two survivors that are not matched to each other are adjacent and
+    # together touch every vertex, so the node can leave one component
+    # at most and is skipped; a search that waited for |S| >= 10
+    # instead would visit about 3.5M nodes, several seconds
+    k = 11
+    g = make_graph(2 * k, [
+        (u, v) for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k
+    ])
+
+    def timeout(signum, frame):
+        raise TimeoutError("toughness decision took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        below = toughness_below(g, Fraction(k - 1))
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert below is None
+    assert toughness_below(g, Fraction(k - 1) + Fraction(1, 2 * k)).ratio == k - 1
 
 
 def test_cutset_witness_validates():

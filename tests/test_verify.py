@@ -128,6 +128,24 @@ def test_report_json_shape():
     assert again.to_json() == report.to_json()
 
 
+def test_exact_tier_is_one_decision_below_t(monkeypatch):
+    # the witness proves toughness <= t and toughness_below that no cut
+    # goes under t; the full search is never run on a sound certificate
+    from toughgraph import verify
+
+    monkeypatch.setattr(
+        verify, "toughness_exact",
+        lambda *args, **kwargs: pytest.fail("verifier ran toughness_exact"),
+    )
+    for target in ("2/3", "5/8", "7/10", "1", "7/6", "8/7", "9/7", "5/4", "4/3"):
+        g, cert = synthesize(target)
+        report = check_certificate(g, cert)
+        assert report.accepted, target
+        assert report.toughness_status == ORACLE_EXACT
+        check = _check_named(report, "toughness-oracle")
+        assert check.ok and check.detail == f"exact toughness equals {target}"
+
+
 # -- rejection of corrupted certificates ---------------------------------------
 
 
@@ -151,6 +169,40 @@ def test_rejects_cutset_tampering():
     report2 = check_certificate(g, dataclasses.replace(cert, cutset=extra))
     assert not report2.accepted
     assert not _check_named(report2, "witness").ok
+
+
+def test_a_forged_witness_still_gets_the_full_search(monkeypatch):
+    # without a sound witness there is no upper bound, so the toughness
+    # check names the exact value, as the full search alone does
+    from toughgraph import toughness_exact, verify
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return toughness_exact(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "toughness_exact", counted)
+    g, cert = synthesize("6/5")
+    bad = dataclasses.replace(cert, cutset=cert.cutset - {max(cert.cutset)})
+    report = check_certificate(g, bad)
+    assert not _check_named(report, "witness").ok
+    check = _check_named(report, "toughness-oracle")
+    assert (check.ok, check.detail) == (True, "exact toughness equals 6/5")
+    assert calls == [g.n]
+
+
+def test_a_cutset_below_t_is_named_by_the_full_search():
+    # one edge fewer: the certificate's cutset still leaves its
+    # components, but another cut now goes below 6/5
+    g, cert = synthesize("6/5")
+    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
+    report = check_certificate(weaker, cert)
+    assert not report.accepted
+    assert _check_named(report, "witness").ok
+    check = _check_named(report, "toughness-oracle")
+    assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
+    assert report.toughness_status == FAILED
 
 
 def test_rejects_out_of_range_cutset():
