@@ -33,6 +33,7 @@ from .graphs import (
     make_graph,
     to_dot,
     to_edge_json,
+    validate_graph6,
 )
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
@@ -67,7 +68,9 @@ def _render(g: Graph, fmt: str, highlight=()) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _read_graph(path: str) -> Graph:
+def _read_graph(path: str, decode: bool = True) -> Graph | bytes:
+    """The graph in a file, any of the three formats; with decode=False
+    a graph6 file is only validated and comes back as its bytes."""
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     stripped = text.strip()
     if not stripped:
@@ -97,6 +100,8 @@ def _read_graph(path: str) -> Graph:
             return make_graph(n, edges)
         except ValueError as exc:
             raise GraphFormatError(f"{path}: {exc}") from None
+    if not decode:
+        return validate_graph6(lines[0])[1]
     return decode_graph6(lines[0])
 
 
@@ -124,7 +129,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
+    # the verifier matches graph6 to the rebuilt graph by its bytes
+    g = _read_graph(args.graph, decode=False)
     cert = certificate_from_json(Path(args.cert).read_text())
     limits = OracleLimits(
         toughness_n=args.max_oracle_n,

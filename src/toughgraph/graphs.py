@@ -27,6 +27,7 @@ __all__ = [
     "join",
     "encode_graph6",
     "decode_graph6",
+    "validate_graph6",
     "to_dot",
     "to_edge_json",
     "from_edge_json",
@@ -252,16 +253,16 @@ def encode_graph6(g: Graph) -> bytes:
     return _g6_size_bytes(n) + body
 
 
-def decode_graph6(data: bytes | str) -> Graph:
-    """Decode one graph6 string; the optional >>graph6<< header is allowed.
+def validate_graph6(data: bytes | str) -> tuple[int, bytes]:
+    """Check one graph6 string without decoding it; returns its order n
+    and its bytes with surrounding whitespace and the optional
+    >>graph6<< header removed.  Raises GraphFormatError otherwise.
 
-    The body is base64-decoded and each byte bit-reversed, so byte i
-    bit b holds stream bit 8i + b and column j (row j's neighbors below
-    j) is read from the few bytes it spans.  The columns are then packed
-    as an n x n bit matrix, nb = ceil(n/8) bytes per row, and every 8x8
-    bit block is transposed in place.  In the result the neighbors of v
-    above v, one byte per 8-row block, sit nb * 8 bytes apart from byte
-    (v & 7) * nb + (v >> 3): a single stride slice."""
+    The body must be exactly ceil(n(n-1)/2 / 6) bytes.  Its last
+    6 * need - n(n-1)/2 bits (0 to 5) are padding after the last matrix
+    bit, and since each byte holds its 6-bit group most significant bit
+    first, they are the low bits of the last byte: checking them needs
+    no base64 decode."""
     if isinstance(data, str):
         if not data.isascii():
             bad = next(c for c in data if not c.isascii())
@@ -275,40 +276,47 @@ def decode_graph6(data: bytes | str) -> Graph:
     bad = data.translate(None, _G6_VALID)
     if bad:
         raise GraphFormatError(f"invalid graph6 byte {bad[0]}")
-    pos = 0
-    if data[0] == 126:
-        if len(data) >= 2 and data[1] == 126:
-            if len(data) < 8:
-                raise GraphFormatError("truncated graph6 size field")
-            n = 0
-            for b in data[2:8]:
-                n = (n << 6) | (b - 63)
-            pos = 8
-        else:
-            if len(data) < 4:
-                raise GraphFormatError("truncated graph6 size field")
-            n = 0
-            for b in data[1:4]:
-                n = (n << 6) | (b - 63)
-            pos = 4
+    if data[0] != 126:
+        n, pos = data[0] - 63, 1
     else:
-        n = data[0] - 63
-        pos = 1
+        start, pos = (2, 8) if data[1:2] == b"~" else (1, 4)
+        if len(data) < pos:
+            raise GraphFormatError("truncated graph6 size field")
+        n = 0
+        for b in data[start:pos]:
+            n = (n << 6) | (b - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    body = data[pos:]
-    if len(body) < need:
+    got = len(data) - pos
+    if got < need:
         raise GraphFormatError(
-            f"truncated graph6 body: need {need} bytes for n={n}, got {len(body)}"
+            f"truncated graph6 body: need {need} bytes for n={n}, got {got}"
         )
-    if len(body) > need:
+    if got > need:
         raise GraphFormatError("trailing bytes after graph6 body")
+    if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+        raise GraphFormatError("nonzero padding bits in graph6 body")
+    return n, data
+
+
+def decode_graph6(data: bytes | str) -> Graph:
+    """Decode one graph6 string; the optional >>graph6<< header is allowed.
+
+    validate_graph6 checks the input first.  The body is base64-decoded
+    and each byte bit-reversed, so byte i bit b holds stream bit 8i + b
+    and column j (row j's neighbors below j) is read from the few bytes
+    it spans.  The columns are then packed as an n x n bit matrix,
+    nb = ceil(n/8) bytes per row, and every 8x8 bit block is transposed
+    in place.  In the result the neighbors of v above v, one byte per
+    8-row block, sit nb * 8 bytes apart from byte (v & 7) * nb + (v >> 3):
+    a single stride slice."""
+    n, data = validate_graph6(data)
+    need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return Graph((0,) * n)
+    body = data[len(data) - need:]
     raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-need % 4))
     xb = raw.translate(_REVERSE_BITS)
-    if int.from_bytes(xb[nbits >> 3 :], "little") >> (nbits & 7):
-        raise GraphFormatError("nonzero padding bits in graph6 body")
     cols = []
     for j in range(n):
         start = j * (j - 1) // 2

@@ -1,7 +1,9 @@
 """Certificate verification against the graph it claims to describe.
 
 check_certificate answers one question: is this (graph, certificate)
-pair sound?  It rebuilds the graph from the plan, re-verifies the
+pair sound?  The graph is a Graph or its graph6 bytes.  It rebuilds the
+graph from the plan (graph6 input is matched to the rebuild by its
+bytes and decoded only when they differ), re-verifies the
 witness cutset by counting components (polynomial, runs at any size),
 re-derives the nonhamiltonicity argument, and, whenever the graph is
 small enough, proves the predicted toughness exact: the witness gives
@@ -22,7 +24,14 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .blocks import BlockKind, block, g_construct
-from .graphs import Graph, _bits, components
+from .graphs import (
+    Graph,
+    _bits,
+    components,
+    decode_graph6,
+    encode_graph6,
+    validate_graph6,
+)
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
     DEFAULT_NODE_LIMIT,
@@ -147,12 +156,25 @@ def _kind_lacks_terminal_path(kind: BlockKind) -> bool:
 
 
 def check_certificate(
-    g: Graph, cert: Certificate, limits: Optional[OracleLimits] = None
+    g: Graph | bytes, cert: Certificate, limits: Optional[OracleLimits] = None
 ) -> VerificationReport:
     """Verify a certificate against a graph; every failure mode is a
-    rejection with its own check entry, never an exception."""
+    rejection with its own check entry, never an exception.
+
+    The graph may also be given as graph6 bytes, which are validated
+    first (a malformed string raises GraphFormatError, as decode_graph6
+    does).  The rebuild check then compares encode_graph6 of the rebuilt
+    graph with those bytes: graph6 is injective and decodes its own
+    encoding back to the graph, so equal bytes mean the input is the
+    rebuilt graph.  The bytes are decoded only when they differ, or
+    when the rebuild fails before building; the report is the one the
+    decoded Graph would get."""
     limits = limits or OracleLimits()
     checks: list[CheckOutcome] = []
+    if isinstance(g, Graph):
+        n, data = g.n, None
+    else:
+        n, data = validate_graph6(g)
 
     def run(name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
         t0 = time.perf_counter()
@@ -165,6 +187,7 @@ def check_certificate(
 
     # rebuild the graph and the reference certificate from the plan
     def chk_rebuild() -> tuple[bool, str]:
+        nonlocal g
         # planning and construction are deterministic, so a sound
         # certificate is exactly what its own target regenerates; any
         # drift in any field is tampering
@@ -174,9 +197,12 @@ def check_certificate(
         # compare orders before building, so a small graph cannot make
         # the verifier realize a huge plan
         order = plan_order(fresh)
-        if order != g.n:
-            return False, f"plan builds n={order} vertices but the graph has n={g.n}"
+        if order != n:
+            return False, f"plan builds n={order} vertices but the graph has n={n}"
         g2, cert2 = build(fresh)
+        if data is not None:
+            # only a noncanonical size field or a different graph decodes
+            g = g2 if encode_graph6(g2) == data else decode_graph6(data)
         if g2 != g:
             return False, (
                 f"plan rebuilds to a different graph "
@@ -187,6 +213,8 @@ def check_certificate(
         return True, f"plan reproduces the graph: n={g2.n}, m={g2.edge_count}"
 
     run("rebuild", chk_rebuild)
+    if not isinstance(g, Graph):
+        g = decode_graph6(data)
 
     def chk_witness() -> tuple[bool, str]:
         if any(not (0 <= v < g.n) for v in cert.cutset):

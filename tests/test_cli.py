@@ -184,6 +184,34 @@ def test_verify_bad_inputs_exit_2(tmp_path):
     assert r3.returncode == 2
 
 
+def test_verify_reads_a_graph6_header_and_trailing_newline(tmp_path):
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    run_cli("synth", "2/3", "--cert", str(cpath))
+    gpath.write_text(">>graph6<<D]o\n")
+    r = run_cli("verify", str(gpath), str(cpath))
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["accepted"] is True
+
+
+def test_verify_reports_a_malformed_graph6_file_before_the_certificate(tmp_path):
+    cpath = tmp_path / "cert.json"
+    run_cli("synth", "2/3", "--cert", str(cpath))
+    missing = tmp_path / "missing.json"
+    for text, message in (
+        ("D]p\n", "nonzero padding bits in graph6 body"),
+        ("D]", "truncated graph6 body: need 2 bytes for n=5, got 1"),
+        (">>graph6<<D]oo", "trailing bytes after graph6 body"),
+        ("~?", "truncated graph6 size field"),
+        ("Cé", "invalid graph6 character 'é'"),
+    ):
+        gpath = tmp_path / "g.g6"
+        gpath.write_text(text)
+        for cert in (cpath, missing):
+            r = run_cli("verify", str(gpath), str(cert))
+            assert (r.returncode, r.stdout) == (2, ""), text
+            assert r.stderr == f"error: {message}\n", text
+
+
 # -- tau ---------------------------------------------------------------------
 
 

@@ -31,6 +31,7 @@ from toughgraph import (
     to_dot,
     to_edge_json,
     unit_toughness_graph,
+    validate_graph6,
 )
 
 # frozen encodings, derived once by hand from the format definition
@@ -350,6 +351,75 @@ def test_graph6_size_field_forms_and_checks_before_allocation():
         with pytest.raises(GraphFormatError, match="truncated graph6 body"):
             decode_graph6(header + b"?" * 100)
         assert perf_counter() - start < 0.5
+
+
+# every malformed input the decoder tests above use, with its message;
+# the earliest failing check names the error
+_G6_ERRORS = [
+    (b"", "empty graph6 input"),
+    (b" \n", "empty graph6 input"),
+    (b">>graph6<<\n", "empty graph6 input"),
+    (b"D]o\x00", "invalid graph6 byte 0"),
+    (b"D]\x7fo\x00", "invalid graph6 byte 127"),
+    (b"D>\x00\xff", "invalid graph6 byte 62"),
+    (b"\xff", "invalid graph6 byte 255"),
+    (b"~\x00", "invalid graph6 byte 0"),
+    ("Cé", "invalid graph6 character 'é'"),
+    (b"~", "truncated graph6 size field"),
+    (b"~?", "truncated graph6 size field"),
+    (b"~~???", "truncated graph6 size field"),
+    (b"D]", "truncated graph6 body: need 2 bytes for n=5, got 1"),
+    (b"~??D]", "truncated graph6 body: need 2 bytes for n=5, got 1"),
+    (
+        b"~~" + b"~" * 6,
+        f"truncated graph6 body: need {((2**36 - 1) * (2**36 - 2) // 2 + 5) // 6} "
+        f"bytes for n={2**36 - 1}, got 0",
+    ),
+    (
+        b"~}~~" + b"?" * 100,
+        f"truncated graph6 body: need {(258047 * 258046 // 2 + 5) // 6} "
+        f"bytes for n=258047, got 100",
+    ),
+    (b"D]oo", "trailing bytes after graph6 body"),
+    (b"@?", "trailing bytes after graph6 body"),
+    (b"D]p", "nonzero padding bits in graph6 body"),
+    (b">>graph6<<D]p\n", "nonzero padding bits in graph6 body"),
+]
+
+
+def _padding_flips():
+    # each of the 151 padding bits of n <= 70 set alone
+    rng = random.Random(314)
+    for n in range(71):
+        data = encode_graph6(_random_graph(rng, n, 0.5))
+        for bit in range(-(n * (n - 1) // 2) % 6):
+            yield data[:-1] + bytes([((data[-1] - 63) ^ (1 << bit)) + 63])
+
+
+def test_validate_graph6_raises_the_decoders_messages():
+    cases = [*_G6_ERRORS]
+    cases += [(data, "nonzero padding bits in graph6 body") for data in _padding_flips()]
+    assert len(cases) == len(_G6_ERRORS) + 151
+    for data, message in cases:
+        for check in (validate_graph6, decode_graph6):
+            with pytest.raises(GraphFormatError) as exc:
+                check(data)
+            assert str(exc.value) == message, (check.__name__, data)
+
+
+def test_validate_graph6_returns_the_order_and_the_stripped_bytes():
+    assert validate_graph6(b"?") == (0, b"?")
+    assert validate_graph6(b"@") == (1, b"@")
+    for raw in (b"D]o", "D]o", b"D]o\n", b">>graph6<<D]o", b">>graph6<<D]o\n", " D]o "):
+        assert validate_graph6(raw) == (5, b"D]o"), raw
+    # the long size forms are kept as written, not rewritten canonically
+    assert validate_graph6(b"~??D]o\n") == (5, b"~??D]o")
+    assert validate_graph6(b">>graph6<<~~?????D]o") == (5, b"~~?????D]o")
+    rng = random.Random(2719)
+    for n in range(71):
+        data = encode_graph6(_random_graph(rng, n, rng.random()))
+        assert validate_graph6(data) == (n, data)
+        assert validate_graph6(b">>graph6<<" + data + b"\n") == (n, data)
 
 
 # -- DOT -------------------------------------------------------------------

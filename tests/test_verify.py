@@ -21,6 +21,7 @@ from toughgraph import (
     check_certificate,
     complete_bipartite,
     disjoint_union,
+    encode_graph6,
     make_graph,
     synthesize,
     verify_claim_formula,
@@ -408,6 +409,134 @@ def test_limits_downgrade_toughness_tier():
     report = check_certificate(g, cert, OracleLimits(toughness_n=10))
     assert report.accepted
     assert report.toughness_status == WITNESS_UPPER_BOUND_ONLY
+
+
+# -- graph6 input ---------------------------------------------------------------
+
+
+def _refuse_decode(monkeypatch):
+    from toughgraph import verify
+
+    monkeypatch.setattr(
+        verify, "decode_graph6",
+        lambda data: pytest.fail("verifier decoded the graph6 input"),
+    )
+
+
+def _count_decodes(monkeypatch) -> list:
+    from toughgraph import decode_graph6, verify
+
+    calls = []
+
+    def counted(data):
+        calls.append(data)
+        return decode_graph6(data)
+
+    monkeypatch.setattr(verify, "decode_graph6", counted)
+    return calls
+
+
+def test_genuine_graph6_bytes_are_matched_without_a_decode(monkeypatch):
+    # the rebuild's encoding equals the input, so the bytes are never
+    # decoded; with or without the header the report is the Graph's
+    targets = ("2/3", "5/8", "7/10", "1", "7/6", "8/7", "9/7", "5/4", "4/3", "3/2",
+               "449/200", "1199/700")
+    pairs = [synthesize(target) for target in targets]
+    wants = [check_certificate(g, cert).to_json() for g, cert in pairs]
+    _refuse_decode(monkeypatch)
+    for target, (g, cert), want in zip(targets, pairs, wants):
+        data = encode_graph6(g)
+        for given in (data, b">>graph6<<" + data + b"\n"):
+            report = check_certificate(given, cert)
+            assert report.accepted, target
+            assert report.to_json() == want, target
+
+
+def test_forged_fields_after_the_rebuild_are_rejected_without_a_decode(monkeypatch):
+    from fractions import Fraction
+
+    g, cert = synthesize("6/5")
+    arg = cert.nonhamiltonicity
+    forged = [
+        dataclasses.replace(cert, components=cert.components + 1),
+        dataclasses.replace(cert, predicted_tau=Fraction(7, 5)),
+        dataclasses.replace(cert, cutset=cert.cutset - {max(cert.cutset)}),
+        dataclasses.replace(cert, nonhamiltonicity=NonHamiltonicityArgument(
+            arg.kind, dict(arg.params, required_incidences=3))),
+    ]
+    g2, cert2 = synthesize("1199/700")
+    forged2 = [dataclasses.replace(cert2, components=cert2.components + 1)]
+    cases = [(g, bad) for bad in forged] + [(g2, bad) for bad in forged2]
+    wants = [check_certificate(graph, bad).to_json() for graph, bad in cases]
+    _refuse_decode(monkeypatch)
+    for (graph, bad), want in zip(cases, wants):
+        report = check_certificate(encode_graph6(graph), bad)
+        assert not report.accepted
+        assert report.to_json() == want
+
+
+def test_a_rebuild_that_fails_before_building_decodes_once(monkeypatch):
+    from toughgraph import BlockKind
+
+    g, cert = synthesize("9/5")
+    kinds = ((BlockKind.L1, 6), (BlockKind.L2, 1))
+    small, small_cert = synthesize("2/3")
+    cases = [
+        (g, dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, l=4))),
+        (g, dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, block_kinds=kinds))),
+        # a canonical plan whose order differs from the graph's
+        (small, cert),
+        (g, small_cert),
+    ]
+    wants = [check_certificate(graph, bad).to_json() for graph, bad in cases]
+    calls = _count_decodes(monkeypatch)
+    for (graph, bad), want in zip(cases, wants):
+        calls.clear()
+        data = encode_graph6(graph)
+        report = check_certificate(data, bad)
+        assert not report.accepted
+        assert report.to_json() == want
+        assert calls == [data]
+
+
+def test_a_noncanonical_size_field_falls_back_to_a_decode(monkeypatch):
+    g, cert = synthesize("2/3")
+    assert encode_graph6(g) == b"D]o"
+    want = check_certificate(g, cert).to_json()
+    calls = _count_decodes(monkeypatch)
+    report = check_certificate(b"~??D]o", cert)
+    assert report.accepted
+    assert report.to_json() == want
+    assert calls == [b"~??D]o"]
+
+
+def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
+    # 6/5's graph without the edge (0, 2): one bit of the body differs and
+    # the padding is untouched; every check then runs on the decoded graph
+    g, cert = synthesize("6/5")
+    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
+    data, flipped = encode_graph6(g), encode_graph6(weaker)
+    assert len(data) == len(flipped)
+    assert sum(a != b for a, b in zip(data, flipped)) == 1
+    want = check_certificate(weaker, cert).to_json()
+    calls = _count_decodes(monkeypatch)
+    report = check_certificate(flipped, cert)
+    assert calls == [flipped]
+    assert report.to_json() == want
+    assert _check_named(report, "rebuild").detail == (
+        f"plan rebuilds to a different graph "
+        f"(n=12, m={g.edge_count} vs n=12, m={g.edge_count - 1})"
+    )
+    check = _check_named(report, "toughness-oracle")
+    assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
+
+
+def test_malformed_graph6_bytes_raise_before_any_check():
+    from toughgraph import GraphFormatError
+
+    _, cert = synthesize("2/3")
+    with pytest.raises(GraphFormatError, match="nonzero padding bits"):
+        check_certificate(b"D]p", cert)
 
 
 # -- closed-form family recheck -------------------------------------------------
