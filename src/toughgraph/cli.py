@@ -240,9 +240,9 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
-                   help="largest n for the exact toughness recheck, a pruned "
-                        "depth-first cutset search over the non-universal "
-                        "vertices")
+                   help="largest n for the exact toughness check: one "
+                        "lambda-decision at t, a pruned depth-first cutset "
+                        "search over the non-universal vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT,
                    help="node budget for exhaustive Hamilton search")
     p.set_defaults(func=_cmd_verify)
@@ -251,8 +251,8 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
 def _add_tau(p: argparse.ArgumentParser) -> None:
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
-                   help="largest n for the exact pruned depth-first cutset "
-                        "search over the non-universal vertices")
+                   help="largest n for exact toughness: Dinkelbach rounds "
+                        "of a pruned depth-first cutset search")
     p.add_argument("--budget", type=int, default=2000,
                    help="evaluations for the heuristic fallback")
     p.set_defaults(func=_cmd_tau)

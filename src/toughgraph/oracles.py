@@ -55,12 +55,14 @@ class CutsetWitness:
 class ToughnessResult:
     """Exact toughness; value None means infinite (complete graph).
 
-    cutsets is the number of cutsets whose components the search counted.
+    cutsets is the number of witness-pass cutsets whose components the
+    search counted; rounds is the number of lambda-decisions.
     """
 
     value: Optional[Fraction]
     witness: Optional[CutsetWitness]
     cutsets: int = field(default=0, compare=False)
+    rounds: int = field(default=0, compare=False)
 
     @property
     def is_infinite(self) -> bool:
@@ -96,34 +98,35 @@ def cutset_witness(g: Graph, cutset: frozenset[int]) -> CutsetWitness:
 # -- exact toughness ---------------------------------------------------
 
 
-def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
-    """Exact toughness: min |S| / omega(G - S) over all cutsets S.
+def _survive(comps: tuple[int, ...], v: int, row: int) -> tuple[int, ...]:
+    """The decided survivors' components once v, with neighborhood row,
+    is decided to survive: v joins every component it touches."""
+    merged = 1 << v
+    kept = []
+    for comp in comps:
+        if comp & row:
+            merged |= comp
+        else:
+            kept.append(comp)
+    kept.append(merged)
+    return tuple(kept)
 
-    - Universal vertices.  A vertex adjacent to all others reconnects
-      whatever it survives in, so the set U of universal vertices lies
-      in every cutset.  Only the subsets S' of R = V - U are searched,
-      by size k, each scored as (|U| + k) / omega(G - U - S').
-    - Pruned depth-first search.  For one size k the vertices of R are
-      decided in label order, "in S'" before "out of S'", which visits
-      the k-subsets in lexicographic order.  Every vertex that is
-      decided out of S' survives, and so does every undecided vertex
-      that is not cut later.  Such an undecided survivor either touches
-      a decided survivor and joins its component, or touches none of
-      them; so the cutsets below a node leave at most the components of
-      the decided survivors plus the undecided vertices adjacent to none
-      of them, and no more than the undecided survivors.  A subtree
-      whose bound cannot strictly beat the best ratio is skipped.
-    - No node's bound exceeds |R| - k, its root's, since the decided
-      survivors number at least their components.  So once a size's
-      root is skipped, so is every larger size's, and a cutset that
-      leaves |R| - k components ends its size.
 
-    Only a strict improvement replaces the best cutset, so the witness
-    is the first optimal cutset in (size, lexicographic) order.  Adding
-    U back keeps that order: two cutsets U + S1 and U + S2 of one size
-    differ exactly where S1 and S2 do, and the smallest vertex of that
-    difference decides both comparisons.  `cutsets` counts the cutsets
-    whose components were counted.
+def _cut_searches(g: Graph, max_n: int):
+    """The two depth-first cutset searches of g, `below` and
+    `first_optimal`, on one setup.
+
+    A vertex adjacent to all others reconnects whatever it survives in,
+    so the set U of universal vertices lies in every cutset; only the
+    subsets S' of R = V - U are searched, each scored as
+    (|U| + |S'|) / omega(G - U - S').  A search decides the vertices of
+    R in label order on an explicit stack.  A node holds the next
+    vertex index, the vertices cut so far, the cut mask, the components
+    of the decided survivors and their joint neighborhood.  An undecided
+    vertex that is not cut later survives, and either touches a decided
+    survivor and joins its component, or touches none of them; so the
+    cutsets below a node leave at most the decided survivors' components
+    plus the undecided vertices adjacent to none of them.
     """
     n = g.n
     if n > max_n:
@@ -131,8 +134,6 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
             f"toughness search capped at n={max_n}, got n={n}; "
             "raise max_n, or fall back to toughness_upper_search"
         )
-    if g.is_complete():
-        return ToughnessResult(None, None)
     nbr = g.neighbor_masks
     full = (1 << n) - 1
     universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
@@ -142,49 +143,110 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
     r = len(rest)
     # undecided[i]: the vertices of R from rest[i] on
     undecided = [alive_rest >> v << v for v in rest] + [0]
-    # the best ratio best_s / best_c starts at the sentinel 1/0
-    best_s, best_c, best_mask = 1, 0, 0
-    scored = 0
-    for k in range(r - 1):
-        s = u + k
-        # node: next vertex index, vertices cut so far, cut mask, the
-        # components of the decided survivors, their joint neighborhood
+
+    def below(a: int, b: int) -> Optional[tuple[int, int]]:
+        """toughness_below's search at lambda = a / b: the first cutset
+        below it as (mask of U + S', its component count), or None."""
         stack = [(0, 0, 0, (), 0)]
         while stack:
             i, j, mask, comps, touched = stack.pop()
-            # r - i - (k - j) undecided vertices survive; those that touch
-            # no decided survivor can each add one component at most
-            free = (undecided[i] & ~touched).bit_count()
-            bound = len(comps) + min(free, r - i - k + j)
-            if bound < 2 or s * best_c >= best_s * bound:
+            most = len(comps) + (undecided[i] & ~touched).bit_count()
+            if most < 2 or b * (u + j) >= a * most:
                 continue
-            if j == k:
-                scored += 1
-                c = count_components_masked(nbr, alive_rest ^ mask)
-                # accept iff s/c strictly beats the best ratio so far
-                if c >= 2 and s * best_c < best_s * c:
-                    best_s, best_c, best_mask = s, c, mask
-                continue
+            if i == r:
+                return universal | mask, most
             v = rest[i]
-            if r - i > k - j:
-                row = nbr[v]
-                merged = 1 << v
-                kept = []
-                for comp in comps:
-                    if comp & row:
-                        merged |= comp
-                    else:
-                        kept.append(comp)
-                kept.append(merged)
-                stack.append((i + 1, j, mask, tuple(kept), touched | row))
-            # pushed last, so "v in S'" is searched before "v out of S'"
+            row = nbr[v]
             stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
-    if not best_c:
+            # pushed last, so "v out of S'" is searched before "v in S'"
+            stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
+        return None
+
+    def first_optimal(p: int, q: int, top: int) -> tuple[int, int]:
+        """The first cutset of ratio p / q (lowest terms) in (size,
+        lexicographic) order, one of at most top * p vertices being
+        known, as (its mask, the leaves whose components were
+        counted).  For each size m p, "v in S'" is searched before
+        "v out of S'", which visits that size's subsets in lexicographic
+        order, and a subtree whose component bound is below m q is
+        skipped."""
+        leaves = 0
+        for m in range(-(-2 // q), top + 1):
+            k, c = m * p - u, m * q
+            # every cutset holds U, so none has fewer than u vertices
+            stack = [(0, 0, 0, (), 0)] if k >= 0 else []
+            while stack:
+                i, j, mask, comps, touched = stack.pop()
+                # only r - i - (k - j) undecided vertices survive
+                free = (undecided[i] & ~touched).bit_count()
+                if len(comps) + min(free, r - i - k + j) < c:
+                    continue
+                if j == k:
+                    leaves += 1
+                    if count_components_masked(nbr, alive_rest ^ mask) >= c:
+                        return universal | mask, leaves
+                    continue
+                v = rest[i]
+                if r - i > k - j:
+                    row = nbr[v]
+                    stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
+                # pushed last, so "v in S'" is searched before "v out of S'"
+                stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
+        raise RuntimeError("no cutset of ratio tau up to the last round's size")
+
+    return below, first_optimal
+
+
+def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
+    """Exact toughness: min |S| / omega(G - S) over all cutsets S, by
+    Dinkelbach's method on toughness_below's decision, then one pass
+    for the witness.  U, the universal vertices, lie in every cutset;
+    both steps search only the subsets of R = V - U, on one setup.
+
+    - Rounds.  A cutset cuts at most n - 2 vertices and leaves at least
+      two components, so its ratio is below n.  From lambda = n, while
+      some cutset has ratio below lambda, lambda becomes that cutset's
+      ratio.  The ratios strictly fall and there are finitely many, so
+      the rounds end at the first lambda with no cutset below it: the
+      toughness tau.
+    - Witness.  Write tau = p / q in lowest terms.  A cutset of ratio
+      tau cuts j p vertices and leaves j q >= 2 components for some
+      j >= 1.  For j = ceil(2 / q), ceil(2 / q) + 1, ... one search per
+      size j p visits the cutsets of that size in lexicographic order,
+      skips every subtree whose component bound is below j q, and stops
+      at the first cutset that leaves j q components.  That is the
+      first optimal cutset in (size, lexicographic) order, and the last
+      round's cutset, of ratio tau, bounds the sizes tried.  Adding U
+      back keeps that order: two cutsets U + S1 and U + S2 of one size
+      differ exactly where S1 and S2 do, and the smallest vertex of that
+      difference decides both comparisons.  For tau = 0 the witness is
+      the empty cutset, the only one of size 0.
+
+    `rounds` counts the lambda-decisions, `cutsets` the witness-pass
+    leaves whose components were counted.
+    """
+    below, first_optimal = _cut_searches(g, max_n)
+    if g.is_complete():
+        return ToughnessResult(None, None)
+    a, b, cut = g.n, 1, None  # lambda = a / b
+    rounds = 1  # the last round, which finds no cutset
+    while (found := below(a, b)) is not None:
+        rounds += 1
+        cut, c = found
+        if cut.bit_count() * b >= a * c:
+            raise RuntimeError("a Dinkelbach round did not lower the ratio")
+        a, b = cut.bit_count(), c
+    if cut is None:
         raise RuntimeError("non-complete graph must have a cutset")
-    witness = cutset_witness(g, frozenset(_bits(universal | best_mask)))
-    if witness.component_count != best_c:
+    tau = Fraction(a, b)
+    leaves = 0
+    if tau:
+        # a is the size of the last round's cutset, which has ratio tau
+        cut, leaves = first_optimal(tau.numerator, tau.denominator, a // tau.numerator)
+    witness = cutset_witness(g, frozenset(_bits(cut)))
+    if witness.ratio != tau:
         raise RuntimeError("witness recount disagrees with the search")
-    return ToughnessResult(Fraction(best_s, best_c), witness, scored)
+    return ToughnessResult(tau, witness, leaves, rounds)
 
 
 def toughness_below(
@@ -195,9 +257,10 @@ def toughness_below(
     graph).  This is the parametric decision of Dinkelbach (1967) at
     lambda = t = a / b: is b |S| - a omega(G - S) negative for some S?
 
-    One depth-first search over the subsets S' of R = V - U, U the
+    One depth-first search over all subsets S' of R = V - U, U the
     universal vertices, deciding R in label order with the decided
-    survivors' components, as toughness_exact does for one size.
+    survivors' components, the search toughness_exact runs once per
+    round.
 
     - Bound.  Below a node with j vertices cut, every cutset cuts at
       least |U| + j vertices and leaves at most `most` components: the
@@ -213,49 +276,14 @@ def toughness_below(
     smallest first, with the lowest label as the top bit; a
     disconnected graph gives the empty cutset.
     """
-    n = g.n
-    if n > max_n:
-        raise SizeLimitError(
-            f"toughness search capped at n={max_n}, got n={n}; "
-            "raise max_n, or fall back to toughness_upper_search"
-        )
-    a, b = t.numerator, t.denominator
-    nbr = g.neighbor_masks
-    full = (1 << n) - 1
-    universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
-    alive_rest = full ^ universal
-    rest = list(_bits(alive_rest))
-    u = universal.bit_count()
-    r = len(rest)
-    # undecided[i]: the vertices of R from rest[i] on
-    undecided = [alive_rest >> v << v for v in rest] + [0]
-    # node: next vertex index, vertices cut so far, cut mask, the
-    # components of the decided survivors, their joint neighborhood
-    stack = [(0, 0, 0, (), 0)]
-    while stack:
-        i, j, mask, comps, touched = stack.pop()
-        most = len(comps) + (undecided[i] & ~touched).bit_count()
-        if most < 2 or b * (u + j) >= a * most:
-            continue
-        if i == r:
-            witness = cutset_witness(g, frozenset(_bits(universal | mask)))
-            if witness.component_count != most:
-                raise RuntimeError("witness recount disagrees with the search")
-            return witness
-        v = rest[i]
-        row = nbr[v]
-        merged = 1 << v
-        kept = []
-        for comp in comps:
-            if comp & row:
-                merged |= comp
-            else:
-                kept.append(comp)
-        kept.append(merged)
-        stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
-        # pushed last, so "v out of S'" is searched before "v in S'"
-        stack.append((i + 1, j, mask, tuple(kept), touched | row))
-    return None
+    below, _ = _cut_searches(g, max_n)
+    found = below(t.numerator, t.denominator)
+    if found is None:
+        return None
+    witness = cutset_witness(g, frozenset(_bits(found[0])))
+    if witness.component_count != found[1]:
+        raise RuntimeError("witness recount disagrees with the search")
+    return witness
 
 
 def toughness_upper_search(

@@ -339,8 +339,9 @@ def check_certificate(
 
         def chk_tau() -> tuple[bool, str]:
             # the witness proves toughness <= t, so one decision that no
-            # cutset has ratio below t proves equality; the full search
-            # runs only to name the true value in a rejection
+            # cutset has ratio below t proves equality; toughness_exact's
+            # rounds of that decision run only to name the true value in
+            # a rejection
             t = cert.predicted_tau
             if witness_ok and toughness_below(g, t, max_n=limits.toughness_n) is None:
                 return True, f"exact toughness equals {t}"

@@ -242,6 +242,62 @@ def test_toughness_random_corpus_digest():
     assert h.hexdigest() == RANDOM_CORPUS_DIGEST
 
 
+def _dinkelbach_last_cutset(g):
+    """The cutset of Dinkelbach's last round on toughness_below, from
+    lambda = n; its ratio is the toughness."""
+    lam, last = Fraction(g.n), None
+    while (found := toughness_below(g, lam, max_n=g.n)) is not None:
+        lam, last = found.ratio, found
+    return last
+
+
+# sha256 over "n|value|witness" lines of the graphs with n > 12 below,
+# recorded with the per-size strict-improvement search that the rounds
+# and the witness pass replaced
+WITNESS_PASS_DIGEST = "67ce90ceb2df9081c69a448fbea520856bf8bab4d2e53aeabbf8402218adf405"
+
+
+def test_toughness_witness_pass_after_dinkelbach():
+    # graphs on which Dinkelbach's last cutset is optimal but not the
+    # first optimal cutset in (size, lexicographic) order, so the
+    # witness is the witness pass's own; both orders are checked,
+    # against the naive search for n <= 12 and the digest above
+    rng = random.Random(16)
+    h = hashlib.sha256()
+    naive_checked = 0
+    for n in range(10, 19):
+        for p in (0.25, 0.4, 0.6):
+            for _ in range(2):
+                g = _random_graph(rng, n, p)
+                r = toughness_exact(g)
+                last = _dinkelbach_last_cutset(g)
+                assert last.ratio == r.value, g.edges()
+                if last.cutset == r.witness.cutset:
+                    continue
+                if n <= 12:
+                    ratio, cutset = naive_first_optimal_cutset(g)
+                    assert r.value == ratio, g.edges()
+                    assert r.witness.cutset == frozenset(cutset), g.edges()
+                    naive_checked += 1
+                else:
+                    cut = ",".join(map(str, sorted(r.witness.cutset)))
+                    h.update(f"{n}|{r.value}|{cut}\n".encode())
+    assert naive_checked == 4
+    assert h.hexdigest() == WITNESS_PASS_DIGEST
+
+
+def test_toughness_rounds_on_oracle_random_classes():
+    # the G(n, p) classes of the benchmark's oracle-random workload, 20
+    # graphs each: Dinkelbach's method needs at most 9 lambda-decisions
+    rng = random.Random(5)
+    classes = [(n, p) for n in range(14, 19) for p in (0.25, 0.4, 0.6)]
+    classes += [(n, p) for n in (10, 12) for p in (0.3, 0.5)]
+    for n, p in classes:
+        for _ in range(20):
+            g = _random_graph(rng, n, p)
+            assert toughness_exact(g).rounds <= 9, g.edges()
+
+
 def test_toughness_search_prunes():
     rng = random.Random(1)
     g = _random_graph(rng, 18, 0.6)
@@ -251,9 +307,10 @@ def test_toughness_search_prunes():
     # of sizes 0..12 before it reached the witness
     flat = sum(comb(18, k) for k in range(13))
     assert r.cutsets < flat // 20
-    # pinned: a subtree whose bound only ties the best ratio is skipped,
-    # since the strict-improvement rule would reject all of its cutsets
-    assert r.cutsets == 1053
+    # pinned: cutsets counts the witness-pass leaves whose components were
+    # counted; 13/4 is in lowest terms, so the pass searches size 13 only,
+    # for 4 components, and skips every subtree whose bound is below 4
+    assert r.cutsets == 9
 
 
 def test_toughness_search_is_not_recursive():
@@ -267,20 +324,25 @@ def test_toughness_search_is_not_recursive():
     r = toughness_exact(g, max_n=n)
     assert r.value == Fraction(1, n - 2)
     assert r.witness.cutset == frozenset({hub})
-    assert r.cutsets == 1 + n  # the empty set, then each single vertex
+    # witness-pass leaves: {0}, {n - 2} and the hub; below a survivor 0,
+    # cutting any leaf of the star bounds the count under n - 2
+    assert r.cutsets == 3
 
 
 def test_toughness_strips_universal_vertices_under_any_labels():
     # the 4/3 graph (n=22) with its labels reversed puts its universal
-    # vertices last; searching them as ordinary vertices scores 40,071
-    # cutsets, stripping them first scores 256
+    # vertices last; searching them as ordinary vertices counts the
+    # components of 6,877 witness-pass leaves, stripping them first 72
     g, _ = synthesize("4/3")
     n = g.n
     h = make_graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
     r = toughness_exact(h)
     assert r.value == Fraction(4, 3)
     assert r.witness.cutset == frozenset(range(8)) | frozenset(range(18, 22))
-    assert r.cutsets == 256
+    assert r.cutsets == 72
+    # pinned: 9 lambda-decisions, the last one proving tau >= 4/3
+    assert r.rounds == 9
+    assert toughness_exact(g).rounds == 9
 
 
 def test_toughness_size_cap():
