@@ -241,8 +241,10 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for the exact toughness check: one "
-                        "lambda-decision at t, a pruned depth-first cutset "
-                        "search over the non-universal vertices")
+                        "lambda-decision at t, a min-plus product over the "
+                        "plan's gadgets for a rebuilt graph of cases 3 and "
+                        "5.1-7.2, else a pruned depth-first cutset search "
+                        "over the non-universal vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT,
                    help="node budget for exhaustive Hamilton search")
     p.set_defaults(func=_cmd_verify)

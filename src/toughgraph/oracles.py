@@ -9,6 +9,7 @@ cross-multiplication; no verdict ever passes through a float.
 
 from __future__ import annotations
 
+import functools
 import random
 from array import array
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ __all__ = [
     "cutset_witness",
     "toughness_exact",
     "toughness_below",
+    "decomposition_below",
     "toughness_upper_search",
     "is_hamiltonian",
     "has_hamilton_path",
@@ -286,6 +288,98 @@ def toughness_below(
     return witness
 
 
+# -- exact toughness of joins onto gadgets -------------------------------
+
+# (gadget graph, terminal mask, count): a run of equal gadgets
+GadgetRun = tuple[Graph, int, int]
+
+# a state (s, d): s = 1 iff some terminal survives, d = min(detached, 2)
+_States = dict[tuple[int, int], int]
+
+
+@functools.lru_cache(maxsize=None)
+def _gadget_triples(h: Graph, terminals: int) -> frozenset[tuple[int, int, int]]:
+    """The distinct (|S_b|, detached components, a terminal survives)
+    over all subsets S_b of the gadget h."""
+    nbr = h.neighbor_masks
+    full = (1 << h.n) - 1
+    triples = set()
+    for cut in range(full + 1):
+        alive = full ^ cut
+        kept = _reach(nbr, terminals & alive, alive)
+        triples.add(
+            (cut.bit_count(), count_components_masked(nbr, alive ^ kept), int(kept != 0))
+        )
+    return frozenset(triples)
+
+
+def _convolve(x: _States, y: _States) -> _States:
+    """Min-plus product over the states: each pair of states combines
+    to (s or s', min(d + d', 2)) at the sum of their costs."""
+    out: _States = {}
+    for (s1, d1), c1 in x.items():
+        for (s2, d2), c2 in y.items():
+            k = (s1 | s2, min(d1 + d2, 2))
+            c = c1 + c2
+            if k not in out or c < out[k]:
+                out[k] = c
+    return out
+
+
+def decomposition_below(l: int, runs: tuple[GadgetRun, ...], t: Fraction) -> Optional[int]:
+    """The least b |S| - a omega(G - S) over the cutsets S of G, at
+    lambda = t = a / b, or None when G has no cutset.  G is K_l joined
+    onto the disjoint union of the runs' gadgets, with all their
+    terminals joined into one clique.  Some cutset of G has ratio below
+    t iff the result is negative, so the toughness is at least t iff
+    it is None or >= 0.
+
+    - Join lemma.  A surviving join vertex is adjacent to every other
+      survivor, so every cutset holds the l join vertices.
+    - Gadgets.  Apart from the join, edges between gadgets join
+      terminals only, and all terminals form one clique.  So the
+      survivors joined to a surviving terminal make one component, and
+      every other component lies inside one gadget:
+      omega(G - S) = [some terminal survives] + sum_b det_b, where
+      det_b counts the components of gadget b - S_b that hold no
+      surviving terminal.
+    - States.  Then b |S| - a omega = b l - a [some terminal survives]
+      + sum_b (b |S_b| - a det_b), and S is a cut (omega >= 2) iff
+      s + d >= 2 for the state s = [some terminal survives],
+      d = min(sum_b det_b, 2), since min(min(x, 2) + y, 2) = min(x + y, 2).
+      A gadget's vector maps each of the six states to the least
+      b |S_b| - a det_b over its subsets S_b that reach it, tabulated
+      from the distinct (|S_b|, det_b, s_b) over at most 2^9 subsets.
+      Two gadgets' states combine to (s or s', min(d + d', 2)), so the
+      vector of both together is the min-plus product of theirs over
+      that operation.  This is the product of their 6x6 min-plus
+      transfer matrices, each kept as its row from state (0, 0), which
+      determines it because the operation is associative and
+      commutative.  A run of c equal gadgets is the c-th power, by
+      repeated squaring; min-plus products are associative, so this
+      is exact.
+
+    The result is the least b l - a s + cost over the states with
+    s + d >= 2.  All arithmetic is on integers.
+    """
+    a, b = t.numerator, t.denominator
+    total: _States = {(0, 0): b * l}
+    for h, terminals, count in runs:
+        vec: _States = {}
+        for size, det, s in _gadget_triples(h, terminals):
+            k, c = (s, min(det, 2)), b * size - a * det
+            if k not in vec or c < vec[k]:
+                vec[k] = c
+        while count:
+            if count & 1:
+                total = _convolve(total, vec)
+            count >>= 1
+            if count:
+                vec = _convolve(vec, vec)
+    cuts = [c - a * s for (s, d), c in total.items() if s + d >= 2]
+    return min(cuts) if cuts else None
+
+
 def toughness_upper_search(
     g: Graph, budget: int = 2000, seed: int = 0
 ) -> Optional[CutsetWitness]:
@@ -414,6 +508,13 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
     than two alive neighbors, y has none, or the end cannot reach every
     unvisited vertex and y.  A spanning path is accepted when it ends at
     y, or for a cycle next to x.  `nodes` counts the nodes entered.
+
+    Only the root scans every unvisited vertex for the degree prune.  A
+    child's parent passed that scan, and the child's alive set is the
+    parent's less the parent's end (the new end was alive, unvisited),
+    so only the unvisited neighbors of the parent's end can have fallen
+    below their count; when that end is y = x it stays alive, and
+    nothing can.
     """
     n = g.n
     nbr = g.neighbor_masks
@@ -436,7 +537,11 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
         else:
             unvisited = full ^ visited
             alive = unvisited | 1 << cur | ybit
-            u = unvisited
+            if len(path) == 1:
+                u = unvisited
+            else:
+                prev = path[-2]
+                u = 0 if prev == y else nbr[prev] & unvisited
             while u:
                 b = u & -u
                 u ^= b

@@ -37,6 +37,7 @@ from .blocks import (
     BlockKind,
     block,
     complete_bipartite,
+    complete_graph,
     g_construct,
     inflate_triangles,
     inflation_cutset,
@@ -45,7 +46,7 @@ from .blocks import (
     unit_toughness_graph,
 )
 from .graphs import Graph
-from .oracles import cutset_witness
+from .oracles import GadgetRun, cutset_witness
 
 __all__ = [
     "PlanError",
@@ -59,6 +60,7 @@ __all__ = [
     "synthesize",
     "predicted_toughness",
     "plan_order",
+    "plan_layout",
     "certificate_to_json",
     "certificate_from_json",
     "NONHAM_BIPARTITE",
@@ -160,6 +162,10 @@ class _Counts(NamedTuple):
 # a built graph, its witness cutset and its nonhamiltonicity argument
 _Built = tuple[Graph, frozenset[int], NonHamiltonicityArgument]
 
+# a graph as K_l joined onto runs of gadgets whose terminals form one
+# clique: l and the runs, decomposition_below's input
+_Layout = tuple[int, tuple[GadgetRun, ...]]
+
 
 @dataclass(frozen=True)
 class _Regime:
@@ -167,7 +173,8 @@ class _Regime:
 
     Rules over counts read only l, m, m1 and m2, so they take a
     SynthesisPlan or a bare _Counts alike.  The block regimes share one
-    admissibility rule, order and builder; regimes 1-4 give their own.
+    admissibility rule, order, builder and layout; regimes 1-4 give
+    their own.
     """
 
     case_id: str
@@ -179,6 +186,8 @@ class _Regime:
     admits: Optional[Callable[[SynthesisPlan], bool]] = None
     order: Optional[Callable[[SynthesisPlan], int]] = None
     builder: Optional[Callable[[SynthesisPlan], _Built]] = None
+    # the layout, where the graph is a join onto gadgets
+    gadgets: Optional[Callable[[SynthesisPlan], _Layout]] = None
     # block regimes only: the verify_claim_formula name; l and the counts
     # at scale (A, B); the formula's hypothesis beyond l >= 2, as floors
     # on the counts given l; the block runs; the kinds whose cut cores join
@@ -222,6 +231,14 @@ class _Regime:
         if self.order is not None:
             return self.order(p)
         return p.l + sum(block(k).n * count for k, count in p.block_kinds)
+
+    def layout(self, p: SynthesisPlan) -> Optional[_Layout]:
+        """The plan's graph as K_l joined onto gadgets, up to labels, or
+        None for a graph of another shape."""
+        if self.builder is None:
+            blocks = [(block(k), count) for k, count in p.block_kinds]
+            return p.l, tuple((b.graph, 1 << b.x | 1 << b.y, c) for b, c in blocks)
+        return self.gadgets(p) if self.gadgets else None
 
     def realize(self, p: SynthesisPlan) -> _Built:
         if self.builder is not None:
@@ -290,6 +307,11 @@ def _build_layers(p: SynthesisPlan) -> _Built:
     return matched_layers(A, B), cut, arg
 
 
+# the gadget of matched_layers: an edge y-z whose end z, vertex 1, is
+# the terminal
+_MATCHED_EDGE = complete_graph(2)
+
+
 def _build_inflation(p: SynthesisPlan) -> _Built:
     base = petersen()
     arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
@@ -312,7 +334,10 @@ _REGIMES = {r.case_id: r for r in (
     # capacity of the rest: 3*B > 2*A + 2
     _Regime("3", lambda t: 1 < t < Fraction(3, 2),
             admits=lambda p: p.b_scaled >= 2 and 3 * p.b_scaled > 2 * p.a_scaled + 2,
-            order=lambda p: p.a_scaled + p.b_scaled + 1, builder=_build_layers),
+            order=lambda p: p.a_scaled + p.b_scaled + 1, builder=_build_layers,
+            # matched_layers(A, B) is K_{A-B+1} joined onto B such edges
+            gadgets=lambda p: (p.a_scaled - p.b_scaled + 1,
+                               ((_MATCHED_EDGE, 0b10, p.b_scaled),))),
     _Regime("4", lambda t: t == Fraction(3, 2), formula=lambda p: Fraction(3, 2),
             admits=lambda p: p.q == 1, order=lambda p: 30, builder=_build_inflation),
     _Regime("5.1", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=1,
@@ -418,6 +443,13 @@ def predicted_toughness(p: SynthesisPlan) -> Fraction:
 def plan_order(p: SynthesisPlan) -> int:
     """Vertex count of the graph the plan builds, without building it."""
     return _regime(p.case_id).order_of(p)
+
+
+def plan_layout(p: SynthesisPlan) -> Optional[_Layout]:
+    """The plan's graph as (l, runs of (gadget, terminal mask, count)):
+    K_l joined onto the runs' gadgets with all terminals in one clique,
+    up to labels; None for regimes 1, 2 and 4."""
+    return _regime(p.case_id).layout(p)
 
 
 def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:

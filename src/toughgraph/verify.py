@@ -7,8 +7,12 @@ bytes and decoded only when they differ), re-verifies the
 witness cutset by counting components (polynomial, runs at any size),
 re-derives the nonhamiltonicity argument, and, whenever the graph is
 small enough, proves the predicted toughness exact: the witness gives
-toughness <= t, and one exact search for a cutset of ratio below t
-(toughness_below) that finds none gives toughness >= t.  Larger
+toughness <= t, and one exact decision that no cutset has ratio below
+t gives toughness >= t.  For a graph the rebuild proved to be its
+plan's, with a plan of cases 3 or 5.1-7.2, that decision is
+decomposition_below on the plan's layout, K_l joined onto gadgets: a
+min-plus product over the gadgets' states, in milliseconds at any
+scale.  Any other graph gets toughness_below's cutset search.  Larger
 instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY: the
 cutset certifies toughness <= t, and the matching lower bound rests on
 the structural argument rather than enumeration.
@@ -37,6 +41,7 @@ from .oracles import (
     DEFAULT_NODE_LIMIT,
     DEFAULT_TOUGHNESS_LIMIT,
     SizeLimitError,
+    decomposition_below,
     has_hamilton_path,
     independence_number,
     is_hamiltonian,
@@ -55,6 +60,7 @@ from .synth import (
     _expand,
     build,
     plan,
+    plan_layout,
     plan_order,
     predicted_toughness,
 )
@@ -212,7 +218,7 @@ def check_certificate(
             return False, "certificate is not the canonical output of its plan"
         return True, f"plan reproduces the graph: n={g2.n}, m={g2.edge_count}"
 
-    run("rebuild", chk_rebuild)
+    rebuilt = run("rebuild", chk_rebuild)
     if not isinstance(g, Graph):
         g = decode_graph6(data)
 
@@ -337,13 +343,22 @@ def check_certificate(
 
     if g.n <= limits.toughness_n:
 
+        def tau_at_least(t: Fraction) -> bool:
+            # a graph the rebuild proved to be its plan's is decided on
+            # the plan's layout, any other by the cutset search
+            layout = plan_layout(cert.plan) if rebuilt else None
+            if layout is None:
+                return toughness_below(g, t, max_n=limits.toughness_n) is None
+            least = decomposition_below(*layout, t)
+            return least is None or least >= 0
+
         def chk_tau() -> tuple[bool, str]:
             # the witness proves toughness <= t, so one decision that no
             # cutset has ratio below t proves equality; toughness_exact's
             # rounds of that decision run only to name the true value in
             # a rejection
             t = cert.predicted_tau
-            if witness_ok and toughness_below(g, t, max_n=limits.toughness_n) is None:
+            if witness_ok and tau_at_least(t):
                 return True, f"exact toughness equals {t}"
             res = toughness_exact(g, max_n=limits.toughness_n)
             if res.is_infinite:

@@ -3,12 +3,14 @@
 The oracles are written against plain dict-of-sets adjacency with
 itertools enumeration, deliberately sharing no code with the package
 (which works on bitmasks).  The construction and graph6 references
-build edge tuples for make_graph and write one bit at a time.  Two
+build edge tuples for make_graph and write one bit at a time.  Three
 bitmask searches are kept as references for the ones that replaced
 them: the bottom-up subset DP table for Hamilton paths, behind the
-lazily evaluated one, and the plain branch and bound for the
+lazily evaluated one; the Hamilton backtracking that scans every
+unvisited vertex at every node, behind the one that rescans only the
+neighbors of the last end; and the plain branch and bound for the
 independence number, behind the one with reductions and a matching
-bound; the latter also checks graphs too large to enumerate.  Keep
+bound.  The last two also check graphs too large to enumerate.  Keep
 these dumb; their only virtue is that they are obviously correct on
 small graphs.
 """
@@ -154,6 +156,64 @@ def naive_hamilton_dp(g: Graph, x: int, y: int) -> tuple[bool, Optional[tuple[in
         order.append(cur)
     order.reverse()
     return True, tuple(order)
+
+
+def naive_hamilton_backtrack(
+    g: Graph, x: int, y: int, node_limit: int
+) -> tuple[Optional[bool], Optional[tuple[int, ...]], int]:
+    """(verdict, witness, nodes) of the package's Hamilton backtracking
+    with the full degree scan at every node: spanning x-y paths, or for
+    y == x a path that closes into a cycle at x.  A node is pruned when
+    an unvisited vertex other than y has fewer than two alive neighbors
+    (unvisited, the end, or y), y has none, or the end cannot reach every
+    unvisited vertex and y; successors in label order, y only last."""
+    n = g.n
+    nbr = g.neighbor_masks
+    full = (1 << n) - 1
+    ybit = 1 << y
+    accepted = nbr[x] if x == y else ybit
+    path = [x]
+    visited = 1 << x
+    untried = []
+    nodes = 0
+    while True:
+        nodes += 1
+        if nodes > node_limit:
+            return None, None, nodes
+        cur = path[-1]
+        cand = 0
+        if visited == full:
+            if accepted >> cur & 1:
+                return True, tuple(path), nodes
+        else:
+            unvisited = full ^ visited
+            alive = unvisited | 1 << cur | ybit
+            low_degree = any(
+                (nbr[w] & alive).bit_count() < (1 if w == y else 2)
+                for w in range(n) if unvisited >> w & 1
+            )
+            need = unvisited | ybit
+            reach = frontier = 1 << cur
+            while frontier:
+                step = 0
+                for w in range(n):
+                    if frontier >> w & 1:
+                        step |= nbr[w]
+                frontier = step & alive & ~reach
+                reach |= frontier
+            if not low_degree and reach & need == need:
+                cand = nbr[cur] & unvisited
+                if unvisited != ybit:
+                    cand &= ~ybit
+        while not cand:
+            if not untried:
+                return False, None, nodes
+            visited ^= 1 << path.pop()
+            cand = untried.pop()
+        b = cand & -cand
+        untried.append(cand ^ b)
+        path.append(b.bit_length() - 1)
+        visited |= b
 
 
 def naive_alpha(g: Graph) -> int:

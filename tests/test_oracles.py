@@ -6,7 +6,7 @@ import hashlib
 import random
 import signal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb
 
 import pytest
@@ -17,6 +17,7 @@ from naive import (
     naive_component_count,
     naive_cutsets_in_search_order,
     naive_first_optimal_cutset,
+    naive_hamilton_backtrack,
     naive_hamilton_cycle,
     naive_hamilton_dp,
     naive_hamilton_path,
@@ -24,20 +25,27 @@ from naive import (
 )
 from toughgraph import (
     BlockKind,
+    Graph,
     SizeLimitError,
     block,
     complete_bipartite,
     complete_graph,
     cutset_witness,
+    decomposition_below,
     disjoint_union,
     encode_graph6,
+    g_construct,
     has_hamilton_path,
     independence_number,
     inflate_triangles,
     is_hamiltonian,
+    join,
     make_graph,
     matched_layers,
     petersen,
+    build,
+    plan,
+    plan_layout,
     synthesize,
     toughness_below,
     toughness_exact,
@@ -468,6 +476,159 @@ def test_toughness_below_skips_subtrees_of_one_component():
     assert toughness_below(g, Fraction(k - 1) + Fraction(1, 2 * k)).ratio == k - 1
 
 
+# -- decomposition engine ---------------------------------------------------
+
+
+def _assert_decomposition_matches_searches(g, l, runs):
+    # at tau the least b |S| - a omega is 0, attained by an optimal
+    # cutset; just above tau the optimal cutsets go below, and the cutset
+    # search agrees at both
+    tau = toughness_exact(g).value
+    above = tau + Fraction(1, 1000)
+    assert decomposition_below(l, runs, tau) == 0, (g, l)
+    assert toughness_below(g, tau) is None
+    assert decomposition_below(l, runs, above) < 0, (g, l)
+    assert toughness_below(g, above) is not None
+
+
+def test_decomposition_matches_the_searches_on_block_compositions():
+    # every multiset of block kinds and every l <= 3 with n <= 20 (72
+    # compositions); equal kinds form one run, so runs of 2-4 equal
+    # gadgets go through the min-plus powers
+    cases = 0
+    for r in range(1, 5):
+        for kinds in combinations_with_replacement(BlockKind, r):
+            blocks = [block(k) for k in kinds]
+            runs = tuple(
+                (block(k).graph, 1 << block(k).x | 1 << block(k).y, kinds.count(k))
+                for k in dict.fromkeys(kinds)
+            )
+            for l in range(4):
+                if l + sum(b.n for b in blocks) <= 20:
+                    _assert_decomposition_matches_searches(g_construct(l, blocks), l, runs)
+                    cases += 1
+    assert cases == 72
+
+
+def test_decomposition_matches_the_searches_on_matched_layers():
+    # matched_layers(A, B) is K_{A-B+1} joined onto B edges y-z whose
+    # ends z form the terminal clique; all 81 with n <= 22
+    edge = complete_graph(2)
+    cases = 0
+    for b in range(2, 11):
+        for a in range(b + 1, 22 - b):
+            g = matched_layers(a, b)
+            _assert_decomposition_matches_searches(g, a - b + 1, ((edge, 0b10, b),))
+            cases += 1
+    assert cases == 81
+
+
+def _compose(l, runs):
+    # K_l joined onto the runs' gadgets, their terminals made one clique
+    gadgets = [(h, mask) for h, mask, count in runs for _ in range(count)]
+    f = disjoint_union([h for h, _ in gadgets])
+    terminals = offset = 0
+    for h, mask in gadgets:
+        terminals |= mask << offset
+        offset += h.n
+    f = Graph(tuple(
+        row | terminals & ~(1 << v) if terminals >> v & 1 else row
+        for v, row in enumerate(f.neighbor_masks)
+    ))
+    return join(complete_graph(l), f) if l else f
+
+
+def test_plan_layout_describes_the_built_graph():
+    # the engine decides the layout, so the layout must be the graph the
+    # plan builds: in the block regimes label for label, and in case 3 up
+    # to moving y_i, z_i from l + 2i, l + 2i + 1 to l + i, l + B + i
+    cases = set()
+    for target in ("6/5", "13/10", "8/5", "13/8", "9/5", "7/4", "2", "11/5", "17/8"):
+        p = plan(target)
+        l, runs = plan_layout(p)
+        g, f = build(p)[0], _compose(l, runs)
+        if p.case_id == "3":
+            b = p.b_scaled
+            where = list(range(l)) + [l + i + b * s for i in range(b) for s in (0, 1)]
+            f = Graph(tuple(
+                sum(1 << where[u] for u in range(f.n) if row >> u & 1)
+                for _, row in sorted(zip(where, f.neighbor_masks))
+            ))
+        assert f == g, target
+        cases.add(p.case_id)
+    assert cases == {"3", "5.1", "5.2", "6.1", "6.2", "7.1", "7.2"}
+    for target in ("2/3", "1", "3/2"):
+        assert plan_layout(plan(target)) is None
+
+
+def test_decomposition_matches_exact_toughness_on_random_gadgets():
+    # the tables come from the gadget graphs alone: random gadgets of 1-5
+    # vertices with any terminal set, the empty one included, in 1-3 runs
+    # of 1-3 copies, n <= 14
+    rng = random.Random(1767)
+    seen = set()
+    for trial in range(400):
+        runs = []
+        for _ in range(rng.randrange(1, 4)):
+            h = _random_graph(rng, rng.randrange(1, 6), rng.uniform(0.2, 0.8))
+            runs.append((h, rng.randrange(1 << h.n), rng.randrange(1, 4)))
+        l = rng.randrange(3)
+        if l + sum(h.n * c for h, _, c in runs) > 14:
+            continue
+        runs = tuple(runs)
+        g = _compose(l, runs)
+        tau = toughness_exact(g).value
+        if tau is None:
+            assert decomposition_below(l, runs, Fraction(g.n)) is None
+            seen.add("complete")
+            continue
+        assert decomposition_below(l, runs, tau) == 0, (g.edges(), l, runs)
+        assert decomposition_below(l, runs, tau + Fraction(1, 1000)) < 0
+        seen.add(tau == 0)
+    assert seen == {"complete", True, False}
+
+
+def test_decomposition_without_a_cutset_or_terminals():
+    # a complete graph has no cutset; gadgets without terminals detach
+    # every component they keep, so two lone vertices have toughness 0
+    assert decomposition_below(2, ((complete_graph(3), 0b111, 1),), Fraction(5)) is None
+    lone = (make_graph(1, []), 0, 2)
+    assert decomposition_below(0, (lone,), Fraction(1, 3)) == -2
+    # K_1 onto three edges y-z: cutting the join vertex and one z leaves
+    # 2 components, 2 * 2 - 1 * 2 = 2 at lambda = 1/2; toughness 1
+    edges = ((complete_graph(2), 0b10, 3),)
+    assert decomposition_below(1, edges, Fraction(1, 2)) == 2
+    assert decomposition_below(1, edges, Fraction(1)) == 0
+
+
+def test_decomposition_decides_large_plans_without_building(monkeypatch):
+    # min = 0 at t and < 0 just above: the engine proves tau = t from the
+    # plan alone, in milliseconds, at n up to 3925 and at 150M blocks
+    from toughgraph import synth
+
+    monkeypatch.setattr(
+        synth, "build", lambda *args: pytest.fail("the engine built a graph")
+    )
+
+    def timeout(signum, frame):
+        raise TimeoutError("decomposition decision took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        for target in ("449/200", "1199/700", "1301/701", "174999999/100000000"):
+            p = plan(target)
+            layout = plan_layout(p)
+            signal.alarm(1)
+            at_t = decomposition_below(*layout, p.t)
+            above = decomposition_below(*layout, p.t + Fraction(1, 10**12))
+            signal.alarm(0)
+            assert at_t == 0, target
+            assert above < 0, target
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def test_cutset_witness_validates():
     with pytest.raises(ValueError):
         cutset_witness(complete_graph(4), frozenset({0}))
@@ -596,6 +757,32 @@ def test_hamilton_dp_and_backtracking_agree():
             else:
                 assert a.witness is b.witness is None
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_hamilton_backtracking_matches_the_full_scan():
+    # the search rescans only the neighbors of the last end for the
+    # degree prune; the reference scans every unvisited vertex at every
+    # node, so verdicts, witnesses and node counts must all agree, also
+    # where the budget runs out
+    rng = random.Random(5151)
+    graphs = [inflate_triangles(petersen())]
+    graphs += [complete_bipartite(a, a + 1) for a in range(2, 6)]
+    for i in range(400):
+        n = 6 + i % 21
+        if i % 2:
+            graphs.append(_cycle_plus_chords(rng, n, rng.randrange(n // 2, n + 1)))
+        else:
+            graphs.append(_random_graph(rng, n, rng.uniform(2.5, 5.0) / n))
+    seen = set()
+    for g in graphs:
+        x, y = rng.sample(range(g.n), 2)
+        for ends in ((x, x), (x, y)):
+            res = _hamilton_backtrack(g, *ends, 5000)
+            assert res.method == "backtracking"
+            ref = naive_hamilton_backtrack(g, *ends, 5000)
+            assert (res.verdict, res.witness, res.nodes) == ref, (g.edges(), ends)
+            seen.add((ends[0] == ends[1], res.verdict))
+    assert seen >= {(True, True), (True, False), (False, True), (False, False)}
 
 
 def _two_cliques(k: int):

@@ -130,7 +130,7 @@ def test_report_json_shape():
 
 
 def test_exact_tier_is_one_decision_below_t(monkeypatch):
-    # the witness proves toughness <= t and toughness_below that no cut
+    # the witness proves toughness <= t and one decision that no cut
     # goes under t; the full search is never run on a sound certificate
     from toughgraph import verify
 
@@ -145,6 +145,47 @@ def test_exact_tier_is_one_decision_below_t(monkeypatch):
         assert report.toughness_status == ORACLE_EXACT
         check = _check_named(report, "toughness-oracle")
         assert check.ok and check.detail == f"exact toughness equals {target}"
+
+
+def test_plan_built_graphs_are_decided_on_the_layout(monkeypatch):
+    # a case-3 graph that the rebuild proved to be its plan's is decided
+    # by the decomposition engine on the plan's layout, with no cutset
+    # search, whether it comes as a Graph or as graph6 bytes; the tier
+    # and the detail are the search's
+    from toughgraph import verify
+
+    def refuse(*args, **kwargs):
+        pytest.fail("verifier ran a cutset search")
+
+    monkeypatch.setattr(verify, "toughness_below", refuse)
+    monkeypatch.setattr(verify, "toughness_exact", refuse)
+    for target in ("6/5", "7/6", "8/7", "9/7", "5/4", "4/3"):
+        g, cert = synthesize(target)
+        for graph in (g, encode_graph6(g)):
+            report = check_certificate(graph, cert)
+            assert report.accepted, target
+            assert report.toughness_status == ORACLE_EXACT
+            check = _check_named(report, "toughness-oracle")
+            assert check.ok and check.detail == f"exact toughness equals {target}"
+
+
+def test_a_failed_rebuild_never_reaches_the_engine(monkeypatch):
+    # the layout describes the plan's graph, not the one given, so a
+    # graph that does not rebuild gets the cutset searches
+    from toughgraph import verify
+
+    monkeypatch.setattr(
+        verify, "decomposition_below",
+        lambda *args: pytest.fail("verifier ran the engine on a graph it did not rebuild"),
+    )
+    g, cert = synthesize("6/5")
+    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
+    for graph in (weaker, encode_graph6(weaker)):
+        report = check_certificate(graph, cert)
+        assert not _check_named(report, "rebuild").ok
+        assert _check_named(report, "witness").ok
+        check = _check_named(report, "toughness-oracle")
+        assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
 
 
 # -- rejection of corrupted certificates ---------------------------------------
