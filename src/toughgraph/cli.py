@@ -47,7 +47,7 @@ from .oracles import (
     toughness_upper_search,
 )
 from .synth import certificate_from_json, certificate_to_json, parse_rational, synthesize
-from .verify import OracleLimits, check_certificate
+from .verify import OracleLimits, _check_certificate
 
 __all__ = ["main"]
 
@@ -68,9 +68,10 @@ def _render(g: Graph, fmt: str, highlight=()) -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _read_graph(path: str, decode: bool = True) -> Graph | bytes:
+def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
     """The graph in a file, any of the three formats; with decode=False
-    a graph6 file is only validated and comes back as its bytes."""
+    a graph6 file is only validated and comes back as validate_graph6's
+    (n, bytes)."""
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     stripped = text.strip()
     if not stripped:
@@ -101,7 +102,7 @@ def _read_graph(path: str, decode: bool = True) -> Graph | bytes:
         except ValueError as exc:
             raise GraphFormatError(f"{path}: {exc}") from None
     if not decode:
-        return validate_graph6(lines[0])[1]
+        return validate_graph6(lines[0])
     return decode_graph6(lines[0])
 
 
@@ -129,14 +130,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the verifier matches graph6 to the rebuilt graph by its bytes
+    # the verifier matches graph6 to the rebuilt graph by its bytes,
+    # which _read_graph has validated
     g = _read_graph(args.graph, decode=False)
     cert = certificate_from_json(Path(args.cert).read_text())
     limits = OracleLimits(
         toughness_n=args.max_oracle_n,
         hamilton_nodes=args.budget,
     )
-    report = check_certificate(g, cert, limits)
+    report = _check_certificate(g, cert, limits)
     sys.stdout.write(report.to_json())
     return 0 if report.accepted else 1
 

@@ -121,17 +121,24 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _reach(nbr: Sequence[int], seed: int, alive: int) -> int:
-    """Vertices reachable from the seed bits inside the alive mask."""
-    comp = seed & alive
-    frontier = comp
-    while frontier:
+def _reach(nbr: Sequence[int], seed: int, alive: int, need: int = -1) -> int:
+    """Vertices reachable from the seed bits inside the alive mask.
+
+    The search stops once it has reached every alive bit of need (by
+    default every alive bit), so only the result's need bits are
+    certain: `_reach(nbr, seed, alive, need) & need == need` iff the
+    seed reaches all of need."""
+    rest = alive & ~seed  # alive, not reached yet
+    frontier = alive ^ rest
+    while frontier and need & rest:
         acc = 0
-        for v in _bits(frontier):
-            acc |= nbr[v]
-        frontier = acc & alive & ~comp
-        comp |= frontier
-    return comp
+        while frontier:
+            low = frontier & -frontier
+            acc |= nbr[low.bit_length() - 1]
+            frontier ^= low
+        frontier = acc & rest
+        rest ^= frontier
+    return alive ^ rest
 
 
 def count_components_masked(nbr: Sequence[int], alive: int) -> int:

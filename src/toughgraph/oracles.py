@@ -509,12 +509,16 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
     unvisited vertex and y.  A spanning path is accepted when it ends at
     y, or for a cycle next to x.  `nodes` counts the nodes entered.
 
-    Only the root scans every unvisited vertex for the degree prune.  A
-    child's parent passed that scan, and the child's alive set is the
-    parent's less the parent's end (the new end was alive, unvisited),
-    so only the unvisited neighbors of the parent's end can have fallen
-    below their count; when that end is y = x it stays alive, and
-    nothing can.
+    Only the root scans every unvisited vertex for the degree prune and
+    searches its whole alive set.  A child's parent passed both checks,
+    and the child's alive set is the parent's less the parent's end p
+    (the new end was alive, unvisited); when p is y = x it is the
+    parent's, and both checks pass as they stand.  Otherwise only the
+    unvisited neighbors of p can have fallen below their count, and:
+    - the parent's alive set A induces a connected graph;
+    - so every component of G[A - p] holds a neighbor of p;
+    - so A - p is connected iff the new end reaches N(p) & (A - p),
+      and the search from it stops once it has.
     """
     n = g.n
     nbr = g.neighbor_masks
@@ -539,9 +543,13 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
             alive = unvisited | 1 << cur | ybit
             if len(path) == 1:
                 u = unvisited
+                need = unvisited | ybit
+            elif path[-2] == y:
+                u = need = 0
             else:
-                prev = path[-2]
-                u = 0 if prev == y else nbr[prev] & unvisited
+                near = nbr[path[-2]]
+                u = near & unvisited
+                need = near & alive
             while u:
                 b = u & -u
                 u ^= b
@@ -550,8 +558,7 @@ def _hamilton_backtrack(g: Graph, x: int, y: int, node_limit: int) -> HamiltonRe
                 if t & (t - 1) == 0:
                     break
             else:
-                need = unvisited | ybit
-                if _reach(nbr, 1 << cur, alive) & need == need:
+                if _reach(nbr, 1 << cur, alive, need) & need == need:
                     cand = nbr[cur] & unvisited
                     if unvisited != ybit:
                         cand &= ~ybit

@@ -175,12 +175,22 @@ def check_certificate(
     rebuilt graph.  The bytes are decoded only when they differ, or
     when the rebuild fails before building; the report is the one the
     decoded Graph would get."""
+    if not isinstance(g, Graph):
+        g = validate_graph6(g)
+    return _check_certificate(g, cert, limits)
+
+
+def _check_certificate(
+    g: Graph | tuple[int, bytes], cert: Certificate, limits: Optional[OracleLimits]
+) -> VerificationReport:
+    """check_certificate on a Graph or on the (n, bytes) that
+    validate_graph6 returned for it."""
     limits = limits or OracleLimits()
     checks: list[CheckOutcome] = []
     if isinstance(g, Graph):
         n, data = g.n, None
     else:
-        n, data = validate_graph6(g)
+        n, data = g
 
     def run(name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
         t0 = time.perf_counter()

@@ -287,6 +287,24 @@ def test_hamilton_budget_exhaustion(tmp_path):
     assert payload["summary"] == "unknown (budget exhausted)"
 
 
+def test_case_4_search_bytes_are_pinned(tmp_path):
+    # the exhaustive search's node count is part of both outputs, so a
+    # prune that enters different nodes changes these bytes
+    gpath = tmp_path / "ip.g6"
+    run_cli("block", "inflated-petersen", "--out", str(gpath))
+    r = run_cli("hamilton", str(gpath))
+    assert r.stdout == (
+        '{"method": "backtracking", "mode": "cycle", "nodes": 1578, '
+        '"summary": "nonhamiltonian (exhaustive)", "verdict": false, "witness": null}\n'
+    )
+    cpath = tmp_path / "cert.json"
+    run_cli("synth", "3/2", "--out", str(gpath), "--cert", str(cpath))
+    r = run_cli("verify", str(gpath), str(cpath))
+    assert r.returncode == 0
+    details = {c["name"]: c["detail"] for c in json.loads(r.stdout)["checks"]}
+    assert details["nonhamiltonicity"] == "no Hamilton cycle (backtracking, 1578 nodes)"
+
+
 def test_hamilton_search_deeper_than_the_recursion_limit(tmp_path):
     # the search path of a 1500-cycle is 1500 vertices deep, past the
     # interpreter's default recursion limit of 1000

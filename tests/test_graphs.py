@@ -8,6 +8,7 @@ from time import perf_counter
 import pytest
 from naive import (
     naive_complete_graph,
+    naive_component_count,
     naive_decode_graph6,
     naive_disjoint_union,
     naive_encode_graph6,
@@ -33,6 +34,7 @@ from toughgraph import (
     unit_toughness_graph,
     validate_graph6,
 )
+from toughgraph.graphs import _reach, count_components_masked
 
 # frozen encodings, derived once by hand from the format definition
 K3_G6 = b"Bw"
@@ -143,6 +145,43 @@ def test_components_after_removal():
 def test_components_are_sorted_by_smallest_member():
     g = make_graph(6, [(5, 4), (1, 0), (3, 2)])
     assert components(g) == [[0, 1], [2, 3], [4, 5]]
+
+
+def test_reach_and_component_count_match_the_naive_count():
+    # R = _reach from one alive vertex s is s's component of the alive
+    # graph iff R induces one component and the alive set less R has one
+    # component fewer; with need, the search may stop early but must
+    # still tell whether it reaches all of need
+    rng = random.Random(2626)
+    for i in range(300):
+        n = 1 + i % 24
+        g = make_graph(n, [
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if rng.random() < rng.uniform(0.5, 3.5) / n
+        ])
+        nbr = g.neighbor_masks
+        full = (1 << n) - 1
+
+        def count(mask):
+            return naive_component_count(g, {v for v in range(n) if not mask >> v & 1})
+
+        for _ in range(4):
+            alive = rng.getrandbits(n) | rng.getrandbits(n)
+            c = count(alive)
+            assert count_components_masked(nbr, alive) == c
+            if not alive:
+                assert _reach(nbr, 1, alive) == 0
+                continue
+            s = rng.choice([v for v in range(n) if alive >> v & 1])
+            comp = _reach(nbr, 1 << s, alive)
+            assert comp & ~alive == 0 and comp >> s & 1
+            assert count(comp) == 1 and count(alive ^ comp) == c - 1
+            # a seed bit outside alive adds nothing
+            assert _reach(nbr, 1 << s | full & ~alive, alive) == comp
+            need = rng.getrandbits(n) & alive
+            part = _reach(nbr, 1 << s, alive, need)
+            assert part & ~comp == 0
+            assert (part & need == need) == (comp & need == need)
 
 
 # -- combinators ----------------------------------------------------------

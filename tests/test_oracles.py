@@ -52,6 +52,8 @@ from toughgraph import (
     toughness_upper_search,
     unit_toughness_graph,
 )
+from toughgraph import oracles
+from toughgraph.graphs import _reach
 from toughgraph.oracles import DEFAULT_NODE_LIMIT, _hamilton_backtrack, _hamilton_dp
 
 
@@ -783,6 +785,77 @@ def test_hamilton_backtracking_matches_the_full_scan():
             assert (res.verdict, res.witness, res.nodes) == ref, (g.edges(), ends)
             seen.add((ends[0] == ends[1], res.verdict))
     assert seen >= {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _glued(first, attachments):
+    """first with, for each attachment (at, bridge, h), a copy of the
+    graph h whose vertex 0 is vertex at of the graph so far (bridge None,
+    so at becomes a cut vertex), or is joined to it by a path through
+    bridge new vertices."""
+    n, edges = first.n, first.edges()
+    for at, bridge, h in attachments:
+        if bridge is None:
+            ids = [at] + list(range(n, n + h.n - 1))
+            n += h.n - 1
+        else:
+            chain = [at] + list(range(n, n + bridge + 1))
+            edges += zip(chain, chain[1:])
+            ids = chain[-1:] + list(range(n + bridge + 1, n + bridge + h.n))
+            n += bridge + h.n
+        edges += [(ids[u], ids[v]) for u, v in h.edges()]
+    return make_graph(n, edges)
+
+
+def test_hamilton_backtracking_checks_connectivity_from_the_new_end(monkeypatch):
+    # below the root the search checks connectivity only from the new end
+    # to the alive neighbors of the old end p; here p is often a cut
+    # vertex of the alive set, so the check fails as well as passes, and
+    # with y next to p, y is one of the neighbors it must reach.  The
+    # reference runs a full search at every node.
+    checks = []
+
+    def reach(nbr, seed, alive, need=-1):
+        got = _reach(nbr, seed, alive, need)
+        if alive != (1 << len(nbr)) - 1:
+            ok = got & need == need
+            checks.append((ok, ok and got != _reach(nbr, seed, alive)))
+        return got
+
+    monkeypatch.setattr(oracles, "_reach", reach)
+    rng = random.Random(6161)
+    graphs = [_glued(_cycle(a), [(0, None, _cycle(b))])
+              for a in range(3, 8) for b in range(a, 8)]
+    graphs += [_glued(complete_graph(k), [(0, bridge, complete_graph(k))])
+               for k in (3, 4, 5) for bridge in range(4)]
+    for _ in range(12):
+        n = rng.randrange(5, 10)
+        base = _cycle_plus_chords(rng, n, rng.randrange(n // 2 + 1))
+        graphs.append(_glued(base, [
+            (v, None, complete_graph(3)) for v in rng.sample(range(n), rng.randrange(1, 3))
+        ]))
+    for _ in range(12):
+        g = _cycle_plus_chords(rng, rng.randrange(4, 8), 2)
+        for _ in range(rng.randrange(1, 3)):
+            h = _cycle_plus_chords(rng, rng.randrange(4, 8), 2)
+            g = _glued(g, [(rng.randrange(g.n), None, h)])
+        graphs.append(g)
+    # hamiltonian, with cut vertices only in the alive sets of the search
+    graphs += [_cycle_plus_chords(rng, n, rng.randrange(1, n // 2)) for n in range(6, 13)]
+    seen = set()
+    for g in graphs:
+        pairs = [(x, x) for x in range(g.n)]
+        pairs += [(x, y) for x in range(g.n) for y in g.neighbors(x)]
+        pairs += [tuple(rng.sample(range(g.n), 2)) for _ in range(g.n)]
+        for x, y in pairs:
+            for limit in (5000, rng.randrange(1, 40)):
+                res = _hamilton_backtrack(g, x, y, limit)
+                ref = naive_hamilton_backtrack(g, x, y, limit)
+                assert (res.verdict, res.witness, res.nodes) == ref, (g.edges(), x, y, limit)
+                seen.add((x == y, res.verdict))
+    assert seen == {(b, v) for b in (True, False) for v in (True, False, None)}
+    # the early exit both passes, also before the search reaches all of
+    # the alive set, and fails
+    assert set(checks) == {(True, True), (True, False), (False, False)}
 
 
 def _two_cliques(k: int):
