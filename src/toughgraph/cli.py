@@ -101,6 +101,8 @@ def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
             return make_graph(n, edges)
         except ValueError as exc:
             raise GraphFormatError(f"{path}: {exc}") from None
+    if len(lines) > 1:
+        raise GraphFormatError(f"{path}: graph6 file holds {len(lines)} lines, expected one")
     if not decode:
         return validate_graph6(lines[0])
     return decode_graph6(lines[0])

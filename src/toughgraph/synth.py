@@ -13,7 +13,8 @@ Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
 formula's hypothesis, witness and builder are written; planning,
 building, the certificate parser and verify_claim_formula all read
-it.  The regimes, by certificate "case" tag:
+it, and the verifier reads the counting arguments beside it.  The
+regimes, by certificate "case" tag:
   1    0 < t < 1      complete bipartite, more independents than the rest
   2    t = 1          a fixed 7-vertex graph
   3    1 < t < 3/2    matched_layers, nonhamiltonian by edge counting
@@ -26,6 +27,7 @@ with .1 for odd and .2 for even denominator after reduction.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass
@@ -46,7 +48,13 @@ from .blocks import (
     unit_toughness_graph,
 )
 from .graphs import Graph
-from .oracles import GadgetRun, cutset_witness
+from .oracles import (
+    GadgetRun,
+    SizeLimitError,
+    cutset_witness,
+    decomposition_below,
+    has_hamilton_path,
+)
 
 __all__ = [
     "PlanError",
@@ -61,6 +69,9 @@ __all__ = [
     "predicted_toughness",
     "plan_order",
     "plan_layout",
+    "argument_params",
+    "argument_holds",
+    "verify_claim_formula",
     "certificate_to_json",
     "certificate_from_json",
     "NONHAM_BIPARTITE",
@@ -75,9 +86,6 @@ NONHAM_BIPARTITE = "bipartite_imbalance"
 NONHAM_EDGE_COUNT = "edge_count"
 NONHAM_BLOCK_COUNT = "block_count"
 NONHAM_EXHAUSTIVE = "exhaustive"
-
-# kinds with no spanning path between their terminals
-_PATH_FREE_KINDS = frozenset({BlockKind.L1, BlockKind.L2, BlockKind.L3})
 
 _SCALE_CAP = 1_000_000
 
@@ -224,7 +232,7 @@ class _Regime:
         return (
             p.b_scaled % 2 == self.parity
             and self.hypothesis_gap(p) is None
-            and _path_free(p.block_kinds) >= 2 * p.l + 1
+            and argument_holds(NONHAM_BLOCK_COUNT, p)
         )
 
     def order_of(self, p: SynthesisPlan) -> int:
@@ -236,8 +244,7 @@ class _Regime:
         """The plan's graph as K_l joined onto gadgets, up to labels, or
         None for a graph of another shape."""
         if self.builder is None:
-            blocks = [(block(k), count) for k, count in p.block_kinds]
-            return p.l, tuple((b.graph, 1 << b.x | 1 << b.y, c) for b, c in blocks)
+            return p.l, _block_gadgets(p.block_kinds)
         return self.gadgets(p) if self.gadgets else None
 
     def realize(self, p: SynthesisPlan) -> _Built:
@@ -252,11 +259,8 @@ class _Regime:
             if b.kind in chosen:
                 picks.update(offset + v for v in b.cut_core)
             offset += b.n
-        arg = NonHamiltonicityArgument(
-            NONHAM_BLOCK_COUNT,
-            {"required": 2 * p.l + 1, "path_free_blocks": _path_free(p.block_kinds)},
-        )
-        return g, frozenset(picks), arg
+        return g, frozenset(picks), NonHamiltonicityArgument(
+            NONHAM_BLOCK_COUNT, argument_params(NONHAM_BLOCK_COUNT, p))
 
 
 def _runs(*runs: tuple[BlockKind, int]) -> _Runs:
@@ -269,8 +273,44 @@ def _expand(runs: _Runs) -> list[BlockKind]:
     return [k for k, count in runs for _ in range(count)]
 
 
-def _path_free(runs: _Runs) -> int:
-    return sum(count for k, count in runs if k in _PATH_FREE_KINDS)
+def _block_gadgets(runs: _Runs) -> tuple[GadgetRun, ...]:
+    """The runs' blocks as gadget runs, terminals x and y."""
+    blocks = [(block(k), count) for k, count in runs]
+    return tuple((b.graph, 1 << b.x | 1 << b.y, c) for b, c in blocks)
+
+
+@functools.lru_cache(maxsize=None)
+def _kind_lacks_terminal_path(kind: BlockKind) -> bool:
+    """Whether the block has no spanning terminal path, by exhaustive search."""
+    b = block(kind)
+    r = has_hamilton_path(b.graph, b.x, b.y)
+    if r.verdict is None:
+        raise SizeLimitError(
+            f"terminal-path search on block {kind.value} exhausted its budget "
+            f"after {r.nodes} nodes"
+        )
+    return not r.verdict
+
+
+def argument_params(kind: str, p: SynthesisPlan) -> dict[str, int]:
+    """The parameters of the plan's counting argument, NONHAM_EDGE_COUNT
+    (case 3: incidences a Hamilton cycle needs at the independent layer,
+    and those available) or NONHAM_BLOCK_COUNT (cases 5-7: the 2l + 1
+    path-free blocks needed, after Bauer, Broersma, Veldman 2000, and
+    those present)."""
+    if kind == NONHAM_EDGE_COUNT:
+        A, B = p.a_scaled, p.b_scaled
+        return {"required_incidences": 2 * B, "available_incidences": 2 * (A - B + 1) + B}
+    path_free = sum(count for k, count in p.block_kinds if _kind_lacks_terminal_path(k))
+    return {"required": 2 * p.l + 1, "path_free_blocks": path_free}
+
+
+def argument_holds(kind: str, p: SynthesisPlan) -> bool:
+    """Whether the plan's counting argument proves nonhamiltonicity."""
+    q = argument_params(kind, p)
+    if kind == NONHAM_EDGE_COUNT:
+        return q["required_incidences"] > q["available_incidences"]
+    return q["path_free_blocks"] >= q["required"]
 
 
 def _mixed(l: int, m2: int) -> _Counts:
@@ -300,10 +340,7 @@ def _build_layers(p: SynthesisPlan) -> _Built:
     A, B = p.a_scaled, p.b_scaled
     n1 = A - B + 1
     cut = frozenset(range(n1)) | frozenset(n1 + B + i for i in range(B - 1))
-    arg = NonHamiltonicityArgument(
-        NONHAM_EDGE_COUNT,
-        {"required_incidences": 2 * B, "available_incidences": 2 * n1 + B},
-    )
+    arg = NonHamiltonicityArgument(NONHAM_EDGE_COUNT, argument_params(NONHAM_EDGE_COUNT, p))
     return matched_layers(A, B), cut, arg
 
 
@@ -330,10 +367,9 @@ _REGIMES = {r.case_id: r for r in (
             order=lambda p: p.a_scaled + p.b_scaled, builder=_build_bipartite),
     _Regime("2", lambda t: t == 1, formula=lambda p: Fraction(1),
             admits=lambda p: p.q == 1, order=lambda p: 7, builder=_build_unit),
-    # nonhamiltonicity needs the independent layer to outgrow the cycle
-    # capacity of the rest: 3*B > 2*A + 2
     _Regime("3", lambda t: 1 < t < Fraction(3, 2),
-            admits=lambda p: p.b_scaled >= 2 and 3 * p.b_scaled > 2 * p.a_scaled + 2,
+            # the count fails for b_scaled = 1, where matched_layers is undefined
+            admits=lambda p: argument_holds(NONHAM_EDGE_COUNT, p),
             order=lambda p: p.a_scaled + p.b_scaled + 1, builder=_build_layers,
             # matched_layers(A, B) is K_{A-B+1} joined onto B such edges
             gadgets=lambda p: (p.a_scaled - p.b_scaled + 1,
@@ -386,6 +422,33 @@ _CASE_IDS = tuple(_REGIMES)
 
 # verify_claim_formula's names for the block regimes
 _REGIME_BY_FAMILY = {r.family: r for r in _REGIMES.values() if r.family}
+
+
+def verify_claim_formula(
+    family: str,
+    l: int,
+    m: Optional[int] = None,
+    m1: Optional[int] = None,
+    m2: Optional[int] = None,
+) -> bool:
+    """Confront one closed-form toughness formula with the exact engine.
+
+    Each family names a block regime of the regime table.  Returns
+    whether decomposition_below, on the layout of that regime's block
+    composition at the given parameters, is 0 at lambda = the formula:
+    no cutset has a lower ratio and one attains it.  Any size; no graph
+    is built.  Raises ValueError for an unknown family or parameters
+    that violate the formula's hypothesis.
+    """
+    regime = _REGIME_BY_FAMILY.get(family)
+    if regime is None:
+        raise ValueError(f"unknown family {family!r}; know {sorted(_REGIME_BY_FAMILY)}")
+    counts = _Counts(l, m, m1, m2)
+    gap = regime.hypothesis_gap(counts)
+    if gap is not None:
+        raise ValueError(f"{family} needs {gap}")
+    runs = _block_gadgets(regime.kinds(counts))
+    return decomposition_below(l, runs, regime.formula(counts)) == 0
 
 
 def _regime_for(t: Fraction) -> _Regime:

@@ -20,18 +20,16 @@ the structural argument rather than enumeration.
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .blocks import BlockKind, block, g_construct
 from .graphs import (
     Graph,
     _bits,
-    components,
+    count_components_masked,
     decode_graph6,
     encode_graph6,
     validate_graph6,
@@ -40,9 +38,7 @@ from .oracles import (
     DEFAULT_ALPHA_LIMIT,
     DEFAULT_NODE_LIMIT,
     DEFAULT_TOUGHNESS_LIMIT,
-    SizeLimitError,
     decomposition_below,
-    has_hamilton_path,
     independence_number,
     is_hamiltonian,
     toughness_below,
@@ -55,9 +51,8 @@ from .synth import (
     NONHAM_EXHAUSTIVE,
     Certificate,
     PlanError,
-    _Counts,
-    _REGIME_BY_FAMILY,
-    _expand,
+    argument_holds,
+    argument_params,
     build,
     plan,
     plan_layout,
@@ -70,7 +65,6 @@ __all__ = [
     "CheckOutcome",
     "VerificationReport",
     "check_certificate",
-    "verify_claim_formula",
     "ORACLE_EXACT",
     "WITNESS_UPPER_BOUND_ONLY",
     "ORACLE_EXHAUSTIVE",
@@ -149,16 +143,21 @@ def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
     return side[0], side[1]
 
 
-@functools.lru_cache(maxsize=None)
-def _kind_lacks_terminal_path(kind: BlockKind) -> bool:
-    b = block(kind)
-    r = has_hamilton_path(b.graph, b.x, b.y)
-    if r.verdict is None:
-        raise SizeLimitError(
-            f"terminal-path search on block {kind.value} exhausted its budget "
-            f"after {r.nodes} nodes"
-        )
-    return not r.verdict
+# a counting argument's details: its parameters disagree, it fails, it holds
+_COUNTING_DETAILS = {
+    NONHAM_EDGE_COUNT: (
+        "edge-count parameters disagree with the plan",
+        "counting argument fails: needs {required_incidences} > {available_incidences}",
+        "cycle needs {required_incidences} incidences at the independent layer, "
+        "only {available_incidences} exist",
+    ),
+    NONHAM_BLOCK_COUNT: (
+        "block-count parameters disagree: plan has {path_free_blocks} "
+        "path-free blocks against threshold {required}",
+        "only {path_free_blocks} path-free blocks, need {required}",
+        "{path_free_blocks} blocks admit no spanning terminal path >= {required} = 2l+1",
+    ),
+}
 
 
 def check_certificate(
@@ -235,7 +234,8 @@ def _check_certificate(
     def chk_witness() -> tuple[bool, str]:
         if any(not (0 <= v < g.n) for v in cert.cutset):
             return False, "cutset vertex out of range"
-        omega = len(components(g, cert.cutset))
+        alive = (1 << g.n) - 1 ^ sum(1 << v for v in cert.cutset)
+        omega = count_components_masked(g.neighbor_masks, alive)
         if omega < 2:
             return False, f"cutset leaves {omega} component(s); not a cut"
         if omega != cert.components:
@@ -290,49 +290,19 @@ def _check_certificate(
                 f"independent side of {size} vertices exceeds n/2; any cycle "
                 f"would need {2 * size} > n edge slots"
             )
-        if arg.kind == NONHAM_EDGE_COUNT:
-            p = cert.plan
-            required = 2 * p.b_scaled
-            available = 2 * (p.a_scaled - p.b_scaled + 1) + p.b_scaled
-            if (
-                arg.params.get("required_incidences") != required
-                or arg.params.get("available_incidences") != available
-            ):
-                return False, "edge-count parameters disagree with the plan"
-            if required <= available:
-                return False, (
-                    f"counting argument fails: needs {required} > {available}"
-                )
-            return True, (
-                f"cycle needs {required} incidences at the independent layer, "
-                f"only {available} exist"
-            )
-        if arg.kind == NONHAM_BLOCK_COUNT:
-            p = cert.plan
-            if p.l < 1:
+        if arg.kind in _COUNTING_DETAILS:
+            if arg.kind == NONHAM_BLOCK_COUNT and cert.plan.l < 1:
                 return False, (
                     "block-count argument needs at least one join vertex; "
                     "with l = 0 a single terminal edge can close a cycle"
                 )
-            path_free = sum(
-                count for k, count in p.block_kinds if _kind_lacks_terminal_path(k)
-            )
-            if (
-                arg.params.get("required") != 2 * p.l + 1
-                or arg.params.get("path_free_blocks") != path_free
-            ):
-                return False, (
-                    f"block-count parameters disagree: plan has {path_free} "
-                    f"path-free blocks against threshold {2 * p.l + 1}"
-                )
-            if path_free < 2 * p.l + 1:
-                return False, (
-                    f"only {path_free} path-free blocks, need {2 * p.l + 1}"
-                )
-            return True, (
-                f"{path_free} blocks admit no spanning terminal path "
-                f">= {2 * p.l + 1} = 2l+1"
-            )
+            want = argument_params(arg.kind, cert.plan)
+            disagree, fails, holds = _COUNTING_DETAILS[arg.kind]
+            if any(arg.params.get(k) != v for k, v in want.items()):
+                return False, disagree.format(**want)
+            if not argument_holds(arg.kind, cert.plan):
+                return False, fails.format(**want)
+            return True, holds.format(**want)
         if arg.kind == NONHAM_EXHAUSTIVE:
             r = is_hamiltonian(g, node_limit=limits.hamilton_nodes)
             if r.verdict is None:
@@ -400,39 +370,3 @@ def _check_certificate(
         alpha=alpha_box.get("alpha"),
         checks=checks,
     )
-
-
-# -- closed-form family recheck -----------------------------------------
-
-
-def verify_claim_formula(
-    family: str,
-    l: int,
-    m: Optional[int] = None,
-    m1: Optional[int] = None,
-    m2: Optional[int] = None,
-) -> bool:
-    """Confront one closed-form toughness formula with the exact oracle.
-
-    Each family names a block regime of synth's regime table.  Builds
-    that regime's block composition at the given parameters and returns
-    whether its exact toughness equals the regime's formula.  Raises
-    SizeLimitError when the instance exceeds the oracle ceiling and
-    ValueError when the parameters violate the formula's hypothesis.
-    """
-    try:
-        regime = _REGIME_BY_FAMILY[family]
-    except KeyError:
-        raise ValueError(
-            f"unknown family {family!r}; know {sorted(_REGIME_BY_FAMILY)}"
-        ) from None
-    counts = _Counts(l, m, m1, m2)
-    gap = regime.hypothesis_gap(counts)
-    if gap is not None:
-        raise ValueError(f"{family} needs {gap}")
-    g = g_construct(l, [block(k) for k in _expand(regime.kinds(counts))])
-    if g.n > DEFAULT_TOUGHNESS_LIMIT:
-        raise SizeLimitError(
-            f"family instance has n={g.n} > oracle limit {DEFAULT_TOUGHNESS_LIMIT}"
-        )
-    return toughness_exact(g).value == regime.formula(counts)

@@ -10,9 +10,11 @@ lazily evaluated one; the Hamilton backtracking that scans every
 unvisited vertex at every node, behind the one that rescans only the
 neighbors of the last end; and the plain branch and bound for the
 independence number, behind the one with reductions and a matching
-bound.  The last two also check graphs too large to enumerate.  Keep
-these dumb; their only virtue is that they are obviously correct on
-small graphs.
+bound.  The last two also check graphs too large to enumerate.  The
+counting arguments' parameters are written out by hand from the
+paper's formulas, as a second copy of synth's derivation.  Keep these
+dumb; their only virtue is that they are obviously correct on small
+graphs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Optional
 
-from toughgraph import Graph, make_graph
+from toughgraph import BlockKind, Graph, make_graph
 
 
 def _adjacency(g: Graph) -> dict[int, set[int]]:
@@ -415,3 +417,25 @@ def naive_decode_graph6(data: bytes) -> Graph:
             k += 1
     assert not any(bits[k:]), "nonzero padding"
     return make_graph(n, edges)
+
+
+# -- counting arguments for nonhamiltonicity ------------------------------
+
+# the block kinds with no spanning path between their terminals
+NAIVE_PATH_FREE_KINDS = {BlockKind.L1, BlockKind.L2, BlockKind.L3}
+
+
+def naive_edge_count_params(a_scaled: int, b_scaled: int) -> dict[str, int]:
+    """Case 3: 2B incidences needed, 2(A - B + 1) + B available."""
+    return {
+        "required_incidences": 2 * b_scaled,
+        "available_incidences": 2 * (a_scaled - b_scaled + 1) + b_scaled,
+    }
+
+
+def naive_block_count_params(l: int, runs) -> dict[str, int]:
+    """Cases 5-7: 2l + 1 path-free blocks needed, those of L1-L3 counted."""
+    return {
+        "required": 2 * l + 1,
+        "path_free_blocks": sum(c for k, c in runs if k in NAIVE_PATH_FREE_KINDS),
+    }

@@ -212,6 +212,17 @@ def test_verify_reports_a_malformed_graph6_file_before_the_certificate(tmp_path)
             assert r.stderr == f"error: {message}\n", text
 
 
+def test_graph6_file_with_a_second_line_is_refused(tmp_path):
+    # a trailing line is not silently ignored: the file is not one graph
+    cpath, gpath = tmp_path / "cert.json", tmp_path / "g.g6"
+    run_cli("synth", "2/3", "--cert", str(cpath))
+    gpath.write_text("D]o\nGARBAGE LINE\n")
+    for args in (("tau", str(gpath)), ("verify", str(gpath), str(cpath))):
+        r = run_cli(*args)
+        assert (r.returncode, r.stdout) == (2, ""), args
+        assert r.stderr == f"error: {gpath}: graph6 file holds 2 lines, expected one\n"
+
+
 # -- tau ---------------------------------------------------------------------
 
 

@@ -48,6 +48,21 @@ def test_no_function_calls_itself():
     assert found == []
 
 
+def test_no_module_imports_a_private_name_from_synth():
+    # synth owns the regime table and its rules; other modules read them
+    # through its public functions only
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("synth", 1), ("toughgraph.synth", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -11,6 +11,7 @@ from math import gcd
 
 import pytest
 
+from naive import naive_block_count_params, naive_edge_count_params
 from toughgraph import (
     Certificate,
     CertificateError,
@@ -159,6 +160,35 @@ def test_build_refuses_a_noncanonical_plan():
     assert p11 != plan("5/3")
     with pytest.raises(PlanError, match="not the canonical plan"):
         build(p11)
+
+
+def test_argument_params_match_the_hand_written_formulas():
+    # every plan of cases 3 and 5.1-7.2 with denominator <= 40: the one
+    # derivation gives the paper's parameters, and they prove the argument
+    from toughgraph.synth import (
+        NONHAM_BLOCK_COUNT,
+        NONHAM_EDGE_COUNT,
+        argument_holds,
+        argument_params,
+    )
+
+    seen = set()
+    for b in range(2, 41):
+        for a in range(b + 1, 9 * b // 4 + 1):
+            t = Fraction(a, b)
+            if gcd(a, b) != 1 or not t < Fraction(9, 4) or t == Fraction(3, 2):
+                continue
+            p = plan(t)
+            if p.case_id == "3":
+                kind = NONHAM_EDGE_COUNT
+                want = naive_edge_count_params(p.a_scaled, p.b_scaled)
+            else:
+                kind = NONHAM_BLOCK_COUNT
+                want = naive_block_count_params(p.l, p.block_kinds)
+            assert argument_params(kind, p) == want, t
+            assert argument_holds(kind, p), t
+            seen.add(p.case_id)
+    assert seen == {"3", "5.1", "5.2", "6.1", "6.2", "7.1", "7.2"}
 
 
 def test_case_boundaries():

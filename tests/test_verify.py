@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 
@@ -17,7 +18,6 @@ from toughgraph import (
     WITNESS_UPPER_BOUND_ONLY,
     NonHamiltonicityArgument,
     OracleLimits,
-    SizeLimitError,
     check_certificate,
     complete_bipartite,
     disjoint_union,
@@ -418,18 +418,18 @@ def test_unknown_terminal_path_verdict_is_a_rejection(monkeypatch):
     # a block search that gives no verdict must fail the argument, never
     # count the block as path-free
     from toughgraph import HamiltonResult
-    from toughgraph import verify
+    from toughgraph import synth
 
     g, cert = synthesize("9/5")
     monkeypatch.setattr(
-        verify, "has_hamilton_path",
+        synth, "has_hamilton_path",
         lambda *args, **kwargs: HamiltonResult(None, None, "backtracking", 1),
     )
-    verify._kind_lacks_terminal_path.cache_clear()
+    synth._kind_lacks_terminal_path.cache_clear()
     try:
         report = check_certificate(g, cert)
     finally:
-        verify._kind_lacks_terminal_path.cache_clear()
+        synth._kind_lacks_terminal_path.cache_clear()
     assert not report.accepted
     assert report.nonhamiltonicity_status == FAILED
     assert "budget" in _check_named(report, "nonhamiltonicity").detail
@@ -594,6 +594,44 @@ def test_family_formulas_verify():
     assert verify_claim_formula("l1_chain_l4", 2, m=2)
 
 
+def _family_instances(top):
+    """(family, counts, regime, order) for every l and count <= top
+    that meet the family's formula's hypothesis."""
+    from toughgraph import block, synth
+
+    for family, regime in synth._REGIME_BY_FAMILY.items():
+        for l in range(2, top + 1):
+            names = sorted(regime.floors(l))
+            for values in itertools.product(range(top + 1), repeat=len(names)):
+                counts = synth._Counts(l, **dict(zip(names, values)))
+                if regime.hypothesis_gap(counts) is None:
+                    kinds = regime.kinds(counts)
+                    n = l + sum(block(k).n * c for k, c in kinds)
+                    yield family, counts, regime, n
+
+
+def test_family_formulas_agree_with_the_exact_oracle():
+    # toughness_exact on the built composition stays the reference
+    from toughgraph import block, g_construct, synth, toughness_exact
+
+    checked = 0
+    for family, c, regime, n in _family_instances(20):
+        if n > 20:
+            continue
+        g = g_construct(c.l, [block(k) for k in synth._expand(regime.kinds(c))])
+        expect = toughness_exact(g).value == regime.formula(c)
+        assert verify_claim_formula(family, *c) == expect, (family, c)
+        checked += 1
+    assert checked > 20
+
+
+def test_family_formulas_hold_on_a_grid():
+    instances = list(_family_instances(15))
+    assert len(instances) > 4000
+    for family, c, _, _ in instances:
+        assert verify_claim_formula(family, *c), (family, c)
+
+
 def test_family_hypothesis_violations():
     with pytest.raises(ValueError):
         verify_claim_formula("l2_chain", 1, m=1)
@@ -609,7 +647,7 @@ def test_family_hypothesis_violations():
         verify_claim_formula("no_such_family", 2, m=1)
 
 
-def test_family_size_cap():
-    # two 8-vertex blocks plus the 9-vertex one: n = 27 > the default cap
-    with pytest.raises(SizeLimitError):
-        verify_claim_formula("mixed_l3", 2, m1=2, m2=1)
+def test_family_formula_past_the_oracle_limit():
+    # two 8-vertex blocks plus the 9-vertex one: n = 27 > the oracle's
+    # limit, decided on the layout without building the graph
+    assert verify_claim_formula("mixed_l3", 2, m1=2, m2=1)
