@@ -7,9 +7,9 @@ the named building blocks).  Graph files may be graph6, the JSON edge
 schema, or the plain "n m" + edge-per-line text format; output format
 is chosen with --format (default g6).  "-" means stdin for graph
 arguments and stdout for --out/--cert, so subcommands compose in pipes.
-A call builds only the argument parser of the subcommand it names; with
-no subcommand (no arguments, -h, an unknown name) it builds all six, so
-the top-level help and errors list every subcommand.
+The argument parser is built once per process, on the first call of
+main, and reused: parsing writes only a fresh namespace, and help and
+usage text take their width (COLUMNS) when they are printed.
 
 Exit codes: 0 success or accepted, 1 verification rejected, 2
 operational errors (unreadable input, out-of-range targets, oracle size
@@ -19,6 +19,7 @@ limits, running out of memory).  Identical invocations print identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -232,15 +233,26 @@ def _cmd_block(args) -> int:
     return 0
 
 
-def _add_synth(p: argparse.ArgumentParser) -> None:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The toughgraph parser with all six subcommands, built on first use."""
+    parser = argparse.ArgumentParser(
+        prog="toughgraph",
+        description=(
+            "Construct nonhamiltonian graphs of exact rational toughness "
+            "t in (0, 9/4), with certificates, verification, and exact oracles."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("synth", help="build a graph with toughness exactly t")
     p.add_argument("t", help="target toughness, written a/b or a")
     p.add_argument("--out", help="write the graph to this file")
     p.add_argument("--cert", help="write the certificate JSON to this file")
     p.add_argument("--format", choices=_FORMATS, default="g6")
     p.set_defaults(func=_cmd_synth)
 
-
-def _add_verify(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("verify", help="check a graph/certificate pair")
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
@@ -253,8 +265,7 @@ def _add_verify(p: argparse.ArgumentParser) -> None:
                    help="node budget for exhaustive Hamilton search")
     p.set_defaults(func=_cmd_verify)
 
-
-def _add_tau(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for exact toughness: Dinkelbach rounds "
@@ -263,74 +274,30 @@ def _add_tau(p: argparse.ArgumentParser) -> None:
                    help="evaluations for the heuristic fallback")
     p.set_defaults(func=_cmd_tau)
 
-
-def _add_hamilton(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("hamilton", help="Hamilton cycle or spanning path search")
     p.add_argument("graph")
     p.add_argument("--path", nargs=2, type=int, metavar=("X", "Y"),
                    help="look for a spanning path between these vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_hamilton)
 
-
-def _add_alpha(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("alpha", help="independence number")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_ALPHA_LIMIT)
     p.set_defaults(func=_cmd_alpha)
 
-
-def _add_block(p: argparse.ArgumentParser) -> None:
+    p = sub.add_parser("block", help="emit a named building block")
     p.add_argument("kind",
                    choices=("l1", "l2", "l3", "l4", "unit", "petersen",
                             "inflated-petersen"))
     p.add_argument("--out")
     p.add_argument("--format", choices=_FORMATS, default="g6")
     p.set_defaults(func=_cmd_block)
-
-
-# command name -> (help line, function that adds its arguments and func)
-_COMMANDS = {
-    "synth": ("build a graph with toughness exactly t", _add_synth),
-    "verify": ("check a graph/certificate pair", _add_verify),
-    "tau": ("exact toughness (heuristic bound past --max-n)", _add_tau),
-    "hamilton": ("Hamilton cycle or spanning path search", _add_hamilton),
-    "alpha": ("independence number", _add_alpha),
-    "block": ("emit a named building block", _add_block),
-}
-
-
-def _build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser for argv: the top level plus only the subparser that
-    argv[0] names, or every subparser when argv[0] names none (no
-    arguments, -h, an unknown command), so the top-level help and errors
-    list every command."""
-    parser = argparse.ArgumentParser(
-        prog="toughgraph",
-        description=(
-            "Construct nonhamiltonian graphs of exact rational toughness "
-            "t in (0, 9/4), with certificates, verification, and exact oracles."
-        ),
-    )
-    if argv and argv[0] in _COMMANDS:
-        names = argv[:1]
-        # the metavar keeps every command in the top-level usage line that
-        # an "unrecognized arguments" error prints; in the full case it
-        # would rename the command in the "required" and "invalid choice"
-        # errors
-        sub = parser.add_subparsers(dest="command", required=True,
-                                    metavar="{" + ",".join(_COMMANDS) + "}")
-    else:
-        names = list(_COMMANDS)
-        sub = parser.add_subparsers(dest="command", required=True)
-    for name in names:
-        help_line, add_arguments = _COMMANDS[name]
-        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     # GraphFormatError, CertificateError and SizeLimitError are ValueErrors

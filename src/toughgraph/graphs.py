@@ -16,7 +16,7 @@ import binascii
 import json
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -150,6 +150,31 @@ def count_components_masked(nbr: Sequence[int], alive: int) -> int:
         comp = _reach(nbr, rem & -rem, rem)
         rem &= ~comp
     return count
+
+
+def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
+    """Two-coloring as a pair of vertex masks, or None if an odd cycle
+    exists.  Breadth-first layers from each component's lowest vertex
+    alternate sides, isolated vertices on the first; no edge skips a
+    layer, so an odd cycle shows as a layer's neighbor on its own side."""
+    nbr = g.neighbor_masks
+    side = [0, 0]
+    rem = (1 << g.n) - 1
+    while rem:
+        layer = seen = rem & -rem
+        s = 0
+        while layer:
+            side[s] |= layer
+            reach = 0
+            for v in _bits(layer):
+                reach |= nbr[v]
+            if reach & side[s]:
+                return None
+            layer = reach & ~seen
+            seen |= layer
+            s ^= 1
+        rem &= ~seen
+    return side[0], side[1]
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:

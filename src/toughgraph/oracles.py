@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import Graph, _bits, _reach, count_components_masked
+from .graphs import Graph, _bipartition, _bits, _reach, count_components_masked
 
 __all__ = [
     "SizeLimitError",
@@ -455,11 +455,13 @@ def is_hamiltonian(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> HamiltonRe
 
     A Hamilton cycle is a spanning path that starts and ends at one
     root, so this runs has_hamilton_path's engines with both endpoints
-    at the root: on dense graphs up to DP_LIMIT vertices the subset
-    dynamic program, rooted at 0 and evaluated lazily (exact, no budget,
-    an 8 * 2^n-byte memo; the witness closes at the lowest possible
-    neighbor of 0 and takes the lowest possible predecessor at each
-    step), otherwise pruned backtracking under node_limit from the
+    at the root, after screens that decide without search (n < 3, a
+    disconnected graph, a vertex of degree below 2, a bipartite graph
+    with unequal sides): on dense graphs up to DP_LIMIT vertices the
+    subset dynamic program, rooted at 0 and evaluated lazily (exact, no
+    budget, an 8 * 2^n-byte memo; the witness closes at the lowest
+    possible neighbor of 0 and takes the lowest possible predecessor at
+    each step), otherwise pruned backtracking under node_limit from the
     (degree, label)-minimal vertex.  The witness lists every vertex
     once, root first.
     """
@@ -467,6 +469,10 @@ def is_hamiltonian(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> HamiltonRe
     if n < 3:
         return HamiltonResult(False, None, "trivial", 0)
     if not g.is_connected() or any(g.degree(v) < 2 for v in range(n)):
+        return HamiltonResult(False, None, "trivial", 0)
+    # a cycle alternates the sides of a bipartite graph, so it needs them equal
+    sides = _bipartition(g)
+    if sides is not None and sides[0].bit_count() != sides[1].bit_count():
         return HamiltonResult(False, None, "trivial", 0)
     if n <= DP_LIMIT and _dense(g):
         return _hamilton_dp(g, 0, 0)

@@ -292,6 +292,12 @@ def _kind_lacks_terminal_path(kind: BlockKind) -> bool:
     return not r.verdict
 
 
+def _path_free_needed(l: int) -> int:
+    """The path-free blocks the block-count argument needs with l join
+    vertices, 2l + 1."""
+    return 2 * l + 1
+
+
 def argument_params(kind: str, p: SynthesisPlan) -> dict[str, int]:
     """The parameters of the plan's counting argument, NONHAM_EDGE_COUNT
     (case 3: incidences a Hamilton cycle needs at the independent layer,
@@ -302,7 +308,7 @@ def argument_params(kind: str, p: SynthesisPlan) -> dict[str, int]:
         A, B = p.a_scaled, p.b_scaled
         return {"required_incidences": 2 * B, "available_incidences": 2 * (A - B + 1) + B}
     path_free = sum(count for k, count in p.block_kinds if _kind_lacks_terminal_path(k))
-    return {"required": 2 * p.l + 1, "path_free_blocks": path_free}
+    return {"required": _path_free_needed(p.l), "path_free_blocks": path_free}
 
 
 def argument_holds(kind: str, p: SynthesisPlan) -> bool:
@@ -314,9 +320,9 @@ def argument_holds(kind: str, p: SynthesisPlan) -> bool:
 
 
 def _mixed(l: int, m2: int) -> _Counts:
-    """Mixed-regime counts: enough L1 blocks, at least one, for 2l+1
-    path-free blocks in all."""
-    m1 = max(1, 2 * l + 1 - m2)
+    """Mixed-regime counts: enough L1 blocks, at least one, for the
+    block-count argument's path-free blocks in all."""
+    m1 = max(1, _path_free_needed(l) - m2)
     return _Counts(l, m1 + m2, m1, m2)
 
 

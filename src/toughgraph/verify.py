@@ -5,7 +5,8 @@ pair sound?  The graph is a Graph or its graph6 bytes.  It rebuilds the
 graph from the plan (graph6 input is matched to the rebuild by its
 bytes and decoded only when they differ), re-verifies the
 witness cutset by counting components (polynomial, runs at any size),
-re-derives the nonhamiltonicity argument, and, whenever the graph is
+re-derives the nonhamiltonicity argument (searching exhaustively only
+a graph the rebuild proved to be its plan's), and, whenever the graph is
 small enough, proves the predicted toughness exact: the witness gives
 toughness <= t, and one exact decision that no cutset has ratio below
 t gives toughness >= t.  For a graph the rebuild proved to be its
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 from .graphs import (
     Graph,
-    _bits,
+    _bipartition,
     count_components_masked,
     decode_graph6,
     encode_graph6,
@@ -116,31 +117,6 @@ class VerificationReport:
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _bipartition(g: Graph) -> Optional[tuple[int, int]]:
-    """Two-coloring as a pair of vertex masks, or None if an odd cycle
-    exists.  Breadth-first layers from each component's lowest vertex
-    alternate sides, isolated vertices on the first; no edge skips a
-    layer, so an odd cycle shows as a layer's neighbor on its own side."""
-    nbr = g.neighbor_masks
-    side = [0, 0]
-    rem = (1 << g.n) - 1
-    while rem:
-        layer = seen = rem & -rem
-        s = 0
-        while layer:
-            side[s] |= layer
-            reach = 0
-            for v in _bits(layer):
-                reach |= nbr[v]
-            if reach & side[s]:
-                return None
-            layer = reach & ~seen
-            seen |= layer
-            s ^= 1
-        rem &= ~seen
-    return side[0], side[1]
 
 
 # a counting argument's details: its parameters disagree, it fails, it holds
@@ -304,6 +280,10 @@ def _check_certificate(
                 return False, fails.format(**want)
             return True, holds.format(**want)
         if arg.kind == NONHAM_EXHAUSTIVE:
+            # the search is exponential; only a rebuilt graph is known to
+            # be one of the small graphs the regimes certify this way
+            if not rebuilt:
+                return False, "exhaustive search runs only on a rebuilt graph"
             r = is_hamiltonian(g, node_limit=limits.hamilton_nodes)
             if r.verdict is None:
                 return False, (

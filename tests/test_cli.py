@@ -11,7 +11,7 @@ import sys
 import pytest
 
 from toughgraph import decode_graph6, inflate_triangles, petersen, unit_toughness_graph
-from toughgraph.cli import _COMMANDS, _build_parser, main
+from toughgraph.cli import _parser, main
 
 
 def run_cli(*args, stdin=None):
@@ -418,7 +418,7 @@ def test_subcommands_compose_in_a_pipe():
     assert json.loads(pipe.stdout)["tau"] == "6/5"
 
 
-# -- one subparser per call ---------------------------------------------------
+# -- one parser per process ----------------------------------------------------
 
 # per command: a valid argv, then one with a bad choice or typed value
 _PARSER_FORMS = {
@@ -441,23 +441,30 @@ def _parse(parser, argv, capsys):
 
 
 @pytest.mark.parametrize("columns", ["30", "80", "200"])
-def test_single_command_parser_matches_the_full_one(columns, monkeypatch, capsys):
+def test_cached_parser_matches_a_fresh_one(columns, monkeypatch, capsys):
     # help, usage and error bytes, exit codes and parsed values are those
-    # of the parser that holds every command, also where the usage wraps
+    # of a parser built for this call, also where the usage wraps and
+    # when the cached one was built under another terminal width
+    _parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "55")
+    cached = _parser()
     monkeypatch.setenv("COLUMNS", columns)
-    assert set(_PARSER_FORMS) == set(_COMMANDS)
     forms = [[], ["-h"], ["bogus"], ["--", "alpha"]]
     for cmd, (valid, bad) in _PARSER_FORMS.items():
         forms += [[cmd, "-h"], [cmd, "--bogus", *valid], [cmd], [cmd, *valid], [cmd, *bad]]
     for argv in forms:
-        expected = _parse(_build_parser([]), argv, capsys)
-        assert _parse(_build_parser(argv), argv, capsys) == expected, argv
+        expected = _parse(_parser.__wrapped__(), argv, capsys)
+        assert _parse(cached, argv, capsys) == expected, argv
+    assert _parser() is cached
+    # the forms cover every command the top-level help lists
+    _, out, _ = _parse(cached, ["-h"], capsys)
+    assert "{" + ",".join(_PARSER_FORMS) + "}" in out
     for cmd, (valid, _) in _PARSER_FORMS.items():
-        parsed, _, _ = _parse(_build_parser([]), [cmd, *valid], capsys)
+        parsed, _, _ = _parse(cached, [cmd, *valid], capsys)
         assert ("command", cmd) in parsed
 
 
-def test_a_call_builds_only_its_command_parser(tmp_path, monkeypatch, capsys):
+def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     gpath = tmp_path / "p.g6"
     gpath.write_text("IheA@GUAo\n")
     built = []
@@ -468,12 +475,21 @@ def test_a_call_builds_only_its_command_parser(tmp_path, monkeypatch, capsys):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    _parser.cache_clear()
     assert main(["alpha", str(gpath)]) == 0
-    assert json.loads(capsys.readouterr().out) == {"alpha": 4}
-    assert built == ["toughgraph", "toughgraph alpha"]
+    first = capsys.readouterr()
+    assert json.loads(first.out) == {"alpha": 4}
+    assert len(built) == 7  # the top level and six subcommands
 
     built.clear()
-    with pytest.raises(SystemExit) as exc:
-        main(["-h"])
-    assert exc.value.code == 0
-    assert len(built) == 1 + len(_COMMANDS) == 7
+    assert main(["alpha", str(gpath)]) == 0
+    assert capsys.readouterr() == first
+    outputs = []
+    for argv in (["alpha", str(gpath), "--max-n", "x"], ["-h"]):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            outputs.append((exc.value.code, capsys.readouterr()))
+    assert [code for code, _ in outputs] == [2, 2, 0, 0]
+    assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
+    assert built == []

@@ -699,10 +699,51 @@ def test_hamilton_matches_naive_random():
         assert is_hamiltonian(g).verdict is naive_hamilton_cycle(g)
 
 
+def test_unbalanced_complete_bipartite_is_decided_without_search():
+    # K_{10,11} took 1.35 s in the subset program before the side count
+    def timeout(signum, frame):
+        raise TimeoutError("unbalanced bipartite Hamiltonicity took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        results = [is_hamiltonian(complete_bipartite(a, a + 1)) for a in range(1, 13)]
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(r.verdict is False and r.method == "trivial" and r.nodes == 0 for r in results)
+    assert all(is_hamiltonian(complete_bipartite(a, a)).verdict for a in range(2, 7))
+
+
+def test_hamilton_matches_naive_on_random_bipartite():
+    # relabeled random bipartite graphs, many of them connected with
+    # minimum degree 2, so the side count decides where no earlier screen does
+    rng = random.Random(909)
+    pruned = 0
+    for trial in range(80):
+        n = rng.randrange(4, 10)
+        a = max(2, n // 2 - rng.randrange(2))
+        label = rng.sample(range(n), n)
+        p = rng.uniform(0.6, 1.0)
+        edges = [
+            (min(label[u], label[v]), max(label[u], label[v]))
+            for u in range(a) for v in range(a, n) if rng.random() < p
+        ]
+        g = make_graph(n, edges)
+        r = is_hamiltonian(g)
+        assert r.verdict is naive_hamilton_cycle(g), (n, edges)
+        screened = not g.is_connected() or min(g.degree(v) for v in range(n)) < 2
+        pruned += not screened and 2 * a != n
+    assert pruned >= 10
+
+
 # sha256 over "verdict|witness|method|nodes" lines of the corpus below,
 # recorded with the separate cycle and path engines that the one
-# endpoint search replaced
-HAMILTON_CORPUS_DIGEST = "15e7b7e9350fac3b9387c7137134c87283564084ffb4531acf451226523a0c64"
+# endpoint search replaced, then again when the bipartite side count
+# moved the cycle queries on K_{a,a+1}, a = 2..5, from "subset-dp" to
+# "trivial" (verdicts and node counts unchanged)
+HAMILTON_CORPUS_DIGEST = "a33b1daf75bb99c9d51819ec8987e61a4ae683d234c5613f95ed5a10ac752847"
 
 
 def test_hamilton_random_corpus_digest():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
+import signal
 
 import pytest
 
@@ -26,7 +28,8 @@ from toughgraph import (
     synthesize,
     verify_claim_formula,
 )
-from toughgraph.verify import _bipartition
+from toughgraph import verify
+from toughgraph.graphs import _bipartition
 
 
 def _check_named(report, name):
@@ -381,6 +384,51 @@ def test_rejects_argument_kind_swap():
     assert not report2.accepted
     assert report2.nonhamiltonicity_status == FAILED
     assert "not bipartite" in _check_named(report2, "nonhamiltonicity").detail
+
+
+def test_exhaustive_forgery_is_rejected_without_a_search(monkeypatch):
+    # a rebuild the certificate fails proves nothing about the graph, so
+    # its exhaustive argument is refused before any Hamilton search; the
+    # 9/5 graph (n = 57) took 79 s to search when the argument ran anyway
+    g, cert = synthesize("9/5")
+    forged = dataclasses.replace(
+        cert, nonhamiltonicity=NonHamiltonicityArgument("exhaustive", {})
+    )
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("exhaustive search ran on an unrebuilt graph")
+
+    def timeout(signum, frame):
+        raise TimeoutError("forged exhaustive argument took more than 1 s")
+
+    monkeypatch.setattr(verify, "is_hamiltonian", no_search)
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        report = check_certificate(g, forged)
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert not report.accepted
+    assert not _check_named(report, "rebuild").ok
+    assert report.nonhamiltonicity_status == FAILED
+    assert "rebuilt graph" in _check_named(report, "nonhamiltonicity").detail
+
+
+# sha256 of the report `toughgraph verify` prints for the genuine pairs,
+# as bench/expected.json records them
+_EXHAUSTIVE_REPORT_SHA256 = {
+    "1": "81adc84eb70de9d744e5db413823c03462b38b0184aca9780a04291301bdf393",
+    "3/2": "e3e2627d0d48c085597dc6451133c3ce52e9383e1982436202e2e456f1f1b6cb",
+}
+
+
+@pytest.mark.parametrize("target", sorted(_EXHAUSTIVE_REPORT_SHA256))
+def test_genuine_exhaustive_reports_keep_their_bytes(target):
+    g, cert = synthesize(target)
+    report = check_certificate(encode_graph6(g), cert).to_json()
+    assert hashlib.sha256(report.encode()).hexdigest() == _EXHAUSTIVE_REPORT_SHA256[target]
 
 
 def test_rejects_argument_parameter_tampering():
