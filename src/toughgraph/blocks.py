@@ -12,9 +12,11 @@ Also here: the exceptional small graphs used for toughness exactly 1 and
 cubic graphs together with a cutset that shatters the inflation into one
 component per triangle.
 
-Every family is built directly as neighbor-mask rows, through join or
-row arithmetic; edge lists appear only in the fixed tables of the
-blocks, the unit graph and the Petersen graph.
+Every family is built directly as neighbor-mask rows: g_construct and
+f_m write each row once at its final offset, complete_bipartite and
+matched_layers go through join, and the rest through row arithmetic;
+edge lists appear only in the fixed tables of the blocks, the unit
+graph and the Petersen graph.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .graphs import Graph, disjoint_union, join, make_graph
+from .graphs import Graph, join, make_graph
 
 __all__ = [
     "BlockKind",
@@ -130,36 +132,50 @@ def block(kind: BlockKind) -> Block:
     )
 
 
+def _chain(l: int, blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
+    """K_l joined onto f_m of the blocks, each row written once at its
+    final offset: the l clique rows see every other vertex, a block row
+    is the block's row shifted to its block's offset with the l clique
+    bits below, and a terminal row also holds every other terminal.
+    Returns the graph and the global (x_i, y_i) pairs."""
+    low = (1 << l) - 1
+    terminals = []
+    clique = 0
+    offset = l
+    for b in blocks:
+        x, y = offset + b.x, offset + b.y
+        terminals.append((x, y))
+        clique |= 1 << x | 1 << y
+        offset += b.n
+    full = (1 << offset) - 1
+    rows = [full ^ 1 << v for v in range(l)]
+    for b in blocks:
+        offset = len(rows)
+        rows.extend(r << offset | low for r in b.graph.neighbor_masks)
+        for v in (offset + b.x, offset + b.y):
+            rows[v] |= clique ^ 1 << v
+    return Graph(tuple(rows)), tuple(terminals)
+
+
 def f_m(blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Disjoint union of blocks with all 2m terminals turned into a clique.
 
     Block i occupies the contiguous id range starting at the sum of the
     orders before it.  Returns the graph and the global (x_i, y_i) pairs.
+    It is g_construct's row builder with no join vertices.
     """
     if not blocks:
         raise ValueError("f_m needs at least one block")
-    base = disjoint_union([b.graph for b in blocks])
-    terminals = []
-    offset = 0
-    for b in blocks:
-        terminals.append((offset + b.x, offset + b.y))
-        offset += b.n
-    flat = [v for pair in terminals for v in pair]
-    clique = 0
-    for v in flat:
-        clique |= 1 << v
-    rows = list(base.neighbor_masks)
-    for v in flat:
-        rows[v] |= clique & ~(1 << v)
-    return Graph(tuple(rows)), tuple(terminals)
+    return _chain(0, blocks)
 
 
 def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
     """Join a complete graph on l vertices onto f_m of the blocks.
 
-    The l join vertices come first, then the blocks in order.  With no
-    blocks this degenerates to the complete graph, so l = 0 with an empty
-    block list is rejected.
+    The l join vertices come first, then the blocks in order; each row
+    is written once, at its final offset.  With no blocks this
+    degenerates to the complete graph, so l = 0 with an empty block list
+    is rejected.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
@@ -167,10 +183,7 @@ def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
         if l == 0:
             raise ValueError("need l > 0 or at least one block")
         return complete_graph(l)
-    fm, _ = f_m(blocks)
-    if l == 0:
-        return fm
-    return join(complete_graph(l), fm)
+    return _chain(l, blocks)[0]
 
 
 def complete_graph(n: int) -> Graph:

@@ -86,27 +86,41 @@ def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
             pass
         else:
             return from_edge_json(stripped)
-    lines = stripped.splitlines()
-    head = lines[0].split()
-    if len(head) == 2 and all(tok.isdigit() for tok in head):
-        n, m = (int(tok) for tok in head)
-        edges = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if len(parts) != 2 or not all(tok.isdigit() for tok in parts):
-                raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-            edges.append((int(parts[0]), int(parts[1])))
-        if len(edges) != m:
-            raise GraphFormatError(f"{path}: header says {m} edges, found {len(edges)}")
-        try:
-            return make_graph(n, edges)
-        except ValueError as exc:
-            raise GraphFormatError(f"{path}: {exc}") from None
-    if len(lines) > 1:
-        raise GraphFormatError(f"{path}: graph6 file holds {len(lines)} lines, expected one")
-    if not decode:
-        return validate_graph6(lines[0])
-    return decode_graph6(lines[0])
+    # a graph6 byte is 63-126, never a digit, so only a file that starts
+    # with one can be an edge list
+    if stripped[0].isdigit():
+        lines = stripped.splitlines()
+        head = lines[0].split()
+        if len(head) == 2 and all(tok.isdigit() for tok in head):
+            return _read_edge_list(path, lines)
+    # validation is the one scan of a graph6 file; a line break fails it,
+    # and only then are the lines counted
+    try:
+        return decode_graph6(stripped) if decode else validate_graph6(stripped)
+    except GraphFormatError:
+        count = len(stripped.splitlines())
+        if count > 1:
+            raise GraphFormatError(
+                f"{path}: graph6 file holds {count} lines, expected one"
+            ) from None
+        raise
+
+
+def _read_edge_list(path: str, lines: list[str]) -> Graph:
+    """The "n m" header line, then one "u v" line per edge."""
+    n, m = (int(tok) for tok in lines[0].split())
+    edges = []
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != 2 or not all(tok.isdigit() for tok in parts):
+            raise GraphFormatError(f"{path}: bad edge line {ln!r}")
+        edges.append((int(parts[0]), int(parts[1])))
+    if len(edges) != m:
+        raise GraphFormatError(f"{path}: header says {m} edges, found {len(edges)}")
+    try:
+        return make_graph(n, edges)
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

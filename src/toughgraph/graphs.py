@@ -142,13 +142,21 @@ def _reach(nbr: Sequence[int], seed: int, alive: int, need: int = -1) -> int:
 
 
 def count_components_masked(nbr: Sequence[int], alive: int) -> int:
-    """Number of connected components induced on the alive bitmask."""
+    """Number of connected components induced on the alive bitmask.
+
+    Each component is found from its lowest remaining vertex v.  When v
+    has no neighbor left, it is a component of its own and is cleared
+    without a search; otherwise its remaining neighbors seed the search,
+    which then reaches v's whole component, v included."""
     count = 0
     rem = alive
     while rem:
         count += 1
-        comp = _reach(nbr, rem & -rem, rem)
-        rem &= ~comp
+        low = rem & -rem
+        rem ^= low
+        row = nbr[low.bit_length() - 1] & rem
+        if row:
+            rem &= ~_reach(nbr, row, rem)
     return count
 
 

@@ -485,10 +485,12 @@ def has_hamilton_path(
 ) -> HamiltonResult:
     """Decide whether a spanning x-y path exists; None verdict on budget.
 
-    The subset dynamic program, evaluated lazily backward from y (exact,
-    no budget, an 8 * 2^n-byte memo), decides dense graphs up to
-    DP_LIMIT vertices, pruned backtracking under node_limit everything
-    else; the witness runs from x to y.
+    Screens decide without search: a disconnected graph, an inner
+    vertex of degree below 2, and a bipartite graph whose side sizes do
+    not fit the ends.  Then the subset dynamic program, evaluated lazily
+    backward from y (exact, no budget, an 8 * 2^n-byte memo), decides
+    dense graphs up to DP_LIMIT vertices, pruned backtracking under
+    node_limit everything else; the witness runs from x to y.
     """
     n = g.n
     if not (0 <= x < n and 0 <= y < n):
@@ -499,6 +501,13 @@ def has_hamilton_path(
         return HamiltonResult(False, None, "trivial", 0)
     if any(g.degree(v) < 2 for v in range(n) if v != x and v != y):
         return HamiltonResult(False, None, "trivial", 0)
+    # a path alternates the sides of a bipartite graph, so x's side has
+    # one vertex more than the other when y is on it too, else as many
+    sides = _bipartition(g)
+    if sides is not None:
+        mine, other = sides if sides[0] >> x & 1 else sides[::-1]
+        if mine.bit_count() - other.bit_count() != mine >> y & 1:
+            return HamiltonResult(False, None, "trivial", 0)
     if n <= DP_LIMIT and _dense(g):
         return _hamilton_dp(g, x, y)
     return _hamilton_backtrack(g, x, y, node_limit)

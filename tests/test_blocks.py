@@ -16,6 +16,7 @@ from naive import (
 from toughgraph import (
     Block,
     BlockKind,
+    Graph,
     block,
     complete_bipartite,
     complete_graph,
@@ -25,9 +26,11 @@ from toughgraph import (
     g_construct,
     inflate_triangles,
     inflation_cutset,
+    join,
     make_graph,
     matched_layers,
     petersen,
+    plan,
 )
 
 # kind -> (order, size, x, y, cut core)
@@ -159,6 +162,38 @@ def test_f_m_and_g_construct_match_edge_tuple_reference():
             g = g_construct(l, blocks)
             ref = naive_g_construct(l, blocks)
             assert g == ref and g.edge_count == ref.edge_count
+
+
+def _three_step(l, blocks):
+    # the public composition: disjoint union, terminal clique, join
+    base = disjoint_union([b.graph for b in blocks])
+    pairs, offset = [], 0
+    for b in blocks:
+        pairs.append((offset + b.x, offset + b.y))
+        offset += b.n
+    clique = 0
+    for v in (v for pair in pairs for v in pair):
+        clique |= 1 << v
+    fm = Graph(tuple(
+        r | clique ^ 1 << v if clique >> v & 1 else r
+        for v, r in enumerate(base.neighbor_masks)
+    ))
+    return (join(complete_graph(l), fm) if l else fm), tuple(pairs)
+
+
+def test_rows_built_once_match_the_three_step_composition():
+    # the block lists of the large targets, with their own l and l = 0
+    for target in ("449/200", "1199/700", "1301/701"):
+        p = plan(target)
+        blocks = [block(k) for k, count in p.block_kinds for _ in range(count)]
+        for l in (p.l, 0):
+            ref, ref_pairs = _three_step(l, blocks)
+            g = g_construct(l, blocks)
+            assert g.neighbor_masks == ref.neighbor_masks, (target, l)
+            assert (g.n, g.edge_count) == (ref.n, ref.edge_count), (target, l)
+        fm, pairs = f_m(blocks)
+        assert pairs == ref_pairs, target
+        assert fm.neighbor_masks == ref.neighbor_masks and fm.edge_count == ref.edge_count
 
 
 # -- special families --------------------------------------------------------

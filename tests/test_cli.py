@@ -10,7 +10,14 @@ import sys
 
 import pytest
 
-from toughgraph import decode_graph6, inflate_triangles, petersen, unit_toughness_graph
+from toughgraph import (
+    decode_graph6,
+    encode_graph6,
+    inflate_triangles,
+    make_graph,
+    petersen,
+    unit_toughness_graph,
+)
 from toughgraph.cli import _parser, main
 
 
@@ -212,7 +219,7 @@ def test_verify_reports_a_malformed_graph6_file_before_the_certificate(tmp_path)
             assert r.stderr == f"error: {message}\n", text
 
 
-def test_graph6_file_with_a_second_line_is_refused(tmp_path):
+def test_graph6_file_with_a_second_line_is_refused(tmp_path, capsys):
     # a trailing line is not silently ignored: the file is not one graph
     cpath, gpath = tmp_path / "cert.json", tmp_path / "g.g6"
     run_cli("synth", "2/3", "--cert", str(cpath))
@@ -221,6 +228,40 @@ def test_graph6_file_with_a_second_line_is_refused(tmp_path):
         r = run_cli(*args)
         assert (r.returncode, r.stdout) == (2, ""), args
         assert r.stderr == f"error: {gpath}: graph6 file holds 2 lines, expected one\n"
+    # in-process from here: only a file that starts with a digit is tried
+    # as an edge list, and a graph6 file's lines are counted only once it
+    # fails validation; every message is the one that counting the lines
+    # before validation gave
+    path60 = encode_graph6(make_graph(60, [(i, i + 1) for i in range(59)])).decode()
+    assert path60[0] == "{"
+    lines = f"{gpath}: graph6 file holds {{}} lines, expected one"
+    cases = [("D]o" + sep + "GARBAGE LINE\n", lines.format(2))
+             for sep in ("\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85", "\x0b")]
+    cases += [
+        ("D]o D]o\n", "invalid graph6 byte 32"),
+        ("D]o\tD]o\n", "invalid graph6 byte 9"),
+        ("x 3\n0 1\n1 2\n", lines.format(3)),
+        ("D] 1\n", "invalid graph6 byte 32"),
+        (path60[:-1] + "\n", "truncated graph6 body: need 295 bytes for n=60, got 294"),
+        (path60 + "\n" + path60 + "\n", lines.format(2)),
+        ("{bad json\n", "invalid graph6 byte 32"),
+        ("3 x\n", "invalid graph6 byte 51"),
+        ("3 x\n0 1\n", lines.format(2)),
+        ("3 1 0 1", "invalid graph6 byte 51"),
+        ("3 2\n0 1\n", f"{gpath}: header says 2 edges, found 1"),
+        ("\u00b2\n", "invalid graph6 character '\u00b2'"),
+    ]
+    capsys.readouterr()
+    for text, message in cases:
+        gpath.write_text(text)
+        for args in (["tau", str(gpath)], ["verify", str(gpath), str(cpath)]):
+            assert main(args) == 2, (text, args)
+            assert capsys.readouterr() == ("", f"error: {message}\n"), (text, args)
+    # the whole 60-vertex graph6 is read as graph6, not JSON
+    gpath.write_text(path60 + "\n")
+    assert main(["alpha", str(gpath)]) == 2
+    assert capsys.readouterr() == ("", "error: independence oracle capped at n=48, got n=60\n")
+    assert main(["verify", str(gpath), str(cpath)]) == 1
 
 
 # -- tau ---------------------------------------------------------------------

@@ -22,6 +22,7 @@ from toughgraph import (
     complete_bipartite,
     complete_graph,
     components,
+    cutset_witness,
     decode_graph6,
     disjoint_union,
     encode_graph6,
@@ -29,6 +30,7 @@ from toughgraph import (
     join,
     make_graph,
     petersen,
+    synthesize,
     to_dot,
     to_edge_json,
     unit_toughness_graph,
@@ -142,6 +144,13 @@ def test_components_after_removal():
         components(g, [5])
 
 
+def test_component_count_of_the_large_witnesses():
+    # nearly every vertex these cutsets leave is isolated
+    for target, c in (("449/200", 600), ("1199/700", 700), ("1301/701", 701)):
+        g, cert = synthesize(target)
+        assert cutset_witness(g, cert.cutset).component_count == c == cert.components
+
+
 def test_components_are_sorted_by_smallest_member():
     g = make_graph(6, [(5, 4), (1, 0), (3, 2)])
     assert components(g) == [[0, 1], [2, 3], [4, 5]]
@@ -151,10 +160,12 @@ def test_reach_and_component_count_match_the_naive_count():
     # R = _reach from one alive vertex s is s's component of the alive
     # graph iff R induces one component and the alive set less R has one
     # component fewer; with need, the search may stop early but must
-    # still tell whether it reaches all of need
+    # still tell whether it reaches all of need.  Besides random masks:
+    # nothing alive, an independent set (every vertex counted without a
+    # search) and one whole component
     rng = random.Random(2626)
     for i in range(300):
-        n = 1 + i % 24
+        n = 1 + i % 40
         g = make_graph(n, [
             (u, v) for u in range(n) for v in range(u + 1, n)
             if rng.random() < rng.uniform(0.5, 3.5) / n
@@ -165,8 +176,14 @@ def test_reach_and_component_count_match_the_naive_count():
         def count(mask):
             return naive_component_count(g, {v for v in range(n) if not mask >> v & 1})
 
-        for _ in range(4):
-            alive = rng.getrandbits(n) | rng.getrandbits(n)
+        independent = 0
+        for v in rng.sample(range(n), n):
+            if not nbr[v] & independent:
+                independent |= 1 << v
+        one = _reach(nbr, 1 << rng.randrange(n), full)
+        assert count(independent) == independent.bit_count() and count(one) == 1
+        randoms = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(4)]
+        for alive in [0, independent, one] + randoms:
             c = count(alive)
             assert count_components_masked(nbr, alive) == c
             if not alive:

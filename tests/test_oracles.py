@@ -738,12 +738,63 @@ def test_hamilton_matches_naive_on_random_bipartite():
     assert pruned >= 10
 
 
+def test_spanning_path_side_count_is_decided_without_search():
+    # two vertices of the smaller side of K_{a,a+2} admit no spanning
+    # path; without the side count the subset program took 0.19 s at
+    # a = 9, about five times more per step
+    def timeout(signum, frame):
+        raise TimeoutError("unbalanced bipartite spanning path took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        results = [has_hamilton_path(complete_bipartite(a, a + 2), 0, 1) for a in range(9, 13)]
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(r.verdict is False and r.method == "trivial" and r.nodes == 0 for r in results)
+    # ends that fit the sides: both on the larger side of K_{a,a+1}, or
+    # one on each side of K_{a,a}
+    assert all(has_hamilton_path(complete_bipartite(a, a + 1), a, a + 1).verdict
+               for a in range(1, 7))
+    assert all(has_hamilton_path(complete_bipartite(a, a), 0, a).verdict
+               for a in range(1, 7))
+
+
+def test_spanning_path_matches_naive_on_random_bipartite():
+    # every pair of ends on relabeled random bipartite graphs with n <= 9,
+    # so each of the side conditions meets graphs the earlier screens pass
+    rng = random.Random(1313)
+    decided = 0
+    for trial in range(60):
+        n = rng.randrange(3, 10)
+        a = max(1, n // 2 - rng.randrange(2))
+        label = rng.sample(range(n), n)
+        p = rng.uniform(0.6, 1.0)
+        edges = [
+            (min(label[u], label[v]), max(label[u], label[v]))
+            for u in range(a) for v in range(a, n) if rng.random() < p
+        ]
+        g = make_graph(n, edges)
+        for x, y in combinations(range(n), 2):
+            r = has_hamilton_path(g, x, y)
+            assert r.verdict is naive_hamilton_path(g, x, y), (n, edges, x, y)
+            inner = [g.degree(v) for v in range(n) if v != x and v != y]
+            screened = not g.is_connected() or min(inner, default=2) < 2
+            decided += not screened and r.method == "trivial"
+    assert decided >= 100
+
+
 # sha256 over "verdict|witness|method|nodes" lines of the corpus below,
 # recorded with the separate cycle and path engines that the one
 # endpoint search replaced, then again when the bipartite side count
 # moved the cycle queries on K_{a,a+1}, a = 2..5, from "subset-dp" to
-# "trivial" (verdicts and node counts unchanged)
-HAMILTON_CORPUS_DIGEST = "a33b1daf75bb99c9d51819ec8987e61a4ae683d234c5613f95ed5a10ac752847"
+# "trivial" (verdicts and node counts unchanged), and again when the
+# side count of spanning paths moved the path queries whose ends do not
+# fit the sides, on K_{a,a+1}, a = 3..5, from "subset-dp" to "trivial"
+# (verdicts and node counts unchanged)
+HAMILTON_CORPUS_DIGEST = "af2a27c53417852f1e2f578a36e9e0629242fd998275448bc8de16c24e6f71a9"
 
 
 def test_hamilton_random_corpus_digest():
