@@ -172,8 +172,8 @@ def _three_step(l, blocks):
         pairs.append((offset + b.x, offset + b.y))
         offset += b.n
     clique = 0
-    for v in (v for pair in pairs for v in pair):
-        clique |= 1 << v
+    for x, y in pairs:
+        clique |= 1 << x | 1 << y
     fm = Graph(tuple(
         r | clique ^ 1 << v if clique >> v & 1 else r
         for v, r in enumerate(base.neighbor_masks)
