@@ -48,7 +48,7 @@ from .oracles import (
     toughness_upper_search,
 )
 from .synth import certificate_from_json, certificate_to_json, parse_rational, synthesize
-from .verify import OracleLimits, _check_certificate
+from .verify import _check_certificate
 
 __all__ = ["main"]
 
@@ -151,11 +151,7 @@ def _cmd_verify(args) -> int:
     # which _read_graph has validated
     g = _read_graph(args.graph, decode=False)
     cert = certificate_from_json(Path(args.cert).read_text())
-    limits = OracleLimits(
-        toughness_n=args.max_oracle_n,
-        hamilton_nodes=args.budget,
-    )
-    report = _check_certificate(g, cert, limits)
+    report = _check_certificate(g, cert, args.max_oracle_n)
     sys.stdout.write(report.to_json())
     return 0 if report.accepted else 1
 
@@ -271,12 +267,10 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for the exact toughness check: one "
-                        "lambda-decision at t, a min-plus product over the "
-                        "plan's gadgets for a rebuilt graph of cases 3 and "
-                        "5.1-7.2, else a pruned depth-first cutset search "
-                        "over the non-universal vertices")
-    p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT,
-                   help="node budget for exhaustive Hamilton search")
+                        "lambda-decision at t on a rebuilt graph, a min-plus "
+                        "product over the plan's gadgets for cases 3 and "
+                        "5.1-7.2, a pruned depth-first cutset search over "
+                        "the non-universal vertices for cases 1 and 2")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")

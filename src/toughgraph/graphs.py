@@ -61,8 +61,9 @@ class GraphFormatError(ValueError):
 class Graph:
     """An immutable simple undirected graph on vertices 0..n-1.
 
-    The neighbor rows are the whole graph: n is their number and
-    edge_count half their total popcount, both derived once here.
+    The neighbor rows are the whole graph: n is their number, stored
+    once here, and edge_count half their total popcount, counted each
+    time it is read.
     Construct through make_graph, the combinators, or from rows that
     are already symmetric and loop-free; the constructor trusts them.
     Equality and hashing are labeled: two graphs compare equal only
@@ -71,12 +72,13 @@ class Graph:
 
     neighbor_masks: tuple[int, ...]  # row v has bit u set iff uv is an edge
     n: int = field(init=False, compare=False)
-    edge_count: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        rows = self.neighbor_masks
-        object.__setattr__(self, "n", len(rows))
-        object.__setattr__(self, "edge_count", sum(r.bit_count() for r in rows) // 2)
+        object.__setattr__(self, "n", len(self.neighbor_masks))
+
+    @property
+    def edge_count(self) -> int:
+        return sum(r.bit_count() for r in self.neighbor_masks) // 2
 
     # -- basic queries -------------------------------------------------
 

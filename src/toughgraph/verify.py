@@ -5,18 +5,19 @@ pair sound?  The graph is a Graph or its graph6 bytes.  It rebuilds the
 graph from the plan (graph6 input is matched to the rebuild by its
 bytes and decoded only when they differ), re-verifies the
 witness cutset by counting components (polynomial, runs at any size),
-re-derives the nonhamiltonicity argument (searching exhaustively only
-a graph the rebuild proved to be its plan's), and, whenever the graph is
+re-derives the nonhamiltonicity argument, and, whenever the graph is
 small enough, proves the predicted toughness exact: the witness gives
 toughness <= t, and one exact decision that no cutset has ratio below
-t gives toughness >= t.  For a graph the rebuild proved to be its
-plan's, with a plan of cases 3 or 5.1-7.2, that decision is
-decomposition_below on the plan's layout, K_l joined onto gadgets: a
-min-plus product over the gadgets' states, in milliseconds at any
-scale.  Any other graph gets toughness_below's cutset search.  Larger
-instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY: the
-cutset certifies toughness <= t, and the matching lower bound rests on
-the structural argument rather than enumeration.
+t gives toughness >= t.  An exponential search runs only on a graph
+the rebuild proved to be its plan's: any other report is already a
+rejection, so the exhaustive Hamilton search and the toughness
+decision fail at once there.  For a plan of cases 3 or 5.1-7.2 the
+decision is decomposition_below on the plan's layout, K_l joined onto
+gadgets: a min-plus product over the gadgets' states, in milliseconds
+at any scale; cases 1 and 2 get toughness_below's cutset search.
+Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
+the cutset certifies toughness <= t, and the matching lower bound
+rests on the structural argument rather than enumeration.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ from .graphs import (
 )
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
-    DEFAULT_NODE_LIMIT,
     DEFAULT_TOUGHNESS_LIMIT,
     decomposition_below,
     independence_number,
     is_hamiltonian,
     toughness_below,
-    toughness_exact,
 )
 from .synth import (
     NONHAM_BIPARTITE,
@@ -62,7 +61,6 @@ from .synth import (
 )
 
 __all__ = [
-    "OracleLimits",
     "CheckOutcome",
     "VerificationReport",
     "check_certificate",
@@ -78,14 +76,6 @@ WITNESS_UPPER_BOUND_ONLY = "WITNESS_UPPER_BOUND_ONLY"
 ORACLE_EXHAUSTIVE = "ORACLE_EXHAUSTIVE"
 STRUCTURAL = "STRUCTURAL"
 FAILED = "FAILED"
-
-
-@dataclass(frozen=True)
-class OracleLimits:
-    """Resource ceilings for the exact oracles during verification."""
-
-    toughness_n: int = DEFAULT_TOUGHNESS_LIMIT
-    hamilton_nodes: int = DEFAULT_NODE_LIMIT
 
 
 @dataclass
@@ -137,7 +127,7 @@ _COUNTING_DETAILS = {
 
 
 def check_certificate(
-    g: Graph | bytes, cert: Certificate, limits: Optional[OracleLimits] = None
+    g: Graph | bytes, cert: Certificate, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
 ) -> VerificationReport:
     """Verify a certificate against a graph; every failure mode is a
     rejection with its own check entry, never an exception.
@@ -149,18 +139,18 @@ def check_certificate(
     encoding back to the graph, so equal bytes mean the input is the
     rebuilt graph.  The bytes are decoded only when they differ, or
     when the rebuild fails before building; the report is the one the
-    decoded Graph would get."""
+    decoded Graph would get.  max_oracle_n is the largest n whose
+    toughness is decided exactly."""
     if not isinstance(g, Graph):
         g = validate_graph6(g)
-    return _check_certificate(g, cert, limits)
+    return _check_certificate(g, cert, max_oracle_n)
 
 
 def _check_certificate(
-    g: Graph | tuple[int, bytes], cert: Certificate, limits: Optional[OracleLimits]
+    g: Graph | tuple[int, bytes], cert: Certificate, max_oracle_n: int
 ) -> VerificationReport:
     """check_certificate on a Graph or on the (n, bytes) that
     validate_graph6 returned for it."""
-    limits = limits or OracleLimits()
     checks: list[CheckOutcome] = []
     if isinstance(g, Graph):
         n, data = g.n, None
@@ -284,7 +274,7 @@ def _check_certificate(
             # be one of the small graphs the regimes certify this way
             if not rebuilt:
                 return False, "exhaustive search runs only on a rebuilt graph"
-            r = is_hamiltonian(g, node_limit=limits.hamilton_nodes)
+            r = is_hamiltonian(g)
             if r.verdict is None:
                 return False, (
                     f"exhaustive search exhausted its budget after {r.nodes} nodes"
@@ -301,33 +291,26 @@ def _check_certificate(
     else:
         nonham_status = FAILED
 
-    if g.n <= limits.toughness_n:
-
-        def tau_at_least(t: Fraction) -> bool:
-            # a graph the rebuild proved to be its plan's is decided on
-            # the plan's layout, any other by the cutset search
-            layout = plan_layout(cert.plan) if rebuilt else None
-            if layout is None:
-                return toughness_below(g, t, max_n=limits.toughness_n) is None
-            least = decomposition_below(*layout, t)
-            return least is None or least >= 0
+    if g.n <= max_oracle_n:
 
         def chk_tau() -> tuple[bool, str]:
             # the witness proves toughness <= t, so one decision that no
-            # cutset has ratio below t proves equality; toughness_exact's
-            # rounds of that decision run only to name the true value in
-            # a rejection
-            t = cert.predicted_tau
-            if witness_ok and tau_at_least(t):
-                return True, f"exact toughness equals {t}"
-            res = toughness_exact(g, max_n=limits.toughness_n)
-            if res.is_infinite:
-                return False, "graph is complete; toughness infinite"
-            if res.value != cert.predicted_tau:
+            # cutset has ratio below t proves equality; like the
+            # exhaustive search, it runs only on the plan's own graph
+            if not (rebuilt and witness_ok):
                 return False, (
-                    f"exact toughness {res.value} != predicted {cert.predicted_tau}"
+                    "toughness is decided only on a rebuilt graph with a sound witness"
                 )
-            return True, f"exact toughness equals {res.value}"
+            t = cert.predicted_tau
+            layout = plan_layout(cert.plan)
+            if layout is None:
+                below = toughness_below(g, t, max_n=max_oracle_n) is not None
+            else:
+                least = decomposition_below(*layout, t)
+                below = least is not None and least < 0
+            if below:
+                return False, f"a cutset has ratio below the predicted {t}"
+            return True, f"exact toughness equals {t}"
 
         tau_ok = run("toughness-oracle", chk_tau)
         tau_status = ORACLE_EXACT if tau_ok else FAILED
@@ -335,7 +318,7 @@ def _check_certificate(
 
         def chk_tau_upper() -> tuple[bool, str]:
             return True, (
-                f"n={g.n} exceeds the oracle limit {limits.toughness_n}; the "
+                f"n={g.n} exceeds the oracle limit {max_oracle_n}; the "
                 "witness certifies toughness <= predicted only"
             )
 

@@ -191,6 +191,15 @@ def test_verify_bad_inputs_exit_2(tmp_path):
     assert r3.returncode == 2
 
 
+def test_verify_has_no_budget_option(capsys):
+    # verify's one exhaustive search runs on a rebuilt graph of its plan,
+    # where a budget could only fail a genuine certificate
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "g", "c", "--budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --budget 5" in capsys.readouterr().err
+
+
 def test_verify_reads_a_graph6_header_and_trailing_newline(tmp_path):
     gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
     run_cli("synth", "2/3", "--cert", str(cpath))
@@ -464,7 +473,7 @@ def test_subcommands_compose_in_a_pipe():
 # per command: a valid argv, then one with a bad choice or typed value
 _PARSER_FORMS = {
     "synth": (["2/3", "--format", "dot"], ["2/3", "--format", "xyz"]),
-    "verify": (["g", "c", "--budget", "5"], ["g", "c", "--budget", "x"]),
+    "verify": (["g", "c", "--max-oracle-n", "5"], ["g", "c", "--max-oracle-n", "x"]),
     "tau": (["g", "--max-n", "9"], ["g", "--max-n", "x"]),
     "hamilton": (["g", "--path", "0", "1"], ["g", "--path", "0", "x"]),
     "alpha": (["g"], ["g", "--max-n", "x"]),

@@ -18,8 +18,8 @@ from toughgraph import (
     ORACLE_EXHAUSTIVE,
     STRUCTURAL,
     WITNESS_UPPER_BOUND_ONLY,
+    HamiltonResult,
     NonHamiltonicityArgument,
-    OracleLimits,
     check_certificate,
     complete_bipartite,
     disjoint_union,
@@ -132,22 +132,34 @@ def test_report_json_shape():
     assert again.to_json() == report.to_json()
 
 
+def _counted(monkeypatch, name) -> list:
+    calls = []
+    original = getattr(verify, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verify, name, counted)
+    return calls
+
+
 def test_exact_tier_is_one_decision_below_t(monkeypatch):
     # the witness proves toughness <= t and one decision that no cut
-    # goes under t; the full search is never run on a sound certificate
-    from toughgraph import verify
-
-    monkeypatch.setattr(
-        verify, "toughness_exact",
-        lambda *args, **kwargs: pytest.fail("verifier ran toughness_exact"),
-    )
+    # goes under t; the verifier has no full toughness search to run
+    assert not hasattr(verify, "toughness_exact")
+    searches = _counted(monkeypatch, "toughness_below")
+    products = _counted(monkeypatch, "decomposition_below")
     for target in ("2/3", "5/8", "7/10", "1", "7/6", "8/7", "9/7", "5/4", "4/3"):
+        searches.clear()
+        products.clear()
         g, cert = synthesize(target)
         report = check_certificate(g, cert)
         assert report.accepted, target
         assert report.toughness_status == ORACLE_EXACT
         check = _check_named(report, "toughness-oracle")
         assert check.ok and check.detail == f"exact toughness equals {target}"
+        assert len(searches) + len(products) == 1, target
 
 
 def test_plan_built_graphs_are_decided_on_the_layout(monkeypatch):
@@ -161,7 +173,6 @@ def test_plan_built_graphs_are_decided_on_the_layout(monkeypatch):
         pytest.fail("verifier ran a cutset search")
 
     monkeypatch.setattr(verify, "toughness_below", refuse)
-    monkeypatch.setattr(verify, "toughness_exact", refuse)
     for target in ("6/5", "7/6", "8/7", "9/7", "5/4", "4/3"):
         g, cert = synthesize(target)
         for graph in (g, encode_graph6(g)):
@@ -172,23 +183,68 @@ def test_plan_built_graphs_are_decided_on_the_layout(monkeypatch):
             assert check.ok and check.detail == f"exact toughness equals {target}"
 
 
-def test_a_failed_rebuild_never_reaches_the_engine(monkeypatch):
-    # the layout describes the plan's graph, not the one given, so a
-    # graph that does not rebuild gets the cutset searches
-    from toughgraph import verify
+_NOT_DECIDED = "toughness is decided only on a rebuilt graph with a sound witness"
 
-    monkeypatch.setattr(
-        verify, "decomposition_below",
-        lambda *args: pytest.fail("verifier ran the engine on a graph it did not rebuild"),
-    )
+
+def _refuse_searches(monkeypatch):
+    # verify does not import toughness_exact; raising=False patches the
+    # name anyway, so a call through it would fail here
+    def refuse(*args, **kwargs):
+        pytest.fail("verifier ran a toughness search on a graph it did not rebuild")
+
+    monkeypatch.setattr(verify, "toughness_below", refuse)
+    monkeypatch.setattr(verify, "decomposition_below", refuse)
+    monkeypatch.setattr(verify, "toughness_exact", refuse, raising=False)
+
+
+def _assert_not_decided(report):
+    assert not report.accepted
+    assert report.toughness_status == FAILED
+    check = _check_named(report, "toughness-oracle")
+    assert (check.ok, check.detail) == (False, _NOT_DECIDED)
+
+
+def test_a_failed_rebuild_never_reaches_the_engine(monkeypatch):
+    # the layout describes the plan's graph, not the one given, and the
+    # report is a rejection already: the toughness check fails at once
+    _refuse_searches(monkeypatch)
     g, cert = synthesize("6/5")
     weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
     for graph in (weaker, encode_graph6(weaker)):
         report = check_certificate(graph, cert)
         assert not _check_named(report, "rebuild").ok
         assert _check_named(report, "witness").ok
-        check = _check_named(report, "toughness-oracle")
-        assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
+        _assert_not_decided(report)
+
+
+def test_a_rebuilt_graph_with_a_cut_below_t_is_rejected(monkeypatch):
+    # the decision is what proves toughness >= t: a rebuilt graph whose
+    # engine (6/5) or cutset search (2/3) reports a cut below t is
+    # rejected although every other check passes; a found cutset is any
+    # value but None
+    monkeypatch.setattr(verify, "decomposition_below", lambda *args: -1)
+    monkeypatch.setattr(verify, "toughness_below", lambda *args, **kwargs: object())
+    for target in ("6/5", "2/3"):
+        g, cert = synthesize(target)
+        for graph in (g, encode_graph6(g)):
+            report = check_certificate(graph, cert)
+            assert not report.accepted, target
+            assert all(c.ok for c in report.checks if c.name != "toughness-oracle")
+            assert report.toughness_status == FAILED
+            check = _check_named(report, "toughness-oracle")
+            assert check.detail == f"a cutset has ratio below the predicted {target}"
+
+
+def test_a_forged_cycle_is_rejected_without_a_toughness_search(monkeypatch):
+    # C_24 has 13/10's order; naming its toughness by cutset search costs
+    # over a second, for a report that the rebuild has already rejected
+    _refuse_searches(monkeypatch)
+    _, cert = synthesize("13/10")
+    cycle = make_graph(24, [(i, i + 1) for i in range(23)] + [(0, 23)])
+    for graph in (cycle, encode_graph6(cycle)):
+        report = check_certificate(graph, cert)
+        assert not _check_named(report, "rebuild").ok
+        _assert_not_decided(report)
 
 
 # -- rejection of corrupted certificates ---------------------------------------
@@ -216,38 +272,32 @@ def test_rejects_cutset_tampering():
     assert not _check_named(report2, "witness").ok
 
 
-def test_a_forged_witness_still_gets_the_full_search(monkeypatch):
-    # without a sound witness there is no upper bound, so the toughness
-    # check names the exact value, as the full search alone does
-    from toughgraph import toughness_exact, verify
-
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0].n)
-        return toughness_exact(*args, **kwargs)
-
-    monkeypatch.setattr(verify, "toughness_exact", counted)
+def test_a_forged_witness_gets_no_toughness_search(monkeypatch):
+    # without a sound witness there is no upper bound to match, and the
+    # forged certificate fails the rebuild, so nothing is searched
+    _refuse_searches(monkeypatch)
     g, cert = synthesize("6/5")
     bad = dataclasses.replace(cert, cutset=cert.cutset - {max(cert.cutset)})
-    report = check_certificate(g, bad)
-    assert not _check_named(report, "witness").ok
-    check = _check_named(report, "toughness-oracle")
-    assert (check.ok, check.detail) == (True, "exact toughness equals 6/5")
-    assert calls == [g.n]
+    for graph in (g, encode_graph6(g)):
+        report = check_certificate(graph, bad)
+        assert not _check_named(report, "witness").ok
+        _assert_not_decided(report)
 
 
-def test_a_cutset_below_t_is_named_by_the_full_search():
-    # one edge fewer: the certificate's cutset still leaves its
-    # components, but another cut now goes below 6/5
-    g, cert = synthesize("6/5")
-    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
-    report = check_certificate(weaker, cert)
-    assert not report.accepted
-    assert _check_named(report, "witness").ok
-    check = _check_named(report, "toughness-oracle")
-    assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
-    assert report.toughness_status == FAILED
+def test_a_graph_that_fails_the_rebuild_gets_no_cutset_search(monkeypatch):
+    # one edge fewer in a case-1 and a case-2 graph: the certificate's
+    # cutset still leaves its components, but the toughness check, whose
+    # decision there is the cutset search, fails without running it
+    _refuse_searches(monkeypatch)
+    for target, edge in (("2/3", (0, 2)), ("1", (0, 1))):
+        g, cert = synthesize(target)
+        assert g.has_edge(*edge)
+        weaker = make_graph(g.n, [e for e in g.edges() if e != edge])
+        for graph in (weaker, encode_graph6(weaker)):
+            report = check_certificate(graph, cert)
+            assert not _check_named(report, "rebuild").ok, target
+            assert _check_named(report, "witness").ok, target
+            _assert_not_decided(report)
 
 
 def test_rejects_out_of_range_cutset():
@@ -454,18 +504,23 @@ def test_block_count_argument_needs_a_join_vertex():
     assert "join vertex" in detail or "l = 0" in detail
 
 
-def test_budget_exhaustion_is_a_rejection():
+def test_budget_exhaustion_is_a_rejection(monkeypatch):
+    monkeypatch.setattr(
+        verify, "is_hamiltonian",
+        lambda g: HamiltonResult(None, None, "backtracking", 5),
+    )
     g, cert = synthesize("1")
-    report = check_certificate(g, cert, OracleLimits(hamilton_nodes=1))
+    report = check_certificate(g, cert)
     assert not report.accepted
     assert report.nonhamiltonicity_status == FAILED
-    assert "budget" in _check_named(report, "nonhamiltonicity").detail
+    assert _check_named(report, "nonhamiltonicity").detail == (
+        "exhaustive search exhausted its budget after 5 nodes"
+    )
 
 
 def test_unknown_terminal_path_verdict_is_a_rejection(monkeypatch):
     # a block search that gives no verdict must fail the argument, never
     # count the block as path-free
-    from toughgraph import HamiltonResult
     from toughgraph import synth
 
     g, cert = synthesize("9/5")
@@ -495,7 +550,7 @@ def test_zero_denominator_formula_is_a_rejection():
 
 def test_limits_downgrade_toughness_tier():
     g, cert = synthesize("6/5")
-    report = check_certificate(g, cert, OracleLimits(toughness_n=10))
+    report = check_certificate(g, cert, max_oracle_n=10)
     assert report.accepted
     assert report.toughness_status == WITNESS_UPPER_BOUND_ONLY
 
@@ -607,6 +662,7 @@ def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
     data, flipped = encode_graph6(g), encode_graph6(weaker)
     assert len(data) == len(flipped)
     assert sum(a != b for a, b in zip(data, flipped)) == 1
+    _refuse_searches(monkeypatch)
     want = check_certificate(weaker, cert).to_json()
     calls = _count_decodes(monkeypatch)
     report = check_certificate(flipped, cert)
@@ -616,8 +672,7 @@ def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
         f"plan rebuilds to a different graph "
         f"(n=12, m={g.edge_count} vs n=12, m={g.edge_count - 1})"
     )
-    check = _check_named(report, "toughness-oracle")
-    assert (check.ok, check.detail) == (False, "exact toughness 1 != predicted 6/5")
+    _assert_not_decided(report)
 
 
 def test_malformed_graph6_bytes_raise_before_any_check():
