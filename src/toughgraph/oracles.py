@@ -57,13 +57,11 @@ class CutsetWitness:
 class ToughnessResult:
     """Exact toughness; value None means infinite (complete graph).
 
-    cutsets is the number of witness-pass cutsets whose components the
-    search counted; rounds is the number of lambda-decisions.
+    rounds is the number of lambda-decisions.
     """
 
     value: Optional[Fraction]
     witness: Optional[CutsetWitness]
-    cutsets: int = field(default=0, compare=False)
     rounds: int = field(default=0, compare=False)
 
     @property
@@ -114,15 +112,15 @@ def _survive(comps: tuple[int, ...], v: int, row: int) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _cut_searches(g: Graph, max_n: int):
-    """The two depth-first cutset searches of g, `below` and
-    `first_optimal`, on one setup.
+def _below_search(g: Graph, max_n: int):
+    """toughness_below's depth-first cutset search of g, as a function of
+    lambda = a / b, on one setup that Dinkelbach's rounds share.
 
     A vertex adjacent to all others reconnects whatever it survives in,
     so the set U of universal vertices lies in every cutset; only the
     subsets S' of R = V - U are searched, each scored as
-    (|U| + |S'|) / omega(G - U - S').  A search decides the vertices of
-    R in label order on an explicit stack.  A node holds the next
+    (|U| + |S'|) / omega(G - U - S').  The search decides the vertices
+    of R in label order on an explicit stack.  A node holds the next
     vertex index, the vertices cut so far, the cut mask, the components
     of the decided survivors and their joint neighborhood.  An undecided
     vertex that is not cut later survives, and either touches a decided
@@ -147,8 +145,8 @@ def _cut_searches(g: Graph, max_n: int):
     undecided = [alive_rest >> v << v for v in rest] + [0]
 
     def below(a: int, b: int) -> Optional[tuple[int, int]]:
-        """toughness_below's search at lambda = a / b: the first cutset
-        below it as (mask of U + S', its component count), or None."""
+        """The first cutset below a / b as (mask of U + S', its
+        component count), or None."""
         stack = [(0, 0, 0, (), 0)]
         while stack:
             i, j, mask, comps, touched = stack.pop()
@@ -164,70 +162,29 @@ def _cut_searches(g: Graph, max_n: int):
             stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
         return None
 
-    def first_optimal(p: int, q: int, top: int) -> tuple[int, int]:
-        """The first cutset of ratio p / q (lowest terms) in (size,
-        lexicographic) order, one of at most top * p vertices being
-        known, as (its mask, the leaves whose components were
-        counted).  For each size m p, "v in S'" is searched before
-        "v out of S'", which visits that size's subsets in lexicographic
-        order, and a subtree whose component bound is below m q is
-        skipped."""
-        leaves = 0
-        for m in range(-(-2 // q), top + 1):
-            k, c = m * p - u, m * q
-            # every cutset holds U, so none has fewer than u vertices
-            stack = [(0, 0, 0, (), 0)] if k >= 0 else []
-            while stack:
-                i, j, mask, comps, touched = stack.pop()
-                # only r - i - (k - j) undecided vertices survive
-                free = (undecided[i] & ~touched).bit_count()
-                if len(comps) + min(free, r - i - k + j) < c:
-                    continue
-                if j == k:
-                    leaves += 1
-                    if count_components_masked(nbr, alive_rest ^ mask) >= c:
-                        return universal | mask, leaves
-                    continue
-                v = rest[i]
-                if r - i > k - j:
-                    row = nbr[v]
-                    stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
-                # pushed last, so "v in S'" is searched before "v out of S'"
-                stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
-        raise RuntimeError("no cutset of ratio tau up to the last round's size")
-
-    return below, first_optimal
+    return below
 
 
 def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
     """Exact toughness: min |S| / omega(G - S) over all cutsets S, by
-    Dinkelbach's method on toughness_below's decision, then one pass
-    for the witness.  U, the universal vertices, lie in every cutset;
-    both steps search only the subsets of R = V - U, on one setup.
+    Dinkelbach's method on toughness_below's decision.  U, the universal
+    vertices, lie in every cutset, so every round searches only the
+    subsets of R = V - U, on one setup.
 
     - Rounds.  A cutset cuts at most n - 2 vertices and leaves at least
       two components, so its ratio is below n.  From lambda = n, while
-      some cutset has ratio below lambda, lambda becomes that cutset's
-      ratio.  The ratios strictly fall and there are finitely many, so
-      the rounds end at the first lambda with no cutset below it: the
-      toughness tau.
-    - Witness.  Write tau = p / q in lowest terms.  A cutset of ratio
-      tau cuts j p vertices and leaves j q >= 2 components for some
-      j >= 1.  For j = ceil(2 / q), ceil(2 / q) + 1, ... one search per
-      size j p visits the cutsets of that size in lexicographic order,
-      skips every subtree whose component bound is below j q, and stops
-      at the first cutset that leaves j q components.  That is the
-      first optimal cutset in (size, lexicographic) order, and the last
-      round's cutset, of ratio tau, bounds the sizes tried.  Adding U
-      back keeps that order: two cutsets U + S1 and U + S2 of one size
-      differ exactly where S1 and S2 do, and the smallest vertex of that
-      difference decides both comparisons.  For tau = 0 the witness is
-      the empty cutset, the only one of size 0.
+      some cutset has ratio below lambda, lambda becomes the ratio of
+      the first such cutset in toughness_below's order.  The ratios
+      strictly fall and there are finitely many, so the rounds end at
+      the first lambda with no cutset below it: the toughness tau.
+    - Witness.  The last cutset taken has ratio tau.  Every optimal
+      cutset was below the last round's lambda too, so it is the first
+      optimal cutset in toughness_below's order.  For a disconnected
+      graph it is the empty cutset.
 
-    `rounds` counts the lambda-decisions, `cutsets` the witness-pass
-    leaves whose components were counted.
+    `rounds` counts the lambda-decisions.
     """
-    below, first_optimal = _cut_searches(g, max_n)
+    below = _below_search(g, max_n)
     if g.is_complete():
         return ToughnessResult(None, None)
     a, b, cut = g.n, 1, None  # lambda = a / b
@@ -241,14 +198,10 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
     if cut is None:
         raise RuntimeError("non-complete graph must have a cutset")
     tau = Fraction(a, b)
-    leaves = 0
-    if tau:
-        # a is the size of the last round's cutset, which has ratio tau
-        cut, leaves = first_optimal(tau.numerator, tau.denominator, a // tau.numerator)
     witness = cutset_witness(g, frozenset(_bits(cut)))
     if witness.ratio != tau:
         raise RuntimeError("witness recount disagrees with the search")
-    return ToughnessResult(tau, witness, leaves, rounds)
+    return ToughnessResult(tau, witness, rounds)
 
 
 def toughness_below(
@@ -278,8 +231,7 @@ def toughness_below(
     smallest first, with the lowest label as the top bit; a
     disconnected graph gives the empty cutset.
     """
-    below, _ = _cut_searches(g, max_n)
-    found = below(t.numerator, t.denominator)
+    found = _below_search(g, max_n)(t.numerator, t.denominator)
     if found is None:
         return None
     witness = cutset_witness(g, frozenset(_bits(found[0])))

@@ -15,9 +15,10 @@ decision fail at once there.  For a plan of cases 3 or 5.1-7.2 the
 decision is decomposition_below on the plan's layout, K_l joined onto
 gadgets: a min-plus product over the gadgets' states, in milliseconds
 at any scale; cases 1 and 2 get toughness_below's cutset search.
-Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
-the cutset certifies toughness <= t, and the matching lower bound
-rests on the structural argument rather than enumeration.
+Larger rebuilt instances with a sound witness are honestly downgraded
+to WITNESS_UPPER_BOUND_ONLY: the cutset certifies toughness <= t, and
+the matching lower bound rests on the structural argument rather than
+enumeration.
 """
 
 from __future__ import annotations
@@ -291,39 +292,36 @@ def _check_certificate(
     else:
         nonham_status = FAILED
 
-    if g.n <= max_oracle_n:
+    oracle = g.n <= max_oracle_n
 
-        def chk_tau() -> tuple[bool, str]:
-            # the witness proves toughness <= t, so one decision that no
-            # cutset has ratio below t proves equality; like the
-            # exhaustive search, it runs only on the plan's own graph
-            if not (rebuilt and witness_ok):
-                return False, (
-                    "toughness is decided only on a rebuilt graph with a sound witness"
-                )
-            t = cert.predicted_tau
-            layout = plan_layout(cert.plan)
-            if layout is None:
-                below = toughness_below(g, t, max_n=max_oracle_n) is not None
-            else:
-                least = decomposition_below(*layout, t)
-                below = least is not None and least < 0
-            if below:
-                return False, f"a cutset has ratio below the predicted {t}"
-            return True, f"exact toughness equals {t}"
-
-        tau_ok = run("toughness-oracle", chk_tau)
-        tau_status = ORACLE_EXACT if tau_ok else FAILED
-    else:
-
-        def chk_tau_upper() -> tuple[bool, str]:
+    def chk_tau() -> tuple[bool, str]:
+        # the witness proves toughness <= t, so one decision that no
+        # cutset has ratio below t proves equality; like the exhaustive
+        # search, it runs only on the plan's own graph
+        if not (rebuilt and witness_ok):
+            return False, (
+                "toughness is decided only on a rebuilt graph with a sound witness"
+            )
+        if not oracle:
             return True, (
                 f"n={g.n} exceeds the oracle limit {max_oracle_n}; the "
                 "witness certifies toughness <= predicted only"
             )
+        t = cert.predicted_tau
+        layout = plan_layout(cert.plan)
+        if layout is None:
+            below = toughness_below(g, t, max_n=max_oracle_n) is not None
+        else:
+            least = decomposition_below(*layout, t)
+            below = least is not None and least < 0
+        if below:
+            return False, f"a cutset has ratio below the predicted {t}"
+        return True, f"exact toughness equals {t}"
 
-        run("toughness-witness-only", chk_tau_upper)
-        tau_status = WITNESS_UPPER_BOUND_ONLY if witness_ok else FAILED
+    if not run("toughness-oracle" if oracle else "toughness-witness-only", chk_tau):
+        tau_status = FAILED
+    else:
+        tau_status = ORACLE_EXACT if oracle else WITNESS_UPPER_BOUND_ONLY
 
     accepted = all(c.ok for c in checks)
     return VerificationReport(

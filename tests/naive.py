@@ -94,6 +94,18 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[Fraction, tuple[int, .
     return order
 
 
+def naive_dinkelbach_witness(g: Graph) -> Optional[tuple[Fraction, tuple[int, ...]]]:
+    """Dinkelbach's rounds over the cutsets in toughness_below's order:
+    from lambda = n, take the first cutset below lambda and set lambda
+    to its ratio, until no cutset is below lambda.  The last cutset
+    taken, with its ratio; None when complete."""
+    order = naive_cutsets_in_search_order(g)
+    lam, last = Fraction(g.n), None
+    while (found := next((c for c in order if c[0] < lam), None)) is not None:
+        lam, last = found[0], found
+    return last
+
+
 def naive_component_count(g: Graph, removed: set[int]) -> int:
     return _component_count(_adjacency(g), removed)
 

@@ -7,7 +7,6 @@ import random
 import signal
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb
 
 import pytest
 
@@ -16,6 +15,7 @@ from naive import (
     naive_alpha_branching,
     naive_component_count,
     naive_cutsets_in_search_order,
+    naive_dinkelbach_witness,
     naive_first_optimal_cutset,
     naive_hamilton_backtrack,
     naive_hamilton_cycle,
@@ -133,18 +133,18 @@ def _planted_graph(rng: random.Random):
     return make_graph(n, [(label[u], label[v]) for u, v in edges]), planted
 
 
-def test_toughness_matches_naive_first_optimal_cutset():
+def test_toughness_matches_naive_dinkelbach_witness():
     rng = random.Random(3031)
     with_universal = 0
     for trial in range(90):
         g, planted = _planted_graph(rng)
-        expect = naive_first_optimal_cutset(g)
+        tau = naive_toughness(g)
         got = toughness_exact(g)
-        if expect is None:
+        if tau is None:
             assert got.is_infinite
             continue
-        ratio, cutset = expect
-        assert got.value == ratio
+        ratio, cutset = naive_dinkelbach_witness(g)
+        assert got.value == tau == ratio
         assert got.witness.cutset == frozenset(cutset)
         assert got.witness.ratio == ratio
         with_universal += planted > 0 and not g.is_complete()
@@ -152,13 +152,16 @@ def test_toughness_matches_naive_first_optimal_cutset():
 
 
 def _assert_first_optimal_cutset(g):
-    expect = naive_first_optimal_cutset(g)
+    """toughness_exact against naive_toughness, and its witness against
+    the naive Dinkelbach rounds."""
+    tau = naive_toughness(g)
     got = toughness_exact(g, max_n=g.n)
-    if expect is None:
+    if tau is None:
         assert got.is_infinite, g
         return
-    ratio, cutset = expect
-    assert got.value == ratio, (g.edges(), got.value, ratio)
+    assert got.value == tau, (g.edges(), got.value, tau)
+    ratio, cutset = naive_dinkelbach_witness(g)
+    assert ratio == tau, (g.edges(), ratio, tau)
     assert got.witness.cutset == frozenset(cutset), (g.edges(), got.witness, cutset)
 
 
@@ -237,8 +240,9 @@ def test_toughness_first_optimal_cutset_on_shapes():
 
 
 # sha256 over "value|witness" lines of the corpus below, recorded with the
-# flat combinations enumeration that the depth-first search replaced
-RANDOM_CORPUS_DIGEST = "2ec6d1619bc6a9b64e92ba69e08e19ab21e39a2a597f2c1a067fc685c346dc1d"
+# witness as Dinkelbach's last cutset; the values are those of the flat
+# combinations enumeration that the depth-first search replaced
+RANDOM_CORPUS_DIGEST = "8be37a322319e0d9adbd0a5e1e4214f35a7151900a57d5bd05b2f2c7f8eb6fa6"
 
 
 def test_toughness_random_corpus_digest():
@@ -247,6 +251,8 @@ def test_toughness_random_corpus_digest():
     for i in range(40):
         g = _random_graph(rng, 13 + i % 6, rng.choice((0.3, 0.5, 0.7)))
         r = toughness_exact(g)
+        if not r.is_infinite:
+            assert cutset_witness(g, r.witness.cutset).ratio == r.value, g.edges()
         cut = "" if r.is_infinite else ",".join(map(str, sorted(r.witness.cutset)))
         h.update(f"{r.value}|{cut}\n".encode())
     assert h.hexdigest() == RANDOM_CORPUS_DIGEST
@@ -261,39 +267,30 @@ def _dinkelbach_last_cutset(g):
     return last
 
 
-# sha256 over "n|value|witness" lines of the graphs with n > 12 below,
-# recorded with the per-size strict-improvement search that the rounds
-# and the witness pass replaced
-WITNESS_PASS_DIGEST = "67ce90ceb2df9081c69a448fbea520856bf8bab4d2e53aeabbf8402218adf405"
-
-
-def test_toughness_witness_pass_after_dinkelbach():
-    # graphs on which Dinkelbach's last cutset is optimal but not the
-    # first optimal cutset in (size, lexicographic) order, so the
-    # witness is the witness pass's own; both orders are checked,
-    # against the naive search for n <= 12 and the digest above
+def test_toughness_witness_is_dinkelbach_last_cutset():
+    # the witness is the cutset of Dinkelbach's last round, checked
+    # against the naive rounds for n <= 12; there it is also the first
+    # optimal cutset in toughness_below's order, but on some graphs not
+    # the first in (size, lexicographic) order
     rng = random.Random(16)
-    h = hashlib.sha256()
-    naive_checked = 0
+    naive_checked = other_order = 0
     for n in range(10, 19):
         for p in (0.25, 0.4, 0.6):
             for _ in range(2):
                 g = _random_graph(rng, n, p)
                 r = toughness_exact(g)
-                last = _dinkelbach_last_cutset(g)
-                assert last.ratio == r.value, g.edges()
-                if last.cutset == r.witness.cutset:
-                    continue
+                assert r.witness == _dinkelbach_last_cutset(g), g.edges()
                 if n <= 12:
-                    ratio, cutset = naive_first_optimal_cutset(g)
-                    assert r.value == ratio, g.edges()
+                    ratio, cutset = naive_dinkelbach_witness(g)
+                    assert r.value == ratio == naive_toughness(g), g.edges()
                     assert r.witness.cutset == frozenset(cutset), g.edges()
+                    order = naive_cutsets_in_search_order(g)
+                    assert cutset == next(c for q, c in order if q == ratio), g.edges()
                     naive_checked += 1
-                else:
-                    cut = ",".join(map(str, sorted(r.witness.cutset)))
-                    h.update(f"{n}|{r.value}|{cut}\n".encode())
-    assert naive_checked == 4
-    assert h.hexdigest() == WITNESS_PASS_DIGEST
+                    first = naive_first_optimal_cutset(g)[1]
+                    other_order += r.witness.cutset != frozenset(first)
+    assert naive_checked == 18
+    assert other_order == 4
 
 
 def test_toughness_rounds_on_oracle_random_classes():
@@ -312,15 +309,11 @@ def test_toughness_search_prunes():
     rng = random.Random(1)
     g = _random_graph(rng, 18, 0.6)
     r = toughness_exact(g)
-    assert r.value == Fraction(13, 4) and len(r.witness.cutset) == 13
-    # no universal vertex, so the flat enumeration scored every cutset
-    # of sizes 0..12 before it reached the witness
-    flat = sum(comb(18, k) for k in range(13))
-    assert r.cutsets < flat // 20
-    # pinned: cutsets counts the witness-pass leaves whose components were
-    # counted; 13/4 is in lowest terms, so the pass searches size 13 only,
-    # for 4 components, and skips every subtree whose bound is below 4
-    assert r.cutsets == 9
+    assert r.value == Fraction(13, 4)
+    assert r.witness.cutset == frozenset({1, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 17})
+    # pinned: no vertex is universal, so each of the 5 lambda-decisions
+    # searches the subsets of all 18 vertices
+    assert r.rounds == 5
 
 
 def test_toughness_search_is_not_recursive():
@@ -334,22 +327,17 @@ def test_toughness_search_is_not_recursive():
     r = toughness_exact(g, max_n=n)
     assert r.value == Fraction(1, n - 2)
     assert r.witness.cutset == frozenset({hub})
-    # witness-pass leaves: {0}, {n - 2} and the hub; below a survivor 0,
-    # cutting any leaf of the star bounds the count under n - 2
-    assert r.cutsets == 3
 
 
 def test_toughness_strips_universal_vertices_under_any_labels():
     # the 4/3 graph (n=22) with its labels reversed puts its universal
-    # vertices last; searching them as ordinary vertices counts the
-    # components of 6,877 witness-pass leaves, stripping them first 72
+    # vertices last; they are stripped whatever their labels
     g, _ = synthesize("4/3")
     n = g.n
     h = make_graph(n, [(n - 1 - u, n - 1 - v) for u, v in g.edges()])
     r = toughness_exact(h)
     assert r.value == Fraction(4, 3)
-    assert r.witness.cutset == frozenset(range(8)) | frozenset(range(18, 22))
-    assert r.cutsets == 72
+    assert r.witness.cutset == frozenset(range(1, 9)) | frozenset(range(18, 22))
     # pinned: 9 lambda-decisions, the last one proving tau >= 4/3
     assert r.rounds == 9
     assert toughness_exact(g).rounds == 9

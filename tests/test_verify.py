@@ -300,6 +300,23 @@ def test_a_graph_that_fails_the_rebuild_gets_no_cutset_search(monkeypatch):
             _assert_not_decided(report)
 
 
+def test_a_graph_that_fails_the_rebuild_gets_no_upper_bound_tier():
+    # past the oracle limit the check only names the witness's upper
+    # bound, and only for a rebuilt graph: 17/8 (n=98) with one edge
+    # fewer keeps a sound witness but fails like any other forgery
+    g, cert = synthesize("17/8")
+    assert g.n > 24
+    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 1)])
+    for graph in (weaker, encode_graph6(weaker)):
+        report = check_certificate(graph, cert)
+        assert not _check_named(report, "rebuild").ok
+        assert _check_named(report, "witness").ok
+        assert not report.accepted
+        assert report.toughness_status == FAILED
+        check = _check_named(report, "toughness-witness-only")
+        assert (check.ok, check.detail) == (False, _NOT_DECIDED)
+
+
 def test_rejects_out_of_range_cutset():
     g, cert = synthesize("6/5")
     bad = dataclasses.replace(cert, cutset=cert.cutset | {99})
