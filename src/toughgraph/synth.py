@@ -312,11 +312,13 @@ def argument_params(kind: str, p: SynthesisPlan) -> dict[str, int]:
 
 
 def argument_holds(kind: str, p: SynthesisPlan) -> bool:
-    """Whether the plan's counting argument proves nonhamiltonicity."""
+    """Whether the plan's counting argument proves nonhamiltonicity.  The
+    block-count argument needs a join vertex: with l = 0 a single
+    terminal edge can close a cycle."""
     q = argument_params(kind, p)
     if kind == NONHAM_EDGE_COUNT:
         return q["required_incidences"] > q["available_incidences"]
-    return q["path_free_blocks"] >= q["required"]
+    return p.l >= 1 and q["path_free_blocks"] >= q["required"]
 
 
 def _mixed(l: int, m2: int) -> _Counts:

@@ -11,14 +11,16 @@ unvisited vertex at every node, behind the one that rescans only the
 neighbors of the last end; and the plain branch and bound for the
 independence number, behind the one with reductions and a matching
 bound.  The last two also check graphs too large to enumerate.  The
-counting arguments' parameters are written out by hand from the
-paper's formulas, as a second copy of synth's derivation.  Keep these
-dumb; their only virtue is that they are obviously correct on small
-graphs.
+two cutset references read one table of subset component counts per
+graph.  The counting arguments' parameters are written out by hand
+from the paper's formulas, as a second copy of synth's derivation.
+Keep these dumb; their only virtue is that they are obviously correct
+on small graphs.
 """
 
 from __future__ import annotations
 
+import functools
 from array import array
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -53,6 +55,19 @@ def _component_count(adj: dict[int, set[int]], removed: set[int]) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=1)
+def _subset_components(g: Graph) -> dict[tuple[int, ...], int]:
+    """omega(G - S) for every subset S of the vertices, keyed by S in
+    increasing order; cached for the last graph, which both cutset
+    references read."""
+    adj = _adjacency(g)
+    return {
+        subset: _component_count(adj, set(subset))
+        for k in range(g.n + 1)
+        for subset in combinations(range(g.n), k)
+    }
+
+
 def naive_toughness(g: Graph) -> Optional[Fraction]:
     """min |S| / omega(G - S) over all cutsets, None when complete."""
     first = naive_first_optimal_cutset(g)
@@ -64,11 +79,11 @@ def naive_first_optimal_cutset(
 ) -> Optional[tuple[Fraction, tuple[int, ...]]]:
     """The toughness and the first cutset reaching it, in (size,
     lexicographic) order over all subsets; None when complete."""
-    adj = _adjacency(g)
+    table = _subset_components(g)
     best: Optional[tuple[Fraction, tuple[int, ...]]] = None
     for k in range(g.n):
         for subset in combinations(range(g.n), k):
-            comps = _component_count(adj, set(subset))
+            comps = table[subset]
             if comps < 2:
                 continue
             ratio = Fraction(k, comps)
@@ -83,14 +98,15 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[Fraction, tuple[int, .
     other vertices go as binary numbers, smallest first, with the lowest
     label as the top bit."""
     adj = _adjacency(g)
+    table = _subset_components(g)
     universal = {v for v in adj if len(adj[v]) == g.n - 1}
     rest = [v for v in adj if v not in universal]
     order = []
     for bits in product((False, True), repeat=len(rest)):
-        cut = universal | {v for v, b in zip(rest, bits) if b}
-        comps = _component_count(adj, cut)
+        cut = tuple(sorted(universal | {v for v, b in zip(rest, bits) if b}))
+        comps = table[cut]
         if comps >= 2:
-            order.append((Fraction(len(cut), comps), tuple(sorted(cut))))
+            order.append((Fraction(len(cut), comps), cut))
     return order
 
 

@@ -7,7 +7,6 @@ import hashlib
 import itertools
 import json
 import random
-import signal
 
 import pytest
 
@@ -183,38 +182,85 @@ def test_plan_built_graphs_are_decided_on_the_layout(monkeypatch):
             assert check.ok and check.detail == f"exact toughness equals {target}"
 
 
-_NOT_DECIDED = "toughness is decided only on a rebuilt graph with a sound witness"
-
-
-def _refuse_searches(monkeypatch):
-    # verify does not import toughness_exact; raising=False patches the
-    # name anyway, so a call through it would fail here
+def _refuse_checks(monkeypatch):
+    # what would check, recount or search the graph after the rebuild
     def refuse(*args, **kwargs):
-        pytest.fail("verifier ran a toughness search on a graph it did not rebuild")
+        pytest.fail("verifier checked a graph that failed the rebuild")
 
-    monkeypatch.setattr(verify, "toughness_below", refuse)
-    monkeypatch.setattr(verify, "decomposition_below", refuse)
-    monkeypatch.setattr(verify, "toughness_exact", refuse, raising=False)
+    for name in ("toughness_below", "decomposition_below", "is_hamiltonian",
+                 "count_components_masked"):
+        monkeypatch.setattr(verify, name, refuse)
 
 
-def _assert_not_decided(report):
+def _assert_rebuild_only(report, detail):
+    # a pair that fails the rebuild is rejected on that check alone
     assert not report.accepted
-    assert report.toughness_status == FAILED
-    check = _check_named(report, "toughness-oracle")
-    assert (check.ok, check.detail) == (False, _NOT_DECIDED)
+    assert (report.toughness_status, report.nonhamiltonicity_status) == (FAILED, FAILED)
+    assert report.alpha is None
+    assert [(c.name, c.ok, c.detail) for c in report.checks] == [("rebuild", False, detail)]
 
 
-def test_a_failed_rebuild_never_reaches_the_engine(monkeypatch):
-    # the layout describes the plan's graph, not the one given, and the
-    # report is a rejection already: the toughness check fails at once
-    _refuse_searches(monkeypatch)
+_NOT_CANONICAL = "certificate is not the canonical output of its plan: {} differ"
+
+
+def _minus_edge(target, edge):
+    g, cert = synthesize(target)
+    assert g.has_edge(*edge)
+    weaker = make_graph(g.n, [e for e in g.edges() if e != edge])
+    detail = (f"plan rebuilds to a different graph "
+              f"(n={g.n}, m={g.edge_count} vs n={g.n}, m={g.edge_count - 1})")
+    return weaker, cert, detail
+
+
+def _cycle_for_13_10():
+    # C_24 has 13/10's order; naming its toughness by cutset search cost
+    # over a second when the checks ran on it
+    g, cert = synthesize("13/10")
+    cycle = make_graph(24, [(i, i + 1) for i in range(23)] + [(0, 23)])
+    detail = f"plan rebuilds to a different graph (n=24, m={g.edge_count} vs n=24, m=24)"
+    return cycle, cert, detail
+
+
+def _forged_witness():
     g, cert = synthesize("6/5")
-    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
-    for graph in (weaker, encode_graph6(weaker)):
-        report = check_certificate(graph, cert)
-        assert not _check_named(report, "rebuild").ok
-        assert _check_named(report, "witness").ok
-        _assert_not_decided(report)
+    bad = dataclasses.replace(cert, cutset=cert.cutset - {max(cert.cutset)})
+    return g, bad, _NOT_CANONICAL.format("cutset")
+
+
+def _forged_exhaustive_argument():
+    # the 9/5 graph (n = 57) took 79 s to search when the argument ran
+    g, cert = synthesize("9/5")
+    forged = dataclasses.replace(
+        cert, nonhamiltonicity=NonHamiltonicityArgument("exhaustive", {})
+    )
+    return g, forged, _NOT_CANONICAL.format("nonhamiltonicity")
+
+
+_REBUILD_FAILURES = {
+    "6_5_minus_0_2": lambda: _minus_edge("6/5", (0, 2)),
+    "2_3_minus_0_2": lambda: _minus_edge("2/3", (0, 2)),
+    "1_minus_0_1": lambda: _minus_edge("1", (0, 1)),
+    # past the oracle limit: its block-count argument once passed here
+    "17_8_minus_0_1": lambda: _minus_edge("17/8", (0, 1)),
+    "c24_for_13_10": _cycle_for_13_10,
+    "6_5_forged_witness": _forged_witness,
+    "9_5_forged_exhaustive": _forged_exhaustive_argument,
+}
+
+
+@pytest.mark.parametrize("case", list(_REBUILD_FAILURES))
+def test_a_pair_that_fails_the_rebuild_gets_a_one_check_report(monkeypatch, case):
+    # nothing is checked, recounted or searched on a graph that did not
+    # rebuild; graph6 input decodes only when its bytes are not the
+    # rebuilt graph's
+    graph, cert, detail = _REBUILD_FAILURES[case]()
+    _refuse_checks(monkeypatch)
+    calls = _count_decodes(monkeypatch)
+    _assert_rebuild_only(check_certificate(graph, cert), detail)
+    data = encode_graph6(graph)
+    _assert_rebuild_only(check_certificate(data, cert), detail)
+    forged_graph = not detail.startswith("certificate")
+    assert calls == ([data] if forged_graph else [])
 
 
 def test_a_rebuilt_graph_with_a_cut_below_t_is_rejected(monkeypatch):
@@ -235,18 +281,6 @@ def test_a_rebuilt_graph_with_a_cut_below_t_is_rejected(monkeypatch):
             assert check.detail == f"a cutset has ratio below the predicted {target}"
 
 
-def test_a_forged_cycle_is_rejected_without_a_toughness_search(monkeypatch):
-    # C_24 has 13/10's order; naming its toughness by cutset search costs
-    # over a second, for a report that the rebuild has already rejected
-    _refuse_searches(monkeypatch)
-    _, cert = synthesize("13/10")
-    cycle = make_graph(24, [(i, i + 1) for i in range(23)] + [(0, 23)])
-    for graph in (cycle, encode_graph6(cycle)):
-        report = check_certificate(graph, cert)
-        assert not _check_named(report, "rebuild").ok
-        _assert_not_decided(report)
-
-
 # -- rejection of corrupted certificates ---------------------------------------
 
 
@@ -262,59 +296,12 @@ def test_rejects_wrong_graph():
 def test_rejects_cutset_tampering():
     g, cert = synthesize("6/5")
     dropped = cert.cutset - {max(cert.cutset)}
-    report = check_certificate(g, dataclasses.replace(cert, cutset=dropped))
-    assert not report.accepted
-    assert not _check_named(report, "witness").ok
-
     extra = cert.cutset | {2}
-    report2 = check_certificate(g, dataclasses.replace(cert, cutset=extra))
-    assert not report2.accepted
-    assert not _check_named(report2, "witness").ok
-
-
-def test_a_forged_witness_gets_no_toughness_search(monkeypatch):
-    # without a sound witness there is no upper bound to match, and the
-    # forged certificate fails the rebuild, so nothing is searched
-    _refuse_searches(monkeypatch)
-    g, cert = synthesize("6/5")
-    bad = dataclasses.replace(cert, cutset=cert.cutset - {max(cert.cutset)})
-    for graph in (g, encode_graph6(g)):
-        report = check_certificate(graph, bad)
-        assert not _check_named(report, "witness").ok
-        _assert_not_decided(report)
-
-
-def test_a_graph_that_fails_the_rebuild_gets_no_cutset_search(monkeypatch):
-    # one edge fewer in a case-1 and a case-2 graph: the certificate's
-    # cutset still leaves its components, but the toughness check, whose
-    # decision there is the cutset search, fails without running it
-    _refuse_searches(monkeypatch)
-    for target, edge in (("2/3", (0, 2)), ("1", (0, 1))):
-        g, cert = synthesize(target)
-        assert g.has_edge(*edge)
-        weaker = make_graph(g.n, [e for e in g.edges() if e != edge])
-        for graph in (weaker, encode_graph6(weaker)):
-            report = check_certificate(graph, cert)
-            assert not _check_named(report, "rebuild").ok, target
-            assert _check_named(report, "witness").ok, target
-            _assert_not_decided(report)
-
-
-def test_a_graph_that_fails_the_rebuild_gets_no_upper_bound_tier():
-    # past the oracle limit the check only names the witness's upper
-    # bound, and only for a rebuilt graph: 17/8 (n=98) with one edge
-    # fewer keeps a sound witness but fails like any other forgery
-    g, cert = synthesize("17/8")
-    assert g.n > 24
-    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 1)])
-    for graph in (weaker, encode_graph6(weaker)):
-        report = check_certificate(graph, cert)
-        assert not _check_named(report, "rebuild").ok
-        assert _check_named(report, "witness").ok
+    assert extra != cert.cutset
+    for cutset in (dropped, extra):
+        report = check_certificate(g, dataclasses.replace(cert, cutset=cutset))
         assert not report.accepted
-        assert report.toughness_status == FAILED
-        check = _check_named(report, "toughness-witness-only")
-        assert (check.ok, check.detail) == (False, _NOT_DECIDED)
+        _assert_rebuild_only(report, _NOT_CANONICAL.format("cutset"))
 
 
 def test_rejects_out_of_range_cutset():
@@ -322,7 +309,7 @@ def test_rejects_out_of_range_cutset():
     bad = dataclasses.replace(cert, cutset=cert.cutset | {99})
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert "out of range" in _check_named(report, "witness").detail
+    _assert_rebuild_only(report, _NOT_CANONICAL.format("cutset"))
 
 
 def test_rejects_component_count_tampering():
@@ -330,7 +317,7 @@ def test_rejects_component_count_tampering():
     bad = dataclasses.replace(cert, components=cert.components + 1)
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert "component count mismatch" in _check_named(report, "witness").detail
+    _assert_rebuild_only(report, _NOT_CANONICAL.format("components"))
 
 
 def test_rejects_predicted_tau_tampering():
@@ -340,8 +327,12 @@ def test_rejects_predicted_tau_tampering():
     bad = dataclasses.replace(cert, predicted_tau=Fraction(7, 5))
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert "witness ratio mismatch" in _check_named(report, "witness").detail
-    assert report.toughness_status == FAILED
+    _assert_rebuild_only(report, _NOT_CANONICAL.format("predicted_tau"))
+    # with the witness forged to match, both fields are named
+    both = dataclasses.replace(bad, components=cert.components - 1)
+    _assert_rebuild_only(
+        check_certificate(g, both), _NOT_CANONICAL.format("components, predicted_tau")
+    )
 
 
 def test_rebuild_refuses_a_plan_larger_than_the_graph(monkeypatch):
@@ -384,12 +375,7 @@ def test_rejects_a_nine_digit_target_without_building(monkeypatch):
     bad = dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, t=t))
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert "not the canonical plan" in _check_named(report, "rebuild").detail
-    # the forged plan's formula still gives 2/3, so the witness check
-    # names the mismatch with t, not predicted_tau against an equal formula
-    assert _check_named(report, "witness").detail == (
-        "governing formula gives 2/3, not the target t=174999999/100000000"
-    )
+    _assert_rebuild_only(report, "plan is not the canonical plan for t=174999999/100000000")
 
 
 def test_rejects_plan_parameter_tampering():
@@ -439,7 +425,8 @@ def test_rejects_argument_kind_swap():
     assert not report.accepted
     assert "canonical" in _check_named(report, "rebuild").detail
 
-    # swapping in an unsound argument: the argument check itself fails
+    # swapping in an unsound argument: rejected by the same comparison,
+    # before any bipartition is sought
     g2, cert2 = synthesize("1")
     bad = dataclasses.replace(
         cert2,
@@ -450,37 +437,7 @@ def test_rejects_argument_kind_swap():
     report2 = check_certificate(g2, bad)
     assert not report2.accepted
     assert report2.nonhamiltonicity_status == FAILED
-    assert "not bipartite" in _check_named(report2, "nonhamiltonicity").detail
-
-
-def test_exhaustive_forgery_is_rejected_without_a_search(monkeypatch):
-    # a rebuild the certificate fails proves nothing about the graph, so
-    # its exhaustive argument is refused before any Hamilton search; the
-    # 9/5 graph (n = 57) took 79 s to search when the argument ran anyway
-    g, cert = synthesize("9/5")
-    forged = dataclasses.replace(
-        cert, nonhamiltonicity=NonHamiltonicityArgument("exhaustive", {})
-    )
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("exhaustive search ran on an unrebuilt graph")
-
-    def timeout(signum, frame):
-        raise TimeoutError("forged exhaustive argument took more than 1 s")
-
-    monkeypatch.setattr(verify, "is_hamiltonian", no_search)
-    previous = signal.signal(signal.SIGALRM, timeout)
-    try:
-        signal.alarm(1)
-        report = check_certificate(g, forged)
-        signal.alarm(0)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert not report.accepted
-    assert not _check_named(report, "rebuild").ok
-    assert report.nonhamiltonicity_status == FAILED
-    assert "rebuilt graph" in _check_named(report, "nonhamiltonicity").detail
+    _assert_rebuild_only(report2, _NOT_CANONICAL.format("nonhamiltonicity"))
 
 
 # sha256 of the report `toughgraph verify` prints for the genuine pairs,
@@ -511,14 +468,15 @@ def test_rejects_argument_parameter_tampering():
 
 def test_block_count_argument_needs_a_join_vertex():
     # with no join clique one spanning-path block would close a cycle, so
-    # the verifier must refuse the counting argument outright at l = 0
-    g, cert = synthesize("9/5")
-    bad_plan = dataclasses.replace(cert.plan, l=0)
-    bad = dataclasses.replace(cert, plan=bad_plan)
-    report = check_certificate(g, bad)
-    assert not report.accepted
-    detail = _check_named(report, "nonhamiltonicity").detail
-    assert "join vertex" in detail or "l = 0" in detail
+    # the counting argument fails outright at l = 0, whatever it counts
+    from toughgraph.synth import NONHAM_BLOCK_COUNT, argument_holds, argument_params
+
+    _, cert = synthesize("9/5")
+    assert argument_holds(NONHAM_BLOCK_COUNT, cert.plan)
+    joinless = dataclasses.replace(cert.plan, l=0)
+    params = argument_params(NONHAM_BLOCK_COUNT, joinless)
+    assert params["path_free_blocks"] >= params["required"] == 1
+    assert not argument_holds(NONHAM_BLOCK_COUNT, joinless)
 
 
 def test_budget_exhaustion_is_a_rejection(monkeypatch):
@@ -552,17 +510,24 @@ def test_unknown_terminal_path_verdict_is_a_rejection(monkeypatch):
         synth._kind_lacks_terminal_path.cache_clear()
     assert not report.accepted
     assert report.nonhamiltonicity_status == FAILED
-    assert "budget" in _check_named(report, "nonhamiltonicity").detail
+    # the plan's own admissibility counts the path-free blocks
+    assert len(report.checks) == 1
+    assert "budget" in _check_named(report, "rebuild").detail
 
 
 def test_zero_denominator_formula_is_a_rejection():
     # m = 0 zeroes the denominator of the 7.2 formula; the forged
-    # certificate must be rejected, not crash the verifier
+    # certificate must be rejected, not crash the verifier, and the
+    # formula itself raises PlanError, not ZeroDivisionError
+    from toughgraph import PlanError, predicted_toughness
+
     g, cert = synthesize("13/6")
     bad = dataclasses.replace(cert, plan=dataclasses.replace(cert.plan, m=0))
     report = check_certificate(g, bad)
     assert not report.accepted
-    assert "divides by zero" in _check_named(report, "witness").detail
+    _assert_rebuild_only(report, "plan is not the canonical plan for t=13/6")
+    with pytest.raises(PlanError, match="divides by zero"):
+        predicted_toughness(bad.plan)
 
 
 def test_limits_downgrade_toughness_tier():
@@ -636,7 +601,7 @@ def test_forged_fields_after_the_rebuild_are_rejected_without_a_decode(monkeypat
         assert report.to_json() == want
 
 
-def test_a_rebuild_that_fails_before_building_decodes_once(monkeypatch):
+def test_a_rebuild_that_fails_before_building_decodes_nothing(monkeypatch):
     from toughgraph import BlockKind
 
     g, cert = synthesize("9/5")
@@ -657,7 +622,8 @@ def test_a_rebuild_that_fails_before_building_decodes_once(monkeypatch):
         report = check_certificate(data, bad)
         assert not report.accepted
         assert report.to_json() == want
-        assert calls == [data]
+        assert len(report.checks) == 1
+        assert calls == []
 
 
 def test_a_noncanonical_size_field_falls_back_to_a_decode(monkeypatch):
@@ -673,23 +639,19 @@ def test_a_noncanonical_size_field_falls_back_to_a_decode(monkeypatch):
 
 def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
     # 6/5's graph without the edge (0, 2): one bit of the body differs and
-    # the padding is untouched; every check then runs on the decoded graph
-    g, cert = synthesize("6/5")
-    weaker = make_graph(g.n, [e for e in g.edges() if e != (0, 2)])
-    data, flipped = encode_graph6(g), encode_graph6(weaker)
+    # the padding is untouched; the rebuild decodes the bytes to name the
+    # graph they hold, and nothing runs after it
+    weaker, cert, detail = _minus_edge("6/5", (0, 2))
+    data, flipped = encode_graph6(synthesize("6/5")[0]), encode_graph6(weaker)
     assert len(data) == len(flipped)
     assert sum(a != b for a, b in zip(data, flipped)) == 1
-    _refuse_searches(monkeypatch)
+    _refuse_checks(monkeypatch)
     want = check_certificate(weaker, cert).to_json()
     calls = _count_decodes(monkeypatch)
     report = check_certificate(flipped, cert)
     assert calls == [flipped]
     assert report.to_json() == want
-    assert _check_named(report, "rebuild").detail == (
-        f"plan rebuilds to a different graph "
-        f"(n=12, m={g.edge_count} vs n=12, m={g.edge_count - 1})"
-    )
-    _assert_not_decided(report)
+    _assert_rebuild_only(report, detail)
 
 
 def test_malformed_graph6_bytes_raise_before_any_check():
