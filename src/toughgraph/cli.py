@@ -276,8 +276,8 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
-                   help="largest n for exact toughness: Dinkelbach rounds "
-                        "of a pruned depth-first cutset search")
+                   help="largest n for exact toughness: one pruned depth-"
+                        "first cutset search that tightens its bound in place")
     p.add_argument("--budget", type=int, default=2000,
                    help="evaluations for the heuristic fallback")
     p.set_defaults(func=_cmd_tau)

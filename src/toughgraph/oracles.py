@@ -14,7 +14,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graphs import Graph, _bipartition, _bits, _reach, count_components_masked
 
@@ -57,7 +57,8 @@ class CutsetWitness:
 class ToughnessResult:
     """Exact toughness; value None means infinite (complete graph).
 
-    rounds is the number of lambda-decisions.
+    rounds is the number of cutsets the search yields, plus one: the
+    count of Dinkelbach's restarted rounds, the last of which finds none.
     """
 
     value: Optional[Fraction]
@@ -113,20 +114,42 @@ def _survive(comps: tuple[int, ...], v: int, row: int) -> tuple[int, ...]:
 
 
 def _below_search(g: Graph, max_n: int):
-    """toughness_below's depth-first cutset search of g, as a function of
-    lambda = a / b, on one setup that Dinkelbach's rounds share.
+    """The depth-first cutset search of g, set up once: it returns
+    improving(a, b), a generator of the cutsets below lambda = a / b
+    whose ratios strictly fall, each as (mask of U + S', its component
+    count).  toughness_below takes its first yield, toughness_exact the
+    last.
 
     A vertex adjacent to all others reconnects whatever it survives in,
     so the set U of universal vertices lies in every cutset; only the
     subsets S' of R = V - U are searched, each scored as
     (|U| + |S'|) / omega(G - U - S').  The search decides the vertices
-    of R in label order on an explicit stack.  A node holds the next
+    of R in label order on an explicit stack, "v out of S'" before "v
+    in S'", so it reads the subsets S' as binary numbers, smallest
+    first, with the lowest label as the top bit.  A node holds the next
     vertex index, the vertices cut so far, the cut mask, the components
-    of the decided survivors and their joint neighborhood.  An undecided
-    vertex that is not cut later survives, and either touches a decided
-    survivor and joins its component, or touches none of them; so the
-    cutsets below a node leave at most the decided survivors' components
-    plus the undecided vertices adjacent to none of them.
+    of the decided survivors and their joint neighborhood.
+
+    - Bound.  An undecided vertex that is not cut later survives, and
+      either joins a decided survivor's component or touches none of
+      them.  So below a node with j vertices cut, every cutset cuts at
+      least |U| + j vertices and leaves at most `most` components: the
+      decided survivors' plus the undecided vertices adjacent to none
+      of them.  If most < 2 or b (|U| + j) >= a most, no cutset below
+      has ratio under a / b, and the node is skipped.
+    - Leaves.  Once every vertex is decided, `most` is the exact
+      component count, so a leaf that is not skipped is a cutset below
+      a / b; the search itself counts no components.  It is yielded,
+      and a / b becomes its ratio, for every node still on the stack.
+    - One pass is Dinkelbach's restarted rounds.  Let C_k be the k-th
+      cutset yielded.  Every leaf before it in search order was
+      rejected under a bound >= ratio(C_k), or is an earlier C_i with a
+      higher ratio, and every skipped node held no cutset below a bound
+      >= ratio(C_k).  So the first cutset below ratio(C_k) in search
+      order comes after C_k: a search restarted at ratio(C_k) returns
+      it, and it is the next cutset this pass yields.  The cutsets,
+      their ratios, the last one (the first optimal cutset in search
+      order) and their number are those of the restarted rounds.
     """
     n = g.n
     if n > max_n:
@@ -144,9 +167,7 @@ def _below_search(g: Graph, max_n: int):
     # undecided[i]: the vertices of R from rest[i] on
     undecided = [alive_rest >> v << v for v in rest] + [0]
 
-    def below(a: int, b: int) -> Optional[tuple[int, int]]:
-        """The first cutset below a / b as (mask of U + S', its
-        component count), or None."""
+    def improving(a: int, b: int) -> Iterator[tuple[int, int]]:
         stack = [(0, 0, 0, (), 0)]
         while stack:
             i, j, mask, comps, touched = stack.pop()
@@ -154,50 +175,42 @@ def _below_search(g: Graph, max_n: int):
             if most < 2 or b * (u + j) >= a * most:
                 continue
             if i == r:
-                return universal | mask, most
+                yield universal | mask, most
+                a, b = u + j, most
+                continue
             v = rest[i]
             row = nbr[v]
             stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
             # pushed last, so "v out of S'" is searched before "v in S'"
             stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
-        return None
 
-    return below
+    return improving
 
 
 def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> ToughnessResult:
     """Exact toughness: min |S| / omega(G - S) over all cutsets S, by
-    Dinkelbach's method on toughness_below's decision.  U, the universal
-    vertices, lie in every cutset, so every round searches only the
-    subsets of R = V - U, on one setup.
+    Dinkelbach's method on toughness_below's search, run as one pass
+    (see _below_search).
 
     - Rounds.  A cutset cuts at most n - 2 vertices and leaves at least
-      two components, so its ratio is below n.  From lambda = n, while
-      some cutset has ratio below lambda, lambda becomes the ratio of
-      the first such cutset in toughness_below's order.  The ratios
-      strictly fall and there are finitely many, so the rounds end at
-      the first lambda with no cutset below it: the toughness tau.
-    - Witness.  The last cutset taken has ratio tau.  Every optimal
-      cutset was below the last round's lambda too, so it is the first
+      two components, so its ratio is below n.  From lambda = n, each
+      cutset the pass yields is the first below the last one's ratio.
+      The ratios strictly fall and there are finitely many, so the pass
+      ends once no cutset is below lambda: lambda is the toughness tau.
+    - Witness.  The last cutset yielded has ratio tau.  Every optimal
+      cutset was below the lambda before it too, so it is the first
       optimal cutset in toughness_below's order.  For a disconnected
       graph it is the empty cutset.
-
-    `rounds` counts the lambda-decisions.
     """
-    below = _below_search(g, max_n)
+    improving = _below_search(g, max_n)
     if g.is_complete():
         return ToughnessResult(None, None)
-    a, b, cut = g.n, 1, None  # lambda = a / b
-    rounds = 1  # the last round, which finds no cutset
-    while (found := below(a, b)) is not None:
+    rounds, cut = 1, None  # the last round, which finds no cutset
+    for cut, c in improving(g.n, 1):
         rounds += 1
-        cut, c = found
-        if cut.bit_count() * b >= a * c:
-            raise RuntimeError("a Dinkelbach round did not lower the ratio")
-        a, b = cut.bit_count(), c
     if cut is None:
         raise RuntimeError("non-complete graph must have a cutset")
-    tau = Fraction(a, b)
+    tau = Fraction(cut.bit_count(), c)
     witness = cutset_witness(g, frozenset(_bits(cut)))
     if witness.ratio != tau:
         raise RuntimeError("witness recount disagrees with the search")
@@ -212,26 +225,13 @@ def toughness_below(
     graph).  This is the parametric decision of Dinkelbach (1967) at
     lambda = t = a / b: is b |S| - a omega(G - S) negative for some S?
 
-    One depth-first search over all subsets S' of R = V - U, U the
-    universal vertices, deciding R in label order with the decided
-    survivors' components, the search toughness_exact runs once per
-    round.
-
-    - Bound.  Below a node with j vertices cut, every cutset cuts at
-      least |U| + j vertices and leaves at most `most` components: the
-      decided survivors' plus the undecided vertices adjacent to none
-      of them.  So if most < 2 or b (|U| + j) >= a most, no cutset
-      below has ratio under a / b, and the subtree is skipped.
-    - Leaves.  Once every vertex is decided, `most` is the exact
-      component count of G - U - S', so a leaf that is not skipped is a
-      cutset below t; the search itself counts no components.
-
-    "Out of S'" is searched before "in S'", so the cutset returned is
-    the first below t when the subsets S' are read as binary numbers,
-    smallest first, with the lowest label as the top bit; a
-    disconnected graph gives the empty cutset.
+    It is the first cutset that _below_search's pass yields from a / b:
+    the first below t when the subsets S' of R = V - U (U the universal
+    vertices) are read as binary numbers, smallest first, with the
+    lowest label as the top bit.  A disconnected graph gives the empty
+    cutset.
     """
-    found = _below_search(g, max_n)(t.numerator, t.denominator)
+    found = next(_below_search(g, max_n)(t.numerator, t.denominator), None)
     if found is None:
         return None
     witness = cutset_witness(g, frozenset(_bits(found[0])))

@@ -80,23 +80,21 @@ def naive_first_optimal_cutset(
     """The toughness and the first cutset reaching it, in (size,
     lexicographic) order over all subsets; None when complete."""
     table = _subset_components(g)
-    best: Optional[tuple[Fraction, tuple[int, ...]]] = None
+    best: Optional[tuple[int, int, tuple[int, ...]]] = None
     for k in range(g.n):
         for subset in combinations(range(g.n), k):
             comps = table[subset]
-            if comps < 2:
-                continue
-            ratio = Fraction(k, comps)
-            if best is None or ratio < best[0]:
-                best = (ratio, subset)
-    return best
+            # k / comps < size / components, cross-multiplied
+            if comps >= 2 and (best is None or k * best[1] < best[0] * comps):
+                best = (k, comps, subset)
+    return None if best is None else (Fraction(best[0], best[1]), best[2])
 
 
-def naive_cutsets_in_search_order(g: Graph) -> list[tuple[Fraction, tuple[int, ...]]]:
-    """Every cutset with its ratio, in toughness_below's order: a vertex
-    adjacent to all others lies in every cutset, and the subsets of the
-    other vertices go as binary numbers, smallest first, with the lowest
-    label as the top bit."""
+def naive_cutsets_in_search_order(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
+    """Every cutset as (size, component count, cutset), in
+    toughness_below's order: a vertex adjacent to all others lies in
+    every cutset, and the subsets of the other vertices go as binary
+    numbers, smallest first, with the lowest label as the top bit."""
     adj = _adjacency(g)
     table = _subset_components(g)
     universal = {v for v in adj if len(adj[v]) == g.n - 1}
@@ -106,7 +104,7 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[Fraction, tuple[int, .
         cut = tuple(sorted(universal | {v for v, b in zip(rest, bits) if b}))
         comps = table[cut]
         if comps >= 2:
-            order.append((Fraction(len(cut), comps), cut))
+            order.append((len(cut), comps, cut))
     return order
 
 
@@ -116,10 +114,10 @@ def naive_dinkelbach_witness(g: Graph) -> Optional[tuple[Fraction, tuple[int, ..
     to its ratio, until no cutset is below lambda.  The last cutset
     taken, with its ratio; None when complete."""
     order = naive_cutsets_in_search_order(g)
-    lam, last = Fraction(g.n), None
-    while (found := next((c for c in order if c[0] < lam), None)) is not None:
-        lam, last = found[0], found
-    return last
+    size, comps, last = g.n, 1, None  # lambda = size / comps
+    while (found := next((c for c in order if c[0] * comps < size * c[1]), None)) is not None:
+        size, comps, last = found
+    return None if last is None else (Fraction(size, comps), last)
 
 
 def naive_component_count(g: Graph, removed: set[int]) -> int:

@@ -54,7 +54,12 @@ from toughgraph import (
 )
 from toughgraph import oracles
 from toughgraph.graphs import _reach
-from toughgraph.oracles import DEFAULT_NODE_LIMIT, _hamilton_backtrack, _hamilton_dp
+from toughgraph.oracles import (
+    DEFAULT_NODE_LIMIT,
+    _below_search,
+    _hamilton_backtrack,
+    _hamilton_dp,
+)
 
 
 def _random_graph(rng: random.Random, n: int, p: float):
@@ -258,13 +263,42 @@ def test_toughness_random_corpus_digest():
     assert h.hexdigest() == RANDOM_CORPUS_DIGEST
 
 
-def _dinkelbach_last_cutset(g):
-    """The cutset of Dinkelbach's last round on toughness_below, from
-    lambda = n; its ratio is the toughness."""
-    lam, last = Fraction(g.n), None
-    while (found := toughness_below(g, lam, max_n=g.n)) is not None:
-        lam, last = found.ratio, found
-    return last
+def _restarted_rounds(g):
+    """The cutsets of Dinkelbach's rounds, each a fresh toughness_below
+    at the last one's ratio, from lambda = n; the last one's ratio is
+    the toughness."""
+    lam, found = Fraction(g.n), []
+    while (w := toughness_below(g, lam, max_n=g.n)) is not None:
+        lam = w.ratio
+        found.append(w)
+    return found
+
+
+def _mask(cutset) -> int:
+    return sum(1 << v for v in cutset)
+
+
+def test_single_pass_yields_the_restarted_rounds():
+    # the one pass that toughness_exact runs yields, cutset by cutset,
+    # what restarting toughness_below at each ratio found returns; and
+    # toughness_below's answer is the pass's first yield from t
+    rng = random.Random(2025)
+    graphs = [_random_graph(rng, n, p) for n in (10, 12, 14, 16, 18) for p in (0.25, 0.4, 0.6)]
+    graphs.append(synthesize("4/3")[0])
+    graphs.append(disjoint_union([_cycle(5), complete_graph(3)]))
+    thresholds = [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(4, 3),
+                  Fraction(3, 2), Fraction(2), Fraction(3)]
+    for g in graphs:
+        passed = list(_below_search(g, g.n)(g.n, 1))
+        restarted = _restarted_rounds(g)
+        assert passed == [(_mask(w.cutset), w.component_count) for w in restarted], g.edges()
+        assert toughness_exact(g).rounds == len(passed) + 1
+        for t in thresholds:
+            first = next(_below_search(g, g.n)(t.numerator, t.denominator), None)
+            w = toughness_below(g, t, max_n=g.n)
+            assert first == (None if w is None else (_mask(w.cutset), w.component_count))
+    assert len(_restarted_rounds(graphs[-2])) == 8  # the 4/3 graph: 9 rounds
+    assert [w.cutset for w in _restarted_rounds(graphs[-1])] == [frozenset()]
 
 
 def test_toughness_witness_is_dinkelbach_last_cutset():
@@ -279,13 +313,16 @@ def test_toughness_witness_is_dinkelbach_last_cutset():
             for _ in range(2):
                 g = _random_graph(rng, n, p)
                 r = toughness_exact(g)
-                assert r.witness == _dinkelbach_last_cutset(g), g.edges()
+                assert r.witness == _restarted_rounds(g)[-1], g.edges()
                 if n <= 12:
                     ratio, cutset = naive_dinkelbach_witness(g)
                     assert r.value == ratio == naive_toughness(g), g.edges()
                     assert r.witness.cutset == frozenset(cutset), g.edges()
                     order = naive_cutsets_in_search_order(g)
-                    assert cutset == next(c for q, c in order if q == ratio), g.edges()
+                    first_optimal = next(
+                        c for s, k, c in order if s * ratio.denominator == ratio.numerator * k
+                    )
+                    assert cutset == first_optimal, g.edges()
                     naive_checked += 1
                     first = naive_first_optimal_cutset(g)[1]
                     other_order += r.witness.cutset != frozenset(first)
@@ -295,7 +332,8 @@ def test_toughness_witness_is_dinkelbach_last_cutset():
 
 def test_toughness_rounds_on_oracle_random_classes():
     # the G(n, p) classes of the benchmark's oracle-random workload, 20
-    # graphs each: Dinkelbach's method needs at most 9 lambda-decisions
+    # graphs each: the pass yields at most 8 cutsets, so Dinkelbach's
+    # restarted rounds would number at most 9
     rng = random.Random(5)
     classes = [(n, p) for n in range(14, 19) for p in (0.25, 0.4, 0.6)]
     classes += [(n, p) for n in (10, 12) for p in (0.3, 0.5)]
@@ -311,8 +349,8 @@ def test_toughness_search_prunes():
     r = toughness_exact(g)
     assert r.value == Fraction(13, 4)
     assert r.witness.cutset == frozenset({1, 3, 4, 5, 6, 7, 9, 10, 12, 13, 14, 15, 17})
-    # pinned: no vertex is universal, so each of the 5 lambda-decisions
-    # searches the subsets of all 18 vertices
+    # pinned: no vertex is universal, so the pass searches the subsets of
+    # all 18 vertices; it yields 4 cutsets, for 5 restarted rounds
     assert r.rounds == 5
 
 
@@ -338,7 +376,8 @@ def test_toughness_strips_universal_vertices_under_any_labels():
     r = toughness_exact(h)
     assert r.value == Fraction(4, 3)
     assert r.witness.cutset == frozenset(range(1, 9)) | frozenset(range(18, 22))
-    # pinned: 9 lambda-decisions, the last one proving tau >= 4/3
+    # pinned: 8 cutsets yielded, for 9 restarted rounds; the pass's end
+    # proves tau >= 4/3
     assert r.rounds == 9
     assert toughness_exact(g).rounds == 9
 
@@ -376,7 +415,7 @@ def _assert_below_matches_naive(g):
             continue
         assert got is not None and got.ratio < lam, (g.edges(), lam, got)
         assert cutset_witness(g, got.cutset) == got
-        first = next(cut for ratio, cut in order if ratio < lam)
+        first = next(cut for s, c, cut in order if s * lam.denominator < lam.numerator * c)
         assert got.cutset == frozenset(first), (g.edges(), lam, got, first)
 
 
