@@ -13,7 +13,11 @@ usage text take their width (COLUMNS) when they are printed.
 
 Exit codes: 0 success or accepted, 1 verification rejected, 2
 operational errors (unreadable input, out-of-range targets, oracle size
-limits, running out of memory).  Identical invocations print identical bytes.
+limits, running out of memory).  verify reads only the certificate's
+"t" before it compares the whole certificate with the canonical one, so
+a certificate file is unreadable (2) only when it is not a JSON object
+with a rational "t"; any other bad field is a rejection (1).  Identical
+invocations print identical bytes.
 """
 
 from __future__ import annotations

@@ -7,13 +7,16 @@ smallest admissible integer q, and derives the block counts, held as
 at most three runs (kind, count) so that planning costs the same at any
 scale.  build() realizes exactly plan(t) as a concrete graph plus a
 certificate holding the toughness witness cutset and a checkable
-nonhamiltonicity argument.
+nonhamiltonicity argument.  The certificate is thus a function of t:
+certificate_to_json writes it, and certificate_from_json checks only
+that the text is a JSON object with a rational "t", leaving every
+other field to the verifier's comparison with the canonical one.
 
 Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
 formula's hypothesis, witness and builder are written; planning,
-building, the certificate parser and verify_claim_formula all read
-it, and the verifier reads the counting arguments beside it.  The
+building and verify_claim_formula all read it, and the verifier reads
+the counting arguments beside it.  The
 regimes, by certificate "case" tag:
   1    0 < t < 1      complete bipartite, more independents than the rest
   2    t = 1          a fixed 7-vertex graph
@@ -32,7 +35,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
 from typing import Callable, NamedTuple, Optional, Union
 
 from .blocks import (
@@ -98,7 +100,7 @@ class PlanError(RuntimeError):
 
 
 class CertificateError(ValueError):
-    """Certificate JSON that does not match the schema."""
+    """Certificate text that is not a JSON object with a rational "t"."""
 
 
 @dataclass(frozen=True)
@@ -426,8 +428,6 @@ _REGIMES = {r.case_id: r for r in (
                              "path-free count excludes the one path-admitting block")),
 )}
 
-_CASE_IDS = tuple(_REGIMES)
-
 # verify_claim_formula's names for the block regimes
 _REGIME_BY_FAMILY = {r.family: r for r in _REGIMES.values() if r.family}
 
@@ -554,17 +554,6 @@ def synthesize(t: Union[Fraction, int, str]) -> tuple[Graph, Certificate]:
 
 # -- certificate JSON ---------------------------------------------------
 
-_CERT_KEYS = {
-    "t", "case", "q", "a_scaled", "b_scaled", "l", "m", "m1", "m2",
-    "blocks", "nonhamiltonicity", "cutset", "components", "predicted_tau",
-    "notes",
-}
-
-_NONHAM_KINDS = {
-    NONHAM_BIPARTITE, NONHAM_EDGE_COUNT, NONHAM_BLOCK_COUNT, NONHAM_EXHAUSTIVE,
-}
-
-
 def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
@@ -592,95 +581,23 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _want_int(payload: dict, key: str, minimum: int) -> int:
-    v = payload[key]
-    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-        raise CertificateError(f'"{key}" must be an integer >= {minimum}, got {v!r}')
-    return v
+def certificate_from_json(text: str) -> dict:
+    """Parse certificate JSON and return the object.
 
-
-def certificate_from_json(text: str) -> Certificate:
-    """Parse certificate JSON, checking the schema only.
-
-    Semantic consistency (does the plan derive, does the cutset achieve
-    the ratio) is the verifier's job; a schema-valid but wrong
-    certificate parses fine and is then rejected by check_certificate.
-    The "blocks" list becomes the plan's runs, which encode it
-    losslessly, so an edited list still yields a noncanonical plan.
+    A certificate is a function of its "t": the verifier rebuilds the
+    canonical certificate of that t and compares the two as JSON, key by
+    key, so every other field is decided there.  This raises
+    CertificateError only for text that is not a JSON object or whose
+    "t" is not a rational string.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CertificateError(f"bad JSON: {exc}") from None
-    if not isinstance(payload, dict):
-        raise CertificateError("certificate must be a JSON object")
-    if set(payload) != _CERT_KEYS:
-        missing = _CERT_KEYS - set(payload)
-        extra = set(payload) - _CERT_KEYS
-        raise CertificateError(
-            f"certificate keys wrong: missing {sorted(missing)}, extra {sorted(extra)}"
-        )
-    if payload["case"] not in _CASE_IDS:
-        raise CertificateError(f'unknown case {payload["case"]!r}')
+    if not isinstance(payload, dict) or not isinstance(payload.get("t"), str):
+        raise CertificateError('certificate must be a JSON object with a rational "t"')
     try:
-        t = parse_rational(payload["t"]) if isinstance(payload["t"], str) else None
-        tau = (
-            parse_rational(payload["predicted_tau"])
-            if isinstance(payload["predicted_tau"], str)
-            else None
-        )
+        parse_rational(payload["t"])
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
-    if t is None or tau is None:
-        raise CertificateError('"t" and "predicted_tau" must be rational strings')
-    q = _want_int(payload, "q", 1)
-    a_s = _want_int(payload, "a_scaled", 1)
-    b_s = _want_int(payload, "b_scaled", 1)
-    l = _want_int(payload, "l", 0)
-    m = _want_int(payload, "m", 0)
-    m1 = m2 = None
-    if payload["m1"] is not None:
-        m1 = _want_int(payload, "m1", 0)
-    if payload["m2"] is not None:
-        m2 = _want_int(payload, "m2", 0)
-    components = _want_int(payload, "components", 1)
-    if not isinstance(payload["blocks"], list):
-        raise CertificateError('"blocks" must be a list')
-    try:
-        kinds = tuple(
-            (k, sum(1 for _ in run))
-            for k, run in groupby(BlockKind(s) for s in payload["blocks"])
-        )
-    except ValueError as exc:
-        raise CertificateError(f"bad block kind: {exc}") from None
-    raw_cut = payload["cutset"]
-    if not isinstance(raw_cut, list) or not all(
-        isinstance(v, int) and not isinstance(v, bool) and v >= 0 for v in raw_cut
-    ):
-        raise CertificateError('"cutset" must be a list of nonnegative integers')
-    cutset = frozenset(raw_cut)
-    if len(cutset) != len(raw_cut):
-        raise CertificateError('"cutset" has repeated vertices')
-    notes_raw = payload["notes"]
-    if not isinstance(notes_raw, list) or not all(isinstance(s, str) for s in notes_raw):
-        raise CertificateError('"notes" must be a list of strings')
-    nh = payload["nonhamiltonicity"]
-    if not isinstance(nh, dict) or "kind" not in nh:
-        raise CertificateError('"nonhamiltonicity" must be an object with a "kind"')
-    if nh["kind"] not in _NONHAM_KINDS:
-        raise CertificateError(f'unknown nonhamiltonicity kind {nh["kind"]!r}')
-    params = {k: v for k, v in nh.items() if k != "kind"}
-    for k, v in params.items():
-        if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-            raise CertificateError(f"nonhamiltonicity parameter {k}={v!r} must be an integer")
-    p = SynthesisPlan(
-        t=t, case_id=payload["case"], q=q, a_scaled=a_s, b_scaled=b_s,
-        l=l, m=m, m1=m1, m2=m2, block_kinds=kinds, notes=tuple(notes_raw),
-    )
-    return Certificate(
-        plan=p,
-        nonhamiltonicity=NonHamiltonicityArgument(nh["kind"], params),
-        cutset=cutset,
-        components=components,
-        predicted_tau=tau,
-    )
+    return payload

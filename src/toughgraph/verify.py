@@ -1,21 +1,23 @@
 """Certificate verification against the graph it claims to describe.
 
 check_certificate answers one question: is this (graph, certificate)
-pair sound?  The graph is a Graph or its graph6 bytes.  It first
-rebuilds the graph and the certificate from the plan (graph6 input is
-matched to the rebuild by its bytes and decoded only when they
-differ).  That rebuild is a gate: a pair that fails it is rejected on
-that one check, and nothing is counted or searched on a graph that is
-not its plan's.  On the rebuilt graph it then re-verifies the witness
-cutset by counting components (polynomial, runs at any size),
-re-derives the nonhamiltonicity argument, and, whenever the graph is
-small enough, proves the predicted toughness exact: the witness gives
-toughness <= t, and one exact decision that no cutset has ratio below
-t gives toughness >= t.  For a plan of cases 3 or 5.1-7.2 the
-decision is decomposition_below on the plan's layout, K_l joined onto
-gadgets: a min-plus product over the gadgets' states, in milliseconds
-at any scale; cases 1 and 2 get toughness_below's cutset search.
-Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
+pair sound?  The graph is a Graph or its graph6 bytes.  A certificate
+is a function of its target t, so the verifier first rebuilds the
+graph and the certificate from plan(t), compares the certificate with
+the canonical one as JSON values, and then compares the graphs (graph6
+input is matched to the rebuild by its bytes and decoded only when
+they differ).  That rebuild is a gate: a pair that fails it is
+rejected on that one check, and nothing is counted or searched on a
+graph that is not its plan's.  On the rebuilt graph it then
+re-verifies the witness cutset by counting components (polynomial,
+runs at any size), re-derives the nonhamiltonicity argument, and,
+whenever the graph is small enough, proves the predicted toughness
+exact: the witness gives toughness <= t, and one exact decision that
+no cutset has ratio below t gives toughness >= t.  For a plan of
+cases 3 or 5.1-7.2 the decision is decomposition_below on the plan's
+layout, K_l joined onto gadgets: a min-plus product over the gadgets'
+states, in milliseconds at any scale; cases 1 and 2 get
+toughness_below's cutset search.  Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
 the cutset certifies toughness <= t, and the matching lower bound
 rests on the structural argument rather than enumeration.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -54,6 +56,8 @@ from .synth import (
     argument_holds,
     argument_params,
     build,
+    certificate_to_json,
+    parse_rational,
     plan,
     plan_layout,
     plan_order,
@@ -121,16 +125,29 @@ _COUNTING_DETAILS = {
     ),
 }
 
+def _encoded(payload: dict, key: str) -> Optional[str]:
+    """A key's JSON value by its canonical encoding, None when the key is
+    missing: so true is not 1, 1.0 is not 1, and a missing key is not
+    null."""
+    return json.dumps(payload[key], sort_keys=True) if key in payload else None
+
+
 def check_certificate(
-    g: Graph | bytes, cert: Certificate, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
+    g: Graph | bytes, cert: Certificate | dict, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
 ) -> VerificationReport:
     """Verify a certificate against a graph; every failure mode is a
     rejection with its own check entry, never an exception.
 
-    The rebuild check comes first and gates the rest: a pair that fails
-    it gets a report holding only that check, rejected with both
-    statuses FAILED and alpha None, whose detail names the mismatch.
-    Every later check runs on the rebuilt graph.
+    The certificate is a Certificate or the JSON object that
+    certificate_from_json returns; only its "t" is read before the
+    rebuild.  The rebuild check comes first and gates the rest: plan(t)
+    must build a graph of the given order, the certificate must equal
+    the built one key for key as JSON values (a Certificate is
+    serialized with certificate_to_json first), and the graphs must be
+    equal.  A pair that fails it gets a report holding only that check,
+    rejected with both statuses FAILED and alpha None, whose detail
+    names the mismatch.  Every later check runs on the rebuilt graph
+    and certificate.
 
     The graph may also be given as graph6 bytes, which are validated
     first (a malformed string raises GraphFormatError, as decode_graph6
@@ -147,7 +164,7 @@ def check_certificate(
 
 
 def _check_certificate(
-    g: Graph | tuple[int, bytes], cert: Certificate, max_oracle_n: int
+    g: Graph | tuple[int, bytes], cert: Certificate | dict, max_oracle_n: int
 ) -> VerificationReport:
     """check_certificate on a Graph or on the (n, bytes) that
     validate_graph6 returned for it."""
@@ -168,19 +185,27 @@ def _check_certificate(
 
     # rebuild the graph and the reference certificate from the plan
     def chk_rebuild() -> tuple[bool, str]:
-        nonlocal g
+        nonlocal g, cert
         # planning and construction are deterministic, so a sound
         # certificate is exactly what its own target regenerates; any
         # drift in any field is tampering
-        fresh = plan(cert.plan.t)
-        if fresh != cert.plan:
-            return False, f"plan is not the canonical plan for t={cert.plan.t}"
+        given_cert = isinstance(cert, Certificate)
+        fresh = plan(cert.plan.t if given_cert else parse_rational(cert["t"]))
         # compare orders before building, so a small graph cannot make
         # the verifier realize a huge plan
         order = plan_order(fresh)
         if order != n:
             return False, f"plan builds n={order} vertices but the graph has n={n}"
         g2, cert2 = build(fresh)
+        claimed = json.loads(certificate_to_json(cert)) if given_cert else cert
+        canonical = json.loads(certificate_to_json(cert2))
+        keys = sorted(claimed.keys() | canonical.keys())
+        forged = [k for k in keys if _encoded(claimed, k) != _encoded(canonical, k)]
+        if forged:
+            return False, (
+                f"certificate is not the canonical output of its plan: "
+                f"{', '.join(forged)} differ"
+            )
         # only a noncanonical size field or a different graph decodes
         if data is None or encode_graph6(g2) != data:
             given = g if data is None else decode_graph6(data)
@@ -189,15 +214,7 @@ def _check_certificate(
                     f"plan rebuilds to a different graph "
                     f"(n={g2.n}, m={g2.edge_count} vs n={given.n}, m={given.edge_count})"
                 )
-        if cert2 != cert:
-            forged = [
-                f.name for f in fields(cert) if getattr(cert2, f.name) != getattr(cert, f.name)
-            ]
-            return False, (
-                f"certificate is not the canonical output of its plan: "
-                f"{', '.join(forged)} differ"
-            )
-        g = g2
+        g, cert = g2, cert2
         return True, f"plan reproduces the graph: n={g2.n}, m={g2.edge_count}"
 
     if not run("rebuild", chk_rebuild):

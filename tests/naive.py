@@ -12,8 +12,9 @@ neighbors of the last end; and the plain branch and bound for the
 independence number, behind the one with reductions and a matching
 bound.  The last two also check graphs too large to enumerate.  The
 two cutset references read one table of subset component counts per
-graph.  The counting arguments' parameters are written out by hand
-from the paper's formulas, as a second copy of synth's derivation.
+graph, filled by a flood fill over neighbor masks of its own.  The
+counting arguments' parameters are written out by hand from the
+paper's formulas, as a second copy of synth's derivation.
 Keep these dumb; their only virtue is that they are obviously correct
 on small graphs.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import functools
 from array import array
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from typing import Optional
 
 from toughgraph import BlockKind, Graph, make_graph
@@ -55,16 +56,38 @@ def _component_count(adj: dict[int, set[int]], removed: set[int]) -> int:
     return count
 
 
+def _mask_component_count(nbrs: list[int], alive: int) -> int:
+    """Components among the vertices of the mask alive, by flood fill
+    over neighbor masks, one vertex at a time."""
+    count = 0
+    while alive:
+        reached = frontier = alive & -alive
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = nbrs[low.bit_length() - 1] & alive & ~reached
+            reached |= new
+            frontier |= new
+        alive &= ~reached
+        count += 1
+    return count
+
+
 @functools.lru_cache(maxsize=1)
 def _subset_components(g: Graph) -> dict[tuple[int, ...], int]:
-    """omega(G - S) for every subset S of the vertices, keyed by S in
-    increasing order; cached for the last graph, which both cutset
-    references read."""
-    adj = _adjacency(g)
+    """omega(G - S) for every subset S of the vertices, keyed by S as an
+    increasing tuple and listed in (size, lexicographic) order; cached
+    for the last graph, which both cutset references read."""
+    nbrs = [0] * g.n
+    for u, v in g.edges():
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    full, bits = (1 << g.n) - 1, [1 << v for v in range(g.n)]
+    # the subsets and their bits, enumerated in step
     return {
-        subset: _component_count(adj, set(subset))
+        subset: _mask_component_count(nbrs, full ^ sum(chosen))
         for k in range(g.n + 1)
-        for subset in combinations(range(g.n), k)
+        for subset, chosen in zip(combinations(range(g.n), k), combinations(bits, k))
     }
 
 
@@ -79,14 +102,12 @@ def naive_first_optimal_cutset(
 ) -> Optional[tuple[Fraction, tuple[int, ...]]]:
     """The toughness and the first cutset reaching it, in (size,
     lexicographic) order over all subsets; None when complete."""
-    table = _subset_components(g)
     best: Optional[tuple[int, int, tuple[int, ...]]] = None
-    for k in range(g.n):
-        for subset in combinations(range(g.n), k):
-            comps = table[subset]
-            # k / comps < size / components, cross-multiplied
-            if comps >= 2 and (best is None or k * best[1] < best[0] * comps):
-                best = (k, comps, subset)
+    for subset, comps in _subset_components(g).items():
+        k = len(subset)
+        # k / comps < size / components, cross-multiplied
+        if comps >= 2 and (best is None or k * best[1] < best[0] * comps):
+            best = (k, comps, subset)
     return None if best is None else (Fraction(best[0], best[1]), best[2])
 
 
@@ -96,15 +117,16 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[int, int, tuple[int, .
     every cutset, and the subsets of the other vertices go as binary
     numbers, smallest first, with the lowest label as the top bit."""
     adj = _adjacency(g)
-    table = _subset_components(g)
     universal = {v for v in adj if len(adj[v]) == g.n - 1}
-    rest = [v for v in adj if v not in universal]
-    order = []
-    for bits in product((False, True), repeat=len(rest)):
-        cut = tuple(sorted(universal | {v for v, b in zip(rest, bits) if b}))
-        comps = table[cut]
-        if comps >= 2:
-            order.append((len(cut), comps, cut))
+    order = [
+        (len(cut), comps, cut)
+        for cut, comps in _subset_components(g).items()
+        if comps >= 2 and universal.issubset(cut)
+    ]
+    # the cutset as a binary number whose top bit is vertex 0; the
+    # universal vertices' bits are set in every cutset
+    top = [1 << (g.n - 1 - v) for v in range(g.n)]
+    order.sort(key=lambda c: sum([top[v] for v in c[2]]))
     return order
 
 

@@ -146,7 +146,9 @@ def test_verify_rejects_a_nine_digit_forgery_in_bounded_memory(tmp_path):
     assert r.returncode == 1, r.stderr
     report = json.loads(r.stdout)
     assert report["accepted"] is False
-    assert "not the canonical plan" in report["checks"][0]["detail"]
+    assert [c["detail"] for c in report["checks"]] == [
+        "plan builds n=1124999994 vertices but the graph has n=5"
+    ]
 
 
 def test_huge_vertex_count_is_refused_in_bounded_memory(tmp_path):
@@ -189,6 +191,35 @@ def test_verify_bad_inputs_exit_2(tmp_path):
     run_cli("synth", "6/5", "--out", str(gpath))
     r3 = run_cli("verify", str(gpath), str(notjson))
     assert r3.returncode == 2
+
+
+def test_verify_rejects_a_malformed_field_with_exit_1(tmp_path, capsys):
+    # a certificate is an input error (exit 2) only when it is not a JSON
+    # object with a rational "t"; any other bad field is a rejection
+    # whose one-check report names its key
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    run_cli("synth", "6/5", "--out", str(gpath), "--cert", str(cpath))
+    good = json.loads(cpath.read_text())
+    bad = tmp_path / "bad.json"
+    capsys.readouterr()
+    for key, value in (
+        ("extra", 1),
+        ("q", True),
+        ("cutset", good["cutset"][::-1]),
+        ("case", "99"),
+        ("blocks", ["L9"]),
+        ("nonhamiltonicity", "edge_count"),
+    ):
+        bad.write_text(json.dumps(dict(good, **{key: value})))
+        assert main(["verify", str(gpath), str(bad)]) == 1, key
+        report = json.loads(capsys.readouterr().out)
+        assert report["accepted"] is False
+        assert [c["detail"] for c in report["checks"]] == [
+            f"certificate is not the canonical output of its plan: {key} differ"
+        ]
+    bad.write_text(json.dumps(dict(good, t="3/")))
+    assert main(["verify", str(gpath), str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: rational must look like a/b")
 
 
 def test_verify_has_no_budget_option(capsys):

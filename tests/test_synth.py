@@ -19,6 +19,7 @@ from toughgraph import (
     build,
     certificate_from_json,
     certificate_to_json,
+    check_certificate,
     components,
     cutset_witness,
     decode_graph6,
@@ -269,13 +270,29 @@ def test_large_block_graph_roundtrips_through_graph6():
     assert witness.ratio == cert.predicted_tau == Fraction(1301, 701)
 
 
+def _reordered(value):
+    """The JSON value with the keys of every object in reverse order."""
+    if isinstance(value, dict):
+        return {k: _reordered(value[k]) for k in reversed(list(value))}
+    return value
+
+
 def test_certificate_json_roundtrip():
+    # the parser returns the JSON object; the verifier accepts it with the
+    # report the Certificate gets, also re-dumped compactly with its keys
+    # in another order
     for target in ("2/3", "1", "6/5", "3/2", "9/5", "13/6"):
         g, cert = synthesize(target)
         text = certificate_to_json(cert)
         back = certificate_from_json(text)
-        assert back == cert
-        assert certificate_to_json(back) == text
+        assert back == json.loads(text)
+        want = check_certificate(g, cert)
+        assert want.accepted, target
+        assert check_certificate(g, back).to_json() == want.to_json(), target
+        compact = json.dumps(_reordered(back), separators=(",", ":"))
+        assert compact != text and json.loads(compact) == back
+        report = check_certificate(g, certificate_from_json(compact))
+        assert report.to_json() == want.to_json(), target
 
 
 def test_certificate_json_shape():
@@ -298,60 +315,90 @@ def test_certificate_json_shape():
 _DROP = object()
 
 
+def _corrupt(good: dict, **changes) -> str:
+    bad = dict(good, **changes)
+    for key, val in changes.items():
+        if val is _DROP:
+            del bad[key]
+    return json.dumps(bad)
+
+
 def test_certificate_json_rejects_bad_payloads():
+    # the parser refuses only text that is not an object with a rational t
     _, cert = synthesize("6/5")
     good = json.loads(certificate_to_json(cert))
+    for text in ("not json", "[1, 2]", _corrupt(good, t=_DROP), _corrupt(good, t="3/")):
+        with pytest.raises(CertificateError):
+            certificate_from_json(text)
 
-    def corrupt(**changes):
-        bad = dict(good, **changes)
-        for key, val in changes.items():
-            if val is _DROP:
-                del bad[key]
-        return json.dumps(bad)
 
-    with pytest.raises(CertificateError):
-        certificate_from_json("not json")
-    with pytest.raises(CertificateError):
-        certificate_from_json("[1, 2]")
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(t=_DROP))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(extra=1))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(t="3/"))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(q="1"))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(cutset=[0, "1"]))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(case="99"))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(blocks=["L9"]))
-    with pytest.raises(CertificateError):
-        certificate_from_json(corrupt(nonhamiltonicity="edge_count"))
+def _bad_payloads(good: dict) -> list[tuple[str, dict]]:
+    """(key, changes) for payloads that parse but are not the canonical
+    certificate, each in the one key named."""
+    cut = good["cutset"]
+    return [
+        ("t", {"t": "12/10"}),
+        ("extra", {"extra": 1}),
+        ("q", {"q": "1"}),
+        ("q", {"q": True}),
+        ("q", {"q": 1.0}),
+        ("m1", {"m1": _DROP}),
+        ("cutset", {"cutset": [0, "1"]}),
+        ("cutset", {"cutset": cut[::-1]}),
+        ("cutset", {"cutset": cut[:1] + cut}),
+        ("case", {"case": "99"}),
+        ("blocks", {"blocks": ["L9"]}),
+        ("nonhamiltonicity", {"nonhamiltonicity": "edge_count"}),
+    ]
+
+
+def test_the_verifier_rejects_every_parsed_bad_payload():
+    # a payload the parser accepts is decided by the rebuild's JSON
+    # comparison: a one-check report that names its key; t is canonical
+    # only in lowest terms, true and 1.0 are not 1, a missing key is not
+    # null, and the cutset list is canonical only sorted and without
+    # repeats
+    g, cert = synthesize("6/5")
+    good = json.loads(certificate_to_json(cert))
+    assert good["q"] == 1 and good["m1"] is None and len(good["cutset"]) > 1
+    for key, changes in _bad_payloads(good):
+        parsed = certificate_from_json(_corrupt(good, **changes))
+        report = check_certificate(g, parsed)
+        assert not report.accepted, changes
+        assert (report.toughness_status, report.nonhamiltonicity_status) == ("FAILED", "FAILED")
+        assert [(c.name, c.ok, c.detail) for c in report.checks] == [(
+            "rebuild", False,
+            f"certificate is not the canonical output of its plan: {key} differ",
+        )], changes
 
 
 def test_verifier_owns_semantics_not_the_parser():
-    # semantically wrong but schema-valid payloads must parse fine; the
-    # verifier is the component that rejects them
-    _, cert = synthesize("6/5")
+    # semantically wrong payloads must parse fine; the verifier is the
+    # component that rejects them
+    g, cert = synthesize("6/5")
     payload = json.loads(certificate_to_json(cert))
     payload["components"] = 4
     back = certificate_from_json(json.dumps(payload))
-    assert back.components == 4
+    assert back["components"] == 4
+    report = check_certificate(g, back)
+    assert not report.accepted
+    assert report.checks[0].detail == (
+        "certificate is not the canonical output of its plan: components differ"
+    )
 
 
 def test_certificate_parser_is_schema_only(monkeypatch):
-    # parsing must not derive anything from the unchecked plan
+    # parsing must not plan, size or build anything from the text
     import toughgraph.synth as synth
 
-    def no_order(p):
-        pytest.fail("certificate_from_json computed the plan's order")
+    def refuse(*args):
+        pytest.fail("certificate_from_json derived something from the plan")
 
     _, cert = synthesize("9/5")
     text = certificate_to_json(cert)
-    monkeypatch.setattr(synth, "plan_order", no_order)
-    assert certificate_from_json(text) == cert
+    for name in ("plan", "plan_order", "build"):
+        monkeypatch.setattr(synth, name, refuse)
+    assert certificate_from_json(text) == json.loads(text)
 
 
 def test_predicted_toughness_guards_corrupt_plans():
