@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import sys
 from pathlib import Path
@@ -59,9 +60,10 @@ __all__ = ["main"]
 _FORMATS = ("g6", "dot", "edges", "json")
 
 
-def _render(g: Graph, fmt: str, highlight=()) -> str:
+def _render(g: Graph, fmt: str, highlight=()) -> str | bytes:
+    """The graph in a format: graph6 as bytes, the others as text."""
     if fmt == "g6":
-        return encode_graph6(g).decode("ascii") + "\n"
+        return encode_graph6(g) + b"\n"
     if fmt == "dot":
         return to_dot(g, highlight)
     if fmt == "edges":
@@ -76,8 +78,22 @@ def _render(g: Graph, fmt: str, highlight=()) -> str:
 def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
     """The graph in a file, any of the three formats; with decode=False
     a graph6 file is only validated and comes back as validate_graph6's
-    (n, bytes)."""
-    text = sys.stdin.read() if path == "-" else Path(path).read_text()
+    (n, bytes).  A file of one valid graph6 string is read as bytes only;
+    any other is read as text, which names its fault."""
+    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
+    # a graph6 byte is 63-126, so a file that starts with "{" (JSON, or
+    # graph6 for n = 60) or a digit (an edge list) goes to the text reader
+    head = data.lstrip()[:1]
+    if head != b"{" and not head.isdigit():
+        try:
+            return decode_graph6(data) if decode else validate_graph6(data)
+        except GraphFormatError:
+            pass
+    # the text that sys.stdin or Path.read_text gives
+    if path == "-":
+        text = data.decode(sys.stdin.encoding, sys.stdin.errors)
+    else:
+        text = io.TextIOWrapper(io.BytesIO(data)).read()
     stripped = text.strip()
     if not stripped:
         raise GraphFormatError(f"{path}: empty graph file")
@@ -127,11 +143,15 @@ def _read_edge_list(path: str, lines: list[str]) -> Graph:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(data: str | bytes, out: str | None) -> None:
+    binary = isinstance(data, bytes)
     if out and out != "-":
-        Path(out).write_text(text)
+        (Path(out).write_bytes if binary else Path(out).write_text)(data)
+    elif binary:
+        sys.stdout.flush()  # after any text already written
+        sys.stdout.buffer.write(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data)
 
 
 def _cmd_synth(args) -> int:

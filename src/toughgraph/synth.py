@@ -5,18 +5,21 @@ normalized first), plan() picks one of ten construction regimes keyed on
 the size of t and the parity of its denominator, scales t by the
 smallest admissible integer q, and derives the block counts, held as
 at most three runs (kind, count) so that planning costs the same at any
-scale.  build() realizes exactly plan(t) as a concrete graph plus a
-certificate holding the toughness witness cutset and a checkable
-nonhamiltonicity argument.  The certificate is thus a function of t:
-certificate_to_json writes it, and certificate_from_json checks only
-that the text is a JSON object with a rational "t", leaving every
-other field to the verifier's comparison with the canonical one.
+scale.  The certificate is a function of the plan alone:
+plan_certificate(p) reads the toughness witness cutset and a checkable
+nonhamiltonicity argument off the regime table, and sets the component
+count to |S| / t, all without building a graph.  build() realizes
+exactly plan(t) as a concrete graph (plan_graph), pairs it with that
+certificate, and checks the count on the graph.  certificate_to_json
+writes the certificate, and certificate_from_json checks only that the
+text is a JSON object with a rational "t", leaving every other field to
+the verifier's comparison with the canonical one.
 
 Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
-formula's hypothesis, witness and builder are written; planning,
-building and verify_claim_formula all read it, and the verifier reads
-the counting arguments beside it.  The
+formula's hypothesis, witness, argument and builder are written;
+planning, certifying, building and verify_claim_formula all read it,
+and the verifier reads the counting arguments beside it.  The
 regimes, by certificate "case" tag:
   1    0 < t < 1      complete bipartite, more independents than the rest
   2    t = 1          a fixed 7-vertex graph
@@ -67,6 +70,8 @@ __all__ = [
     "parse_rational",
     "plan",
     "build",
+    "plan_graph",
+    "plan_certificate",
     "synthesize",
     "predicted_toughness",
     "plan_order",
@@ -74,6 +79,7 @@ __all__ = [
     "argument_params",
     "argument_holds",
     "verify_claim_formula",
+    "certificate_payload",
     "certificate_to_json",
     "certificate_from_json",
     "NONHAM_BIPARTITE",
@@ -169,9 +175,6 @@ class _Counts(NamedTuple):
     m2: Optional[int] = None
 
 
-# a built graph, its witness cutset and its nonhamiltonicity argument
-_Built = tuple[Graph, frozenset[int], NonHamiltonicityArgument]
-
 # a graph as K_l joined onto runs of gadgets whose terminals form one
 # clique: l and the runs, decomposition_below's input
 _Layout = tuple[int, tuple[GadgetRun, ...]]
@@ -183,8 +186,8 @@ class _Regime:
 
     Rules over counts read only l, m, m1 and m2, so they take a
     SynthesisPlan or a bare _Counts alike.  The block regimes share one
-    admissibility rule, order, builder and layout; regimes 1-4 give
-    their own.
+    admissibility rule, order, builder, witness cutset and layout;
+    regimes 1-4 give their own.
     """
 
     case_id: str
@@ -192,10 +195,12 @@ class _Regime:
     # the toughness a plan attains; regimes 1 and 3 reach A/B at any scale
     formula: Callable[..., Fraction] = lambda p: Fraction(p.a_scaled, p.b_scaled)
     parity: Optional[int] = None  # reduced denominator mod 2, where split
+    nonham: str = NONHAM_BLOCK_COUNT  # the nonhamiltonicity argument's kind
     # regimes 1-4 only
     admits: Optional[Callable[[SynthesisPlan], bool]] = None
     order: Optional[Callable[[SynthesisPlan], int]] = None
-    builder: Optional[Callable[[SynthesisPlan], _Built]] = None
+    builder: Optional[Callable[[SynthesisPlan], Graph]] = None
+    cut: Optional[Callable[[SynthesisPlan], frozenset[int]]] = None  # the witness
     # the layout, where the graph is a join onto gadgets
     gadgets: Optional[Callable[[SynthesisPlan], _Layout]] = None
     # block regimes only: the verify_claim_formula name; l and the counts
@@ -249,20 +254,25 @@ class _Regime:
             return p.l, _block_gadgets(p.block_kinds)
         return self.gadgets(p) if self.gadgets else None
 
-    def realize(self, p: SynthesisPlan) -> _Built:
+    def graph(self, p: SynthesisPlan) -> Graph:
         if self.builder is not None:
             return self.builder(p)
-        blocks = [block(k) for k in _expand(p.block_kinds)]
-        g = g_construct(p.l, blocks)
+        return g_construct(p.l, [block(k) for k in _expand(p.block_kinds)])
+
+    def cutset(self, p: SynthesisPlan) -> frozenset[int]:
+        """The witness cutset; in a block regime the l join vertices and
+        the cut cores of the chosen kinds' blocks, at their offsets."""
+        if self.cut is not None:
+            return self.cut(p)
         chosen = self.witness(p)
-        picks = set(range(p.l))
+        picks = list(range(p.l))
         offset = p.l
-        for b in blocks:
-            if b.kind in chosen:
-                picks.update(offset + v for v in b.cut_core)
-            offset += b.n
-        return g, frozenset(picks), NonHamiltonicityArgument(
-            NONHAM_BLOCK_COUNT, argument_params(NONHAM_BLOCK_COUNT, p))
+        for k, count in p.block_kinds:
+            b = block(k)
+            if k in chosen:
+                picks.extend(offset + i * b.n + v for i in range(count) for v in b.cut_core)
+            offset += count * b.n
+        return frozenset(picks)
 
 
 def _runs(*runs: tuple[BlockKind, int]) -> _Runs:
@@ -301,11 +311,17 @@ def _path_free_needed(l: int) -> int:
 
 
 def argument_params(kind: str, p: SynthesisPlan) -> dict[str, int]:
-    """The parameters of the plan's counting argument, NONHAM_EDGE_COUNT
+    """The parameters of the plan's nonhamiltonicity argument:
+    NONHAM_BIPARTITE (case 1: the independent side), NONHAM_EXHAUSTIVE
+    (cases 2 and 4: none), or a counting argument, NONHAM_EDGE_COUNT
     (case 3: incidences a Hamilton cycle needs at the independent layer,
     and those available) or NONHAM_BLOCK_COUNT (cases 5-7: the 2l + 1
     path-free blocks needed, after Bauer, Broersma, Veldman 2000, and
     those present)."""
+    if kind == NONHAM_BIPARTITE:
+        return {"independent_side": p.b_scaled}
+    if kind == NONHAM_EXHAUSTIVE:
+        return {}
     if kind == NONHAM_EDGE_COUNT:
         A, B = p.a_scaled, p.b_scaled
         return {"required_incidences": 2 * B, "available_incidences": 2 * (A - B + 1) + B}
@@ -330,39 +346,16 @@ def _mixed(l: int, m2: int) -> _Counts:
     return _Counts(l, m1 + m2, m1, m2)
 
 
-# Builders of regimes 1-4.  They name their constructors as module
-# globals at call time, so tracing wrappers installed on this module
-# see the calls.
-
-
-def _build_bipartite(p: SynthesisPlan) -> _Built:
-    A, B = p.a_scaled, p.b_scaled
-    arg = NonHamiltonicityArgument(NONHAM_BIPARTITE, {"independent_side": B})
-    return complete_bipartite(A, B), frozenset(range(A)), arg
-
-
-def _build_unit(p: SynthesisPlan) -> _Built:
-    arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
-    return unit_toughness_graph(), frozenset({0, 3}), arg
-
-
-def _build_layers(p: SynthesisPlan) -> _Built:
+def _layers_cutset(p: SynthesisPlan) -> frozenset[int]:
+    """matched_layers(A, B)'s clique and all but one matched end."""
     A, B = p.a_scaled, p.b_scaled
     n1 = A - B + 1
-    cut = frozenset(range(n1)) | frozenset(n1 + B + i for i in range(B - 1))
-    arg = NonHamiltonicityArgument(NONHAM_EDGE_COUNT, argument_params(NONHAM_EDGE_COUNT, p))
-    return matched_layers(A, B), cut, arg
+    return frozenset(range(n1)) | frozenset(n1 + B + i for i in range(B - 1))
 
 
 # the gadget of matched_layers: an edge y-z whose end z, vertex 1, is
 # the terminal
 _MATCHED_EDGE = complete_graph(2)
-
-
-def _build_inflation(p: SynthesisPlan) -> _Built:
-    base = petersen()
-    arg = NonHamiltonicityArgument(NONHAM_EXHAUSTIVE, {})
-    return inflate_triangles(base), inflation_cutset(base), arg
 
 
 _L1, _L2, _L3, _L4 = BlockKind.L1, BlockKind.L2, BlockKind.L3, BlockKind.L4
@@ -372,20 +365,28 @@ _NO_L2_NOTE = (
     "no contracted blocks exist at this t"
 )
 
+# The builders of regimes 1-4 name their constructors as module globals
+# at call time, so wrappers installed on this module see the calls.
 _REGIMES = {r.case_id: r for r in (
     _Regime("1", lambda t: t < 1, admits=lambda p: p.q == 1,
-            order=lambda p: p.a_scaled + p.b_scaled, builder=_build_bipartite),
+            order=lambda p: p.a_scaled + p.b_scaled, nonham=NONHAM_BIPARTITE,
+            builder=lambda p: complete_bipartite(p.a_scaled, p.b_scaled),
+            cut=lambda p: frozenset(range(p.a_scaled))),
     _Regime("2", lambda t: t == 1, formula=lambda p: Fraction(1),
-            admits=lambda p: p.q == 1, order=lambda p: 7, builder=_build_unit),
+            admits=lambda p: p.q == 1, order=lambda p: 7, nonham=NONHAM_EXHAUSTIVE,
+            builder=lambda p: unit_toughness_graph(), cut=lambda p: frozenset({0, 3})),
     _Regime("3", lambda t: 1 < t < Fraction(3, 2),
             # the count fails for b_scaled = 1, where matched_layers is undefined
             admits=lambda p: argument_holds(NONHAM_EDGE_COUNT, p),
-            order=lambda p: p.a_scaled + p.b_scaled + 1, builder=_build_layers,
+            order=lambda p: p.a_scaled + p.b_scaled + 1, nonham=NONHAM_EDGE_COUNT,
+            builder=lambda p: matched_layers(p.a_scaled, p.b_scaled), cut=_layers_cutset,
             # matched_layers(A, B) is K_{A-B+1} joined onto B such edges
             gadgets=lambda p: (p.a_scaled - p.b_scaled + 1,
                                ((_MATCHED_EDGE, 0b10, p.b_scaled),))),
     _Regime("4", lambda t: t == Fraction(3, 2), formula=lambda p: Fraction(3, 2),
-            admits=lambda p: p.q == 1, order=lambda p: 30, builder=_build_inflation),
+            admits=lambda p: p.q == 1, order=lambda p: 30, nonham=NONHAM_EXHAUSTIVE,
+            builder=lambda p: inflate_triangles(petersen()),
+            cut=lambda p: inflation_cutset(petersen())),
     _Regime("5.1", lambda t: Fraction(3, 2) < t < Fraction(7, 4), parity=1,
             family="l2_chain",
             counts=lambda A, B: _Counts(A - 3 * (B - 1) // 2, (B - 1) // 2),
@@ -523,28 +524,41 @@ def plan_layout(p: SynthesisPlan) -> Optional[_Layout]:
     return _regime(p.case_id).layout(p)
 
 
+def plan_graph(p: SynthesisPlan) -> Graph:
+    """The graph of a canonical plan, built with nothing counted."""
+    return _regime(p.case_id).graph(p)
+
+
+def plan_certificate(p: SynthesisPlan) -> Certificate:
+    """The certificate of a canonical plan, from the plan alone: the
+    regime's witness cutset S and nonhamiltonicity argument, and the
+    component count |S| / predicted_tau that S leaves if it attains the
+    predicted toughness.  Nothing is built or counted.  Raises PlanError
+    when that count is not a whole number."""
+    r = _regime(p.case_id)
+    cut = r.cutset(p)
+    predicted = predicted_toughness(p)
+    components = len(cut) / predicted
+    if components.denominator != 1:
+        raise PlanError(f"a cutset of {len(cut)} vertices cannot attain {predicted}")
+    arg = NonHamiltonicityArgument(r.nonham, argument_params(r.nonham, p))
+    return Certificate(p, arg, cut, components.numerator, predicted)
+
+
 def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
-    """Realize a plan, which must equal plan(p.t): the graph, and a
-    certificate with a verified witness cutset and the nonhamiltonicity
-    argument for its regime."""
+    """Realize a plan, which must equal plan(p.t): its graph, and its
+    certificate, whose component count is checked on the graph."""
     if p != plan(p.t):
         raise PlanError(f"plan is not the canonical plan for t={p.t}")
-    g, cut, arg = _REGIMES[p.case_id].realize(p)
-    witness = cutset_witness(g, cut)
-    predicted = predicted_toughness(p)
-    if witness.ratio != predicted:
+    g = plan_graph(p)
+    cert = plan_certificate(p)
+    count = cutset_witness(g, cert.cutset).component_count
+    if count != cert.components:
         raise PlanError(
-            f"witness ratio {witness.ratio} disagrees with predicted {predicted}"
+            f"witness leaves {count} components, the certificate says {cert.components}"
         )
     if g.n != plan_order(p):
         raise PlanError("built order disagrees with plan_order")
-    cert = Certificate(
-        plan=p,
-        nonhamiltonicity=arg,
-        cutset=witness.cutset,
-        components=witness.component_count,
-        predicted_tau=predicted,
-    )
     return g, cert
 
 
@@ -558,9 +572,10 @@ def _frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def certificate_to_json(cert: Certificate) -> str:
+def certificate_payload(cert: Certificate) -> dict:
+    """The certificate as the JSON object certificate_to_json writes."""
     p = cert.plan
-    payload = {
+    return {
         "t": _frac_str(p.t),
         "case": p.case_id,
         "q": p.q,
@@ -578,7 +593,10 @@ def certificate_to_json(cert: Certificate) -> str:
         "predicted_tau": _frac_str(cert.predicted_tau),
         "notes": list(p.notes),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def certificate_to_json(cert: Certificate) -> str:
+    return json.dumps(certificate_payload(cert), indent=2, sort_keys=True) + "\n"
 
 
 def certificate_from_json(text: str) -> dict:

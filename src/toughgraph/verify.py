@@ -2,14 +2,15 @@
 
 check_certificate answers one question: is this (graph, certificate)
 pair sound?  The graph is a Graph or its graph6 bytes.  A certificate
-is a function of its target t, so the verifier first rebuilds the
-graph and the certificate from plan(t), compares the certificate with
-the canonical one as JSON values, and then compares the graphs (graph6
-input is matched to the rebuild by its bytes and decoded only when
-they differ).  That rebuild is a gate: a pair that fails it is
-rejected on that one check, and nothing is counted or searched on a
-graph that is not its plan's.  On the rebuilt graph it then
-re-verifies the witness cutset by counting components (polynomial,
+is a function of its target t, so the verifier first derives the
+canonical certificate from plan(t) alone (plan_certificate) and
+compares the two as JSON values before any graph is built; only then
+does it build the plan's graph and compare the graphs (graph6 input is
+matched to the rebuild by its bytes and decoded only when they
+differ).  That rebuild is a gate: a pair that fails it is rejected on
+that one check, and nothing is counted or searched on a graph that is
+not its plan's.  On the rebuilt graph it then re-verifies the witness
+cutset by counting components, the verifier's only count (polynomial,
 runs at any size), re-derives the nonhamiltonicity argument, and,
 whenever the graph is small enough, proves the predicted toughness
 exact: the witness gives toughness <= t, and one exact decision that
@@ -17,9 +18,10 @@ no cutset has ratio below t gives toughness >= t.  For a plan of
 cases 3 or 5.1-7.2 the decision is decomposition_below on the plan's
 layout, K_l joined onto gadgets: a min-plus product over the gadgets'
 states, in milliseconds at any scale; cases 1 and 2 get
-toughness_below's cutset search.  Larger instances are honestly downgraded to WITNESS_UPPER_BOUND_ONLY:
-the cutset certifies toughness <= t, and the matching lower bound
-rests on the structural argument rather than enumeration.
+toughness_below's cutset search.  Larger instances are honestly
+downgraded to WITNESS_UPPER_BOUND_ONLY: the cutset certifies
+toughness <= t, and the matching lower bound rests on the structural
+argument rather than enumeration.
 """
 
 from __future__ import annotations
@@ -55,10 +57,11 @@ from .synth import (
     PlanError,
     argument_holds,
     argument_params,
-    build,
-    certificate_to_json,
+    certificate_payload,
     parse_rational,
     plan,
+    plan_certificate,
+    plan_graph,
     plan_layout,
     plan_order,
 )
@@ -142,9 +145,11 @@ def check_certificate(
     certificate_from_json returns; only its "t" is read before the
     rebuild.  The rebuild check comes first and gates the rest: plan(t)
     must build a graph of the given order, the certificate must equal
-    the built one key for key as JSON values (a Certificate is
-    serialized with certificate_to_json first), and the graphs must be
-    equal.  A pair that fails it gets a report holding only that check,
+    plan_certificate's key for key as JSON values (a Certificate is
+    taken as certificate_payload's object), which is decided before
+    any graph is built, and then the plan's graph must equal the given
+    one.  The witness check that follows is the only component count.
+    A pair that fails it gets a report holding only that check,
     rejected with both statuses FAILED and alpha None, whose detail
     names the mismatch.  Every later check runs on the rebuilt graph
     and certificate.
@@ -183,29 +188,31 @@ def _check_certificate(
         checks.append(CheckOutcome(name, ok, detail, time.perf_counter() - t0))
         return ok
 
-    # rebuild the graph and the reference certificate from the plan
+    # derive the reference certificate from the plan, then build its graph
     def chk_rebuild() -> tuple[bool, str]:
         nonlocal g, cert
-        # planning and construction are deterministic, so a sound
-        # certificate is exactly what its own target regenerates; any
-        # drift in any field is tampering
+        # planning is deterministic and the certificate is a function of
+        # the plan, so a sound certificate is exactly what its own target
+        # regenerates; any drift in any field is tampering
         given_cert = isinstance(cert, Certificate)
         fresh = plan(cert.plan.t if given_cert else parse_rational(cert["t"]))
-        # compare orders before building, so a small graph cannot make
-        # the verifier realize a huge plan
+        # compare orders before anything else, so a small graph cannot
+        # make the verifier realize a huge plan
         order = plan_order(fresh)
         if order != n:
             return False, f"plan builds n={order} vertices but the graph has n={n}"
-        g2, cert2 = build(fresh)
-        claimed = json.loads(certificate_to_json(cert)) if given_cert else cert
-        canonical = json.loads(certificate_to_json(cert2))
-        keys = sorted(claimed.keys() | canonical.keys())
-        forged = [k for k in keys if _encoded(claimed, k) != _encoded(canonical, k)]
-        if forged:
+        # the certificates are compared before any graph is built
+        cert2 = plan_certificate(fresh)
+        claimed = certificate_payload(cert) if given_cert else cert
+        canonical = certificate_payload(cert2)
+        if json.dumps(claimed, sort_keys=True) != json.dumps(canonical, sort_keys=True):
+            keys = sorted(claimed.keys() | canonical.keys())
+            forged = [k for k in keys if _encoded(claimed, k) != _encoded(canonical, k)]
             return False, (
                 f"certificate is not the canonical output of its plan: "
                 f"{', '.join(forged)} differ"
             )
+        g2 = plan_graph(fresh)
         # only a noncanonical size field or a different graph decodes
         if data is None or encode_graph6(g2) != data:
             given = g if data is None else decode_graph6(data)

@@ -26,6 +26,7 @@ from toughgraph import (
     encode_graph6,
     parse_rational,
     plan,
+    plan_certificate,
     plan_order,
     predicted_toughness,
     synthesize,
@@ -252,6 +253,23 @@ def test_synthesis_bytes_golden():
         h.update(encode_graph6(g))
         h.update(certificate_to_json(cert).encode())
     assert {case: h.hexdigest() for case, h in digests.items()} == GOLDEN_DIGESTS
+
+
+def test_the_plan_alone_gives_the_built_certificate():
+    # plan_certificate's component count is |S| / t, with no graph; build
+    # counts the cutset's components on the graph and must agree
+    targets = {
+        Fraction(a, b)
+        for b in range(1, 31)
+        for a in range(1, 3 * b)
+        if Fraction(a, b) < Fraction(9, 4)
+    }
+    targets |= {Fraction(449, 200), Fraction(1199, 700), Fraction(1301, 701),
+                Fraction(1999, 2000)}
+    assert len(targets) == 628
+    for t in targets:
+        p = plan(t)
+        assert certificate_to_json(plan_certificate(p)) == certificate_to_json(build(p)[1]), t
 
 
 # -- certificates -------------------------------------------------------------

@@ -263,6 +263,76 @@ def test_a_pair_that_fails_the_rebuild_gets_a_one_check_report(monkeypatch, case
     assert calls == ([data] if forged_graph else [])
 
 
+def _forge(payload: dict, field: str, n: int) -> tuple[str, str]:
+    """Certificate JSON with one field changed, as the benchmark's
+    forgeries change it, and the key the rebuild names for it."""
+    cert = json.loads(json.dumps(payload))
+    if field == "cutset_vertex":
+        cut = cert["cutset"]
+        cert["cutset"] = sorted(cut[1:] + [min(set(range(n)) - set(cut))])
+        return json.dumps(cert), "cutset"
+    if field == "predicted_tau":
+        num, den = cert["predicted_tau"].split("/")
+        cert["predicted_tau"] = f"{int(num) + 1}/{den}"
+    elif field == "block_kind":
+        first = cert["blocks"][:1]
+        cert["blocks"][:1] = ["L3" if first == ["L1"] else "L1"]
+        return json.dumps(cert), "blocks"
+    elif field == "nonham_param":
+        arg = cert["nonhamiltonicity"]
+        arg[min(k for k in arg if k != "kind")] += 1
+        return json.dumps(cert), "nonhamiltonicity"
+    else:
+        cert[field] += 1
+    return json.dumps(cert), field
+
+
+@pytest.mark.parametrize("target", ["9/5", "5/8"])
+def test_a_forged_certificate_is_rejected_before_any_graph_exists(monkeypatch, target):
+    # every one-field forgery gets the one-check rebuild report from the
+    # certificate comparison alone, with each constructor refusing
+    from toughgraph import certificate_from_json, certificate_to_json, synth
+
+    g, cert = synthesize(target)
+    data = encode_graph6(g)
+    payload = json.loads(certificate_to_json(cert))
+
+    def refuse(*args):
+        pytest.fail("verifier built a graph for a forged certificate")
+
+    for name in ("g_construct", "complete_bipartite", "matched_layers",
+                 "inflate_triangles", "unit_toughness_graph"):
+        monkeypatch.setattr(synth, name, refuse)
+    _refuse_checks(monkeypatch)
+    for field in ("cutset_vertex", "components", "predicted_tau", "l", "block_kind",
+                  "nonham_param"):
+        text, key = _forge(payload, field, g.n)
+        for graph in (g, data):
+            report = check_certificate(graph, certificate_from_json(text))
+            _assert_rebuild_only(report, _NOT_CANONICAL.format(key))
+
+
+def test_a_genuine_pair_counts_its_components_once(monkeypatch):
+    # the certificate comes from the plan, so the witness check is the
+    # verifier's only component count
+    from toughgraph import oracles
+
+    g, cert = synthesize("449/200")
+    calls = []
+    original = verify.count_components_masked
+
+    def counted(nbr, alive):
+        calls.append(alive)
+        return original(nbr, alive)
+
+    for module in (verify, oracles):
+        monkeypatch.setattr(module, "count_components_masked", counted)
+    for graph in (g, encode_graph6(g)):
+        calls.clear()
+        assert check_certificate(graph, cert).accepted
+        assert len(calls) == 1
+
+
 def test_a_rebuilt_graph_with_a_cut_below_t_is_rejected(monkeypatch):
     # the decision is what proves toughness >= t: a rebuilt graph whose
     # engine (6/5) or cutset search (2/3) reports a cut below t is
@@ -344,7 +414,8 @@ def test_rebuild_refuses_a_plan_larger_than_the_graph(monkeypatch):
     def no_build(p):
         pytest.fail(f"verifier tried to build a plan of n={plan_order(p)}")
 
-    monkeypatch.setattr(verify, "build", no_build)
+    for name in ("plan_graph", "plan_certificate"):
+        monkeypatch.setattr(verify, name, no_build)
     p = plan("1749999/1000000")
     order = plan_order(p)
     assert order > 11_000_000
@@ -371,9 +442,10 @@ def test_rejects_a_nine_digit_target_without_building(monkeypatch):
     from toughgraph import plan, plan_order
     from toughgraph import verify
 
-    monkeypatch.setattr(verify, "build", lambda p: pytest.fail("verifier built a plan"))
+    for name in ("plan_graph", "plan_certificate"):
+        monkeypatch.setattr(verify, name, lambda p: pytest.fail("verifier built a plan"))
     monkeypatch.setattr(
-        verify, "certificate_to_json", lambda c: pytest.fail("verifier serialized a plan")
+        verify, "certificate_payload", lambda c: pytest.fail("verifier serialized a plan")
     )
     g, cert = synthesize("2/3")
     t = Fraction(174999999, 100000000)
