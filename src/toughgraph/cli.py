@@ -5,8 +5,9 @@ certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
 the named building blocks).  Graph files may be graph6, the JSON edge
 schema, or the plain "n m" + edge-per-line text format; output format
-is chosen with --format (default g6).  "-" means stdin for graph
-arguments and stdout for --out/--cert, so subcommands compose in pipes.
+is chosen with --format (default g6), and graph6 output is written
+piece by piece as it is encoded.  "-" means stdin for graph arguments
+and stdout for --out/--cert, so subcommands compose in pipes.
 The argument parser is built once per process, on the first call of
 main, and reused: parsing writes only a fresh namespace, and help and
 usage text take their width (COLUMNS) when they are printed.
@@ -25,17 +26,19 @@ from __future__ import annotations
 import argparse
 import functools
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .blocks import BlockKind, block, inflate_triangles, petersen, unit_toughness_graph
 from .graphs import (
     Graph,
     GraphFormatError,
     decode_graph6,
-    encode_graph6,
     from_edge_json,
+    iter_graph6,
     make_graph,
     to_dot,
     to_edge_json,
@@ -60,10 +63,12 @@ __all__ = ["main"]
 _FORMATS = ("g6", "dot", "edges", "json")
 
 
-def _render(g: Graph, fmt: str, highlight=()) -> str | bytes:
-    """The graph in a format: graph6 as bytes, the others as text."""
+def _render(g: Graph, fmt: str, highlight=()) -> str | Iterator[bytes]:
+    """The graph in a format: graph6 as iter_graph6's byte pieces and a
+    line break, the others as text.  A graph that graph6 cannot encode
+    is refused here, before anything is written."""
     if fmt == "g6":
-        return encode_graph6(g) + b"\n"
+        return itertools.chain(iter_graph6(g), (b"\n",))
     if fmt == "dot":
         return to_dot(g, highlight)
     if fmt == "edges":
@@ -143,15 +148,20 @@ def _read_edge_list(path: str, lines: list[str]) -> Graph:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _emit(data: str | bytes, out: str | None) -> None:
-    binary = isinstance(data, bytes)
-    if out and out != "-":
-        (Path(out).write_bytes if binary else Path(out).write_text)(data)
-    elif binary:
-        sys.stdout.flush()  # after any text already written
-        sys.stdout.buffer.write(data)
+def _emit(data: str | Iterable[bytes], out: str | None) -> None:
+    """Write text, or byte pieces as they come, to a file or stdout."""
+    to_file = bool(out) and out != "-"
+    if isinstance(data, str):
+        if to_file:
+            Path(out).write_text(data)
+        else:
+            sys.stdout.write(data)
+    elif to_file:
+        with open(out, "wb") as f:
+            f.writelines(data)
     else:
-        sys.stdout.write(data)
+        sys.stdout.flush()  # after any text already written
+        sys.stdout.buffer.writelines(data)
 
 
 def _cmd_synth(args) -> int:

@@ -8,6 +8,11 @@ candidate cutset instead of touching Python-level adjacency structures.
 
 Besides construction and the union/join combinators this module owns the
 interchange formats: graph6, DOT, and a small JSON edge-list schema.
+graph6 is dense text, about n^2/12 bytes, so it is produced and checked
+in fixed-size chunks: iter_graph6 yields the encoding a piece at a time
+for writers and comparers to consume as it comes (encode_graph6 joins
+the pieces), and validate_graph6 scans the body for invalid bytes one
+chunk at a time.  No transient buffer grows with the body.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import binascii
 import json
 from dataclasses import dataclass, field
 from itertools import compress, repeat
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
     "Graph",
@@ -25,6 +30,7 @@ __all__ = [
     "components",
     "disjoint_union",
     "join",
+    "iter_graph6",
     "encode_graph6",
     "decode_graph6",
     "validate_graph6",
@@ -48,6 +54,9 @@ _G6_TO_B64 = bytes.maketrans(_G6_VALID, _B64)
 _REVERSE_BITS = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 # the encoder moves whole bytes out of its accumulator past this many bits
 _G6_FLUSH_BITS = 4096
+# packed stream bytes per body piece; a multiple of 3, so each piece is
+# whole base64 groups, and the stride of validate_graph6's byte scan
+_G6_CHUNK = 3 * 16384
 
 # the digits of a binary string as the byte values 0 and 1
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -262,22 +271,29 @@ def _g6_size_bytes(n: int) -> bytes:
     )
 
 
-def encode_graph6(g: Graph) -> bytes:
-    """Encode in graph6: size field, then the upper triangle column by
-    column ((0,1),(0,2),(1,2),(0,3),...), six bits per byte, offset 63.
+def iter_graph6(g: Graph) -> Iterator[bytes]:
+    """Encode in graph6, piece by piece: the size field, then the upper
+    triangle column by column ((0,1),(0,2),(1,2),(0,3),...), six bits
+    per byte, offset 63.  Joined, the pieces are encode_graph6(g).
 
     Column j is the low j bits of row j.  The columns are packed end to
     end into little-endian bytes, so byte i bit b holds stream bit
     8i + b; whole bytes are flushed every few thousand bits.  Reversing
     the bits of each byte puts the stream in the big-endian order that
-    base64 cuts into the 6-bit groups."""
-    n = g.n
-    if n > GRAPH6_MAX_N:
-        raise ValueError(f"graph6 cannot encode n={n}")
-    need = (n * (n - 1) // 2 + 5) // 6
-    if not need:
-        return _g6_size_bytes(n)
-    nbr = g.neighbor_masks
+    base64 cuts into the 6-bit groups.  Every _G6_CHUNK bytes of the
+    stream are cut off and yielded as one body piece, whole base64
+    groups each, so no buffer grows with the body.  A graph too large
+    for the size field is refused here, before the first piece."""
+    if g.n > GRAPH6_MAX_N:
+        raise ValueError(f"graph6 cannot encode n={g.n}")
+    return _graph6_pieces(g.neighbor_masks)
+
+
+def _graph6_pieces(nbr: Sequence[int]) -> Iterator[bytes]:
+    n = len(nbr)
+    yield _g6_size_bytes(n)
+    left = (n * (n - 1) // 2 + 5) // 6  # body bytes not yielded yet
+    chunk = _G6_CHUNK
     stream = bytearray()
     acc = pending = 0
     for j in range(1, n):
@@ -288,11 +304,27 @@ def encode_graph6(g: Graph) -> bytes:
             stream += acc.to_bytes(whole + 1, "little")[:whole]
             acc >>= 8 * whole
             pending &= 7
-    stream += acc.to_bytes((pending + 7) >> 3, "little")
-    stream += bytes(-len(stream) % 3)  # whole 3-byte groups: no "=" from base64
-    raw = stream.translate(_REVERSE_BITS)
-    body = binascii.b2a_base64(raw, newline=False)[:need].translate(_B64_TO_G6)
-    return _g6_size_bytes(n) + body
+            if len(stream) >= chunk:
+                cut = len(stream) - len(stream) % chunk
+                for i in range(0, cut, chunk):
+                    yield _g6_body(stream[i : i + chunk])
+                del stream[:cut]
+                left -= cut // 3 * 4
+    if left:
+        stream += acc.to_bytes((pending + 7) >> 3, "little")
+        stream += bytes(-len(stream) % 3)  # whole 3-byte groups: no "=" from base64
+        yield _g6_body(stream)[:left]
+
+
+def _g6_body(raw: bytes | bytearray) -> bytes:
+    """graph6 body bytes of whole 3-byte groups of the packed stream."""
+    b64 = binascii.b2a_base64(raw.translate(_REVERSE_BITS), newline=False)
+    return b64.translate(_B64_TO_G6)
+
+
+def encode_graph6(g: Graph) -> bytes:
+    """Encode in graph6: iter_graph6's pieces joined."""
+    return b"".join(iter_graph6(g))
 
 
 def validate_graph6(data: bytes | str) -> tuple[int, bytes]:
@@ -315,9 +347,11 @@ def validate_graph6(data: bytes | str) -> tuple[int, bytes]:
         data = data[len(_G6_HEADER):]
     if not data:
         raise GraphFormatError("empty graph6 input")
-    bad = data.translate(None, _G6_VALID)
-    if bad:
-        raise GraphFormatError(f"invalid graph6 byte {bad[0]}")
+    # deleting the valid bytes leaves the invalid ones, a chunk at a time
+    for i in range(0, len(data), _G6_CHUNK):
+        bad = data[i : i + _G6_CHUNK].translate(None, _G6_VALID)
+        if bad:
+            raise GraphFormatError(f"invalid graph6 byte {bad[0]}")
     if data[0] != 126:
         n, pos = data[0] - 63, 1
     else:

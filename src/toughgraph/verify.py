@@ -5,20 +5,22 @@ pair sound?  The graph is a Graph or its graph6 bytes.  A certificate
 is a function of its target t, so the verifier first derives the
 canonical certificate from plan(t) alone (plan_certificate) and
 compares the two as JSON values before any graph is built; only then
-does it build the plan's graph and compare the graphs (graph6 input is
-matched to the rebuild by its bytes and decoded only when they
-differ).  That rebuild is a gate: a pair that fails it is rejected on
-that one check, and nothing is counted or searched on a graph that is
-not its plan's.  On the rebuilt graph it then re-verifies the witness
-cutset by counting components, the verifier's only count (polynomial,
-runs at any size), re-derives the nonhamiltonicity argument, and,
-whenever the graph is small enough, proves the predicted toughness
-exact: the witness gives toughness <= t, and one exact decision that
-no cutset has ratio below t gives toughness >= t.  For a plan of
-cases 3 or 5.1-7.2 the decision is decomposition_below on the plan's
-layout, K_l joined onto gadgets: a min-plus product over the gadgets'
-states, in milliseconds at any scale; cases 1 and 2 get
-toughness_below's cutset search.  Larger instances are honestly
+does it build the plan's graph and compare the graphs.  graph6 input
+is matched to the rebuild by its bytes: the rebuilt graph is encoded a
+fixed-size chunk at a time and each piece compared in place, so no
+second body-sized buffer exists, and the input is decoded only when
+the bytes differ.  That rebuild is a gate: a pair that fails it is
+rejected on that one check, and nothing is counted or searched on a
+graph that is not its plan's.  On the rebuilt graph it then
+re-verifies the witness cutset by counting components, the verifier's
+only count (polynomial, runs at any size), re-derives the
+nonhamiltonicity argument, and, whenever the graph is small enough,
+proves the predicted toughness exact: the witness gives toughness
+<= t, and one exact decision that no cutset has ratio below t gives
+toughness >= t.  For a plan of cases 3 or 5.1-7.2 the decision is
+decomposition_below on the plan's layout, K_l joined onto gadgets: a
+min-plus product over the gadgets' states, in milliseconds at any
+scale; cases 1 and 2 get toughness_below's cutset search.  Larger instances are honestly
 downgraded to WITNESS_UPPER_BOUND_ONLY: the cutset certifies
 toughness <= t, and the matching lower bound rests on the structural
 argument rather than enumeration.
@@ -37,7 +39,7 @@ from .graphs import (
     _bipartition,
     count_components_masked,
     decode_graph6,
-    encode_graph6,
+    iter_graph6,
     validate_graph6,
 )
 from .oracles import (
@@ -135,6 +137,17 @@ def _encoded(payload: dict, key: str) -> Optional[str]:
     return json.dumps(payload[key], sort_keys=True) if key in payload else None
 
 
+def _encodes_to(g: Graph, data: bytes) -> bool:
+    """Whether data is g's graph6 encoding, compared one piece of
+    iter_graph6 at a time, so no copy of the encoding is ever whole."""
+    pos = 0
+    for piece in iter_graph6(g):
+        if not data.startswith(piece, pos):
+            return False
+        pos += len(piece)
+    return pos == len(data)
+
+
 def check_certificate(
     g: Graph | bytes, cert: Certificate | dict, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
 ) -> VerificationReport:
@@ -156,13 +169,13 @@ def check_certificate(
 
     The graph may also be given as graph6 bytes, which are validated
     first (a malformed string raises GraphFormatError, as decode_graph6
-    does).  The rebuild check then compares encode_graph6 of the rebuilt
-    graph with those bytes: graph6 is injective and decodes its own
-    encoding back to the graph, so equal bytes mean the input is the
-    rebuilt graph.  The bytes are decoded only when they differ, to
-    report the graph they hold; the report is the one the decoded Graph
-    would get.  max_oracle_n is the largest n whose toughness is decided
-    exactly."""
+    does).  The rebuild check then compares the rebuilt graph's graph6
+    encoding with those bytes, one iter_graph6 piece at a time: graph6
+    is injective and decodes its own encoding back to the graph, so
+    equal bytes mean the input is the rebuilt graph.  The bytes are
+    decoded only when they differ, to report the graph they hold; the
+    report is the one the decoded Graph would get.  max_oracle_n is the
+    largest n whose toughness is decided exactly."""
     if not isinstance(g, Graph):
         g = validate_graph6(g)
     return _check_certificate(g, cert, max_oracle_n)
@@ -214,7 +227,7 @@ def _check_certificate(
             )
         g2 = plan_graph(fresh)
         # only a noncanonical size field or a different graph decodes
-        if data is None or encode_graph6(g2) != data:
+        if data is None or not _encodes_to(g2, data):
             given = g if data is None else decode_graph6(data)
             if given != g2:
                 return False, (

@@ -86,6 +86,53 @@ def test_synth_rejects_out_of_range():
     assert "0 < t < 9/4" in r.stderr
 
 
+def test_a_graph_graph6_cannot_encode_leaves_the_out_file_as_it_was(
+    tmp_path, monkeypatch, capsys
+):
+    # the order is refused when the encoder is made, before --out is
+    # opened, so an existing file keeps its bytes
+    from toughgraph import graphs
+
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    gpath.write_bytes(b"old graph\n")
+    cpath.write_bytes(b"old certificate\n")
+    monkeypatch.setattr(graphs, "GRAPH6_MAX_N", 4)
+    for argv, n in (
+        (["synth", "2/3", "--out", str(gpath), "--cert", str(cpath)], 5),
+        (["block", "petersen", "--out", str(gpath)], 10),
+        (["block", "petersen", "--out", "-"], 10),
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: graph6 cannot encode n={n}\n")
+        assert gpath.read_bytes() == b"old graph\n"
+    assert cpath.read_bytes() == b"old certificate\n"
+
+
+def test_large_synth_and_verify_peak_in_bounded_memory(tmp_path, capsys):
+    # graph6 is written, validated and compared in fixed-size pieces, so
+    # the traced peak of either command stays under the graph's rows, two
+    # copies of its graph6 bytes and 256 KiB
+    import tracemalloc
+
+    from toughgraph import synthesize
+
+    g, _ = synthesize("449/200")
+    rows = sum(sys.getsizeof(r) for r in g.neighbor_masks)
+    bound = rows + 2 * len(encode_graph6(g)) + 256 * 1024
+    gpath, cpath = str(tmp_path / "g.g6"), str(tmp_path / "cert.json")
+    for argv in (["synth", "449/200", "--out", gpath, "--cert", cpath],
+                 ["verify", gpath, cpath]):
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (argv[0], peak, bound)
+        out = capsys.readouterr().out
+    assert json.loads(out)["accepted"] is True
+
+
 # -- verify ----------------------------------------------------------------
 
 

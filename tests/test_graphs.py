@@ -27,6 +27,7 @@ from toughgraph import (
     disjoint_union,
     encode_graph6,
     from_edge_json,
+    iter_graph6,
     join,
     make_graph,
     petersen,
@@ -36,6 +37,7 @@ from toughgraph import (
     unit_toughness_graph,
     validate_graph6,
 )
+from toughgraph import graphs
 from toughgraph.graphs import _reach, count_components_masked
 
 # frozen encodings, derived once by hand from the format definition
@@ -322,6 +324,48 @@ def test_graph6_matches_reference_encoder_at_every_order():
             assert back == g and back.edge_count == g.edge_count, n
 
 
+def _assert_graph6_pieces(g, chunk):
+    """iter_graph6's pieces: the size field, then nonempty body pieces,
+    4 * chunk / 3 bytes each but the last; joined, the reference
+    encoding."""
+    pieces = list(iter_graph6(g))
+    assert pieces[0] == naive_graph6_size_field(g.n)
+    assert all(len(p) == chunk // 3 * 4 for p in pieces[1:-1])
+    assert all(pieces[1:])
+    assert b"".join(pieces) == naive_encode_graph6(g) == encode_graph6(g)
+    return pieces
+
+
+@pytest.mark.parametrize("flush_bits", [1, 8, 4096])
+@pytest.mark.parametrize("chunk", [3, 6])
+def test_graph6_pieces_join_to_the_reference_at_every_chunk_boundary(
+    monkeypatch, chunk, flush_bits
+):
+    # n = 0..70 takes every padding residue and both size-field forms; a
+    # small flush threshold makes the packing loop cut pieces at these
+    # orders too, where the real one would flush only at the end
+    monkeypatch.setattr(graphs, "_G6_CHUNK", chunk)
+    monkeypatch.setattr(graphs, "_G6_FLUSH_BITS", flush_bits)
+    rng = random.Random(1414 + chunk)
+    for n in range(71):
+        for p in (0.0, rng.random(), 1.0):
+            _assert_graph6_pieces(_random_graph(rng, n, p), chunk)
+
+
+def test_graph6_pieces_of_a_body_over_three_chunks():
+    rng = random.Random(1732)
+    pieces = _assert_graph6_pieces(_random_graph(rng, 1600, 0.5), graphs._G6_CHUNK)
+    assert len(pieces) - 1 >= 3
+
+
+def test_graph6_refuses_an_oversized_graph_before_the_first_piece(monkeypatch):
+    monkeypatch.setattr(graphs, "GRAPH6_MAX_N", 4)
+    for encode in (iter_graph6, encode_graph6):
+        with pytest.raises(ValueError, match="graph6 cannot encode n=5"):
+            encode(complete_graph(5))
+    assert encode_graph6(complete_graph(4)) == b"C~"
+
+
 def test_graph6_rejects_every_padding_bit():
     rng = random.Random(314)
     checked = 0
@@ -461,6 +505,25 @@ def test_validate_graph6_raises_the_decoders_messages():
             with pytest.raises(GraphFormatError) as exc:
                 check(data)
             assert str(exc.value) == message, (check.__name__, data)
+
+
+@pytest.mark.parametrize("chunk", [3, 6, None])
+def test_validate_graph6_names_the_first_invalid_byte_in_any_chunk(monkeypatch, chunk):
+    # the byte scan goes a chunk at a time; its messages are those of
+    # one whole-body scan, also for a bad byte past the first chunk
+    if chunk:
+        monkeypatch.setattr(graphs, "_G6_CHUNK", chunk)
+    for data, message in _G6_ERRORS:
+        with pytest.raises(GraphFormatError) as exc:
+            validate_graph6(data)
+        assert str(exc.value) == message, data
+    n = 1000
+    data = bytearray(naive_graph6_size_field(n) + b"?" * ((n * (n - 1) // 2 + 5) // 6))
+    assert validate_graph6(bytes(data)) == (n, data)
+    for at, value in ((70000, 0), (60000, 127), (graphs._G6_CHUNK + 1, 62)):
+        data[at] = value
+        with pytest.raises(GraphFormatError, match=f"invalid graph6 byte {value}$"):
+            validate_graph6(bytes(data))
 
 
 def test_validate_graph6_returns_the_order_and_the_stripped_bytes():

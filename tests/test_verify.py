@@ -733,6 +733,49 @@ def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
     _assert_rebuild_only(report, detail)
 
 
+def _flip(data: bytes, at: int) -> bytes:
+    """data with the top bit of byte at's 6-bit group flipped: a matrix
+    bit in every body byte, never padding."""
+    return data[:at] + bytes([((data[at] - 63) ^ 32) + 63]) + data[at + 1 :]
+
+
+@pytest.mark.parametrize("chunk", [3, None])
+def test_the_piecewise_comparison_agrees_with_whole_bytes_equality(monkeypatch, chunk):
+    # 449/200's body spans 9 pieces of the real chunk: one flipped bit in
+    # the first, a middle and the last piece, and on either side of a
+    # piece boundary, is a different graph, rejected after one decode
+    # with the decoded Graph's report; a body one byte short or long
+    # fails validation; the header is stripped before the comparison
+    from toughgraph import GraphFormatError, decode_graph6, graphs
+
+    if chunk:
+        monkeypatch.setattr(graphs, "_G6_CHUNK", chunk)
+    piece = graphs._G6_CHUNK // 3 * 4
+    g, cert = synthesize("449/200")
+    data = encode_graph6(g)
+    body = len(data) - (g.n * (g.n - 1) // 2 + 5) // 6
+    assert (len(data) - body) // piece >= 8
+    flips = [_flip(data, at) for at in (
+        body, body + piece - 1, body + piece, body + 4 * piece + 7, len(data) - 1
+    )]
+    short, long = data[:-1], data + b"?"
+    for given in (data, *flips, short, long, b">>graph6<<" + data):
+        assert verify._encodes_to(g, given) is (given == data)
+    want = check_certificate(g, cert).to_json()
+    rejects = [check_certificate(decode_graph6(f), cert).to_json() for f in flips]
+    calls = _count_decodes(monkeypatch)
+    for given in (data, b">>graph6<<" + data + b"\n"):
+        assert check_certificate(given, cert).to_json() == want
+    assert calls == []
+    for flipped, reject in zip(flips, rejects):
+        calls.clear()
+        assert check_certificate(flipped, cert).to_json() == reject
+        assert calls == [flipped]
+    for given, message in ((short, "truncated graph6 body"), (long, "trailing bytes")):
+        with pytest.raises(GraphFormatError, match=message):
+            check_certificate(given, cert)
+
+
 def test_malformed_graph6_bytes_raise_before_any_check():
     from toughgraph import GraphFormatError
 
