@@ -5,20 +5,22 @@ certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
 the named building blocks).  Graph files may be graph6, the JSON edge
 schema, or the plain "n m" + edge-per-line text format; output format
-is chosen with --format (default g6), and graph6 output is written
-piece by piece as it is encoded.  "-" means stdin for graph arguments
-and stdout for --out/--cert, so subcommands compose in pipes.
+is chosen with --format (default g6).  Every output, graph or
+certificate, is a sequence of byte pieces that one writer sends to a
+file or to stdout's byte stream as they come, so no graph's whole text
+is held.  "-" means stdin for graph arguments and stdout for
+--out/--cert, so subcommands compose in pipes.
 The argument parser is built once per process, on the first call of
 main, and reused: parsing writes only a fresh namespace, and help and
 usage text take their width (COLUMNS) when they are printed.
 
 Exit codes: 0 success or accepted, 1 verification rejected, 2
 operational errors (unreadable input, out-of-range targets, oracle size
-limits, running out of memory).  verify reads only the certificate's
-"t" before it compares the whole certificate with the canonical one, so
-a certificate file is unreadable (2) only when it is not a JSON object
-with a rational "t"; any other bad field is a rejection (1).  Identical
-invocations print identical bytes.
+limits, sizes past memory or past the index range).  verify reads only
+the certificate's "t" before it compares the whole certificate with the
+canonical one, so a certificate file is unreadable (2) only when it is
+not a JSON object with a rational "t"; any other bad field is a
+rejection (1).  Identical invocations print identical bytes.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ from .blocks import BlockKind, block, inflate_triangles, petersen, unit_toughnes
 from .graphs import (
     Graph,
     GraphFormatError,
+    _iter_dot,
+    _iter_edge_json,
+    _iter_edge_list,
     decode_graph6,
     from_edge_json,
     iter_graph6,
     make_graph,
-    to_dot,
-    to_edge_json,
     validate_graph6,
 )
 from .oracles import (
@@ -63,20 +66,18 @@ __all__ = ["main"]
 _FORMATS = ("g6", "dot", "edges", "json")
 
 
-def _render(g: Graph, fmt: str, highlight=()) -> str | Iterator[bytes]:
-    """The graph in a format: graph6 as iter_graph6's byte pieces and a
-    line break, the others as text.  A graph that graph6 cannot encode
-    is refused here, before anything is written."""
+def _render(g: Graph, fmt: str, highlight=()) -> Iterator[bytes]:
+    """The graph in a format, as byte pieces of at most a row's edges or
+    a graph6 chunk each.  A graph that graph6 cannot encode is refused
+    here, before anything is written."""
     if fmt == "g6":
         return itertools.chain(iter_graph6(g), (b"\n",))
     if fmt == "dot":
-        return to_dot(g, highlight)
+        return _iter_dot(g, highlight)
     if fmt == "edges":
-        lines = [f"{g.n} {g.edge_count}"]
-        lines.extend(f"{u} {v}" for u, v in g.edges())
-        return "\n".join(lines) + "\n"
+        return _iter_edge_list(g)
     if fmt == "json":
-        return to_edge_json(g) + "\n"
+        return itertools.chain(_iter_edge_json(g), (b"\n",))
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -148,20 +149,15 @@ def _read_edge_list(path: str, lines: list[str]) -> Graph:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _emit(data: str | Iterable[bytes], out: str | None) -> None:
-    """Write text, or byte pieces as they come, to a file or stdout."""
-    to_file = bool(out) and out != "-"
-    if isinstance(data, str):
-        if to_file:
-            Path(out).write_text(data)
-        else:
-            sys.stdout.write(data)
-    elif to_file:
+def _emit(pieces: Iterable[bytes], out: str | None) -> None:
+    """Write byte pieces as they come to a file, or to stdout for None
+    or "-"."""
+    if out and out != "-":
         with open(out, "wb") as f:
-            f.writelines(data)
+            f.writelines(pieces)
     else:
         sys.stdout.flush()  # after any text already written
-        sys.stdout.buffer.writelines(data)
+        sys.stdout.buffer.writelines(pieces)
 
 
 def _cmd_synth(args) -> int:
@@ -170,7 +166,7 @@ def _cmd_synth(args) -> int:
     if args.out:
         _emit(_render(g, args.format), args.out)
     if args.cert:
-        _emit(certificate_to_json(cert), args.cert)
+        _emit((certificate_to_json(cert).encode(),), args.cert)
     # keep stdout clean for piping when the graph itself goes there
     stream = sys.stderr if args.out == "-" or args.cert == "-" else sys.stdout
     print(
@@ -193,32 +189,25 @@ def _cmd_verify(args) -> int:
 def _cmd_tau(args) -> int:
     g = _read_graph(args.graph)
     try:
-        res = toughness_exact(g, max_n=args.max_n)
+        exact, key, w = True, "tau", toughness_exact(g, max_n=args.max_n).witness
     except SizeLimitError:
-        witness = toughness_upper_search(g, budget=args.budget)
-        if witness is None:
+        exact, key = False, "tau_upper_bound"
+        w = toughness_upper_search(g, budget=args.budget)
+        if w is None:
             print(
                 f"error: n={g.n} exceeds the exact limit {args.max_n} and the "
                 "heuristic found no cutset",
                 file=sys.stderr,
             )
             return 2
-        payload = {
-            "exact": False,
-            "tau_upper_bound": f"{witness.ratio.numerator}/{witness.ratio.denominator}",
-            "cutset": sorted(witness.cutset),
-            "components": witness.component_count,
-        }
-        print(json.dumps(payload, sort_keys=True))
-        return 0
-    if res.is_infinite:
+    if w is None:  # a complete graph has no cutset
         payload = {"exact": True, "tau": "infinite", "cutset": None, "components": None}
     else:
         payload = {
-            "exact": True,
-            "tau": f"{res.value.numerator}/{res.value.denominator}",
-            "cutset": sorted(res.witness.cutset),
-            "components": res.witness.component_count,
+            "exact": exact,
+            key: f"{w.ratio.numerator}/{w.ratio.denominator}",
+            "cutset": sorted(w.cutset),
+            "components": w.component_count,
         }
     print(json.dumps(payload, sort_keys=True))
     return 0
@@ -346,7 +335,8 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except MemoryError:
+    # a size past the index range (n = 10**20) overflows before it is allocated
+    except (MemoryError, OverflowError):
         print("error: out of memory", file=sys.stderr)
         return 2
 

@@ -7,12 +7,15 @@ oracles sweep components with a handful of big-int operations per
 candidate cutset instead of touching Python-level adjacency structures.
 
 Besides construction and the union/join combinators this module owns the
-interchange formats: graph6, DOT, and a small JSON edge-list schema.
-graph6 is dense text, about n^2/12 bytes, so it is produced and checked
-in fixed-size chunks: iter_graph6 yields the encoding a piece at a time
-for writers and comparers to consume as it comes (encode_graph6 joins
-the pieces), and validate_graph6 scans the body for invalid bytes one
-chunk at a time.  No transient buffer grows with the body.
+interchange formats: graph6, DOT, a small JSON edge-list schema and the
+"n m" edge list.  Each format has one writer that yields its bytes a
+piece at a time, for the CLI to write and the verifier to compare as
+they come; the string forms (encode_graph6, to_dot, to_edge_json) join
+the pieces.  graph6 is dense text, about n^2/12 bytes, so iter_graph6
+cuts it into fixed-size chunks, and validate_graph6 scans the body for
+invalid bytes one chunk at a time.  The text formats draw the edges
+from one row iterator, _later_rows, a piece per vertex with its later
+neighbors.  No transient buffer grows with the graph's text.
 """
 
 from __future__ import annotations
@@ -102,12 +105,8 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
-        n = self.n
         out: list[tuple[int, int]] = []
-        for v, row in enumerate(self.neighbor_masks):
-            # one byte per later vertex u, 1 iff uv is an edge
-            flags = format(row >> v + 1, f"0{n - v - 1}b")[::-1].encode()
-            later = compress(range(v + 1, n), flags.translate(_BIT_BYTES))
+        for v, later in _later_rows(self):
             out.extend(zip(repeat(v), later))
         return out
 
@@ -122,6 +121,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
+
+
+def _later_rows(g: Graph) -> Iterator[tuple[int, Iterator[int]]]:
+    """Each vertex v with its neighbors u > v, ascending: the edges row
+    by row, so a writer holds one row of them at a time."""
+    n = g.n
+    for v, row in enumerate(g.neighbor_masks):
+        # one byte per later vertex u, 1 iff uv is an edge
+        flags = format(row >> v + 1, f"0{n - v - 1}b")[::-1].encode()
+        yield v, compress(range(v + 1, n), flags.translate(_BIT_BYTES))
 
 
 def _bits(mask: int):
@@ -421,31 +430,56 @@ def decode_graph6(data: bytes | str) -> Graph:
     return Graph(rows)
 
 
-# -- DOT and JSON ------------------------------------------------------
+# -- DOT, JSON and the edge list ---------------------------------------
 
 
-def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
-    """Render as undirected DOT; highlighted vertices are drawn filled."""
+def _edge_lines(g: Graph, head: str, tail: str, sep: str = "") -> Iterator[bytes]:
+    """The edges u < v as text, one piece per row: each edge is
+    head.format(u) + str(v) + tail, and sep goes between edges."""
+    before = ""
+    for u, later in _later_rows(g):
+        start = head.format(u)
+        text = (tail + sep + start).join(map(str, later))
+        if text:
+            yield f"{before}{start}{text}{tail}".encode()
+            before = sep
+
+
+def _iter_dot(g: Graph, highlight: Iterable[int] = ()) -> Iterator[bytes]:
+    """Undirected DOT in pieces: one per vertex line, one per edge row."""
     hi = set(highlight)
     for v in hi:
         if not (0 <= v < g.n):
             raise ValueError(f"highlight vertex {v} out of range")
-    lines = ["graph {", "  node [shape=circle];"]
+    yield b"graph {\n  node [shape=circle];\n"
     for v in range(g.n):
-        if v in hi:
-            lines.append(f"  {v} [style=filled, fillcolor=gold];")
-        else:
-            lines.append(f"  {v};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        style = " [style=filled, fillcolor=gold]" if v in hi else ""
+        yield f"  {v}{style};\n".encode()
+    yield from _edge_lines(g, "  {} -- ", ";\n")
+    yield b"}\n"
+
+
+def _iter_edge_json(g: Graph) -> Iterator[bytes]:
+    """to_edge_json's text in pieces, one per edge row."""
+    yield b'{"edges": ['
+    yield from _edge_lines(g, "[{}, ", "]", ", ")
+    yield f'], "n": {g.n}}}'.encode()
+
+
+def _iter_edge_list(g: Graph) -> Iterator[bytes]:
+    """The "n m" line, then one "u v" line per edge, in pieces."""
+    yield f"{g.n} {g.edge_count}\n".encode()
+    yield from _edge_lines(g, "{} ", "\n")
+
+
+def to_dot(g: Graph, highlight: Iterable[int] = ()) -> str:
+    """Render as undirected DOT; highlighted vertices are drawn filled."""
+    return b"".join(_iter_dot(g, highlight)).decode()
 
 
 def to_edge_json(g: Graph) -> str:
     """Serialize as {"n": ..., "edges": [[u, v], ...]} with sorted edges."""
-    payload = {"n": g.n, "edges": [[u, v] for u, v in g.edges()]}
-    return json.dumps(payload, sort_keys=True)
+    return b"".join(_iter_edge_json(g)).decode()
 
 
 def from_edge_json(text: str) -> Graph:

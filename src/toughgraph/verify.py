@@ -102,16 +102,14 @@ class VerificationReport:
     alpha: Optional[int]
     checks: list[CheckOutcome] = field(default_factory=list)
 
-    def to_json(self, include_timings: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "accepted": self.accepted,
             "toughness_status": self.toughness_status,
             "nonhamiltonicity_status": self.nonhamiltonicity_status,
             "alpha": self.alpha,
             "checks": [
-                {"name": c.name, "ok": c.ok, "detail": c.detail}
-                | ({"seconds": round(c.seconds, 3)} if include_timings else {})
-                for c in self.checks
+                {"name": c.name, "ok": c.ok, "detail": c.detail} for c in self.checks
             ],
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -4,6 +4,7 @@ parser tests at the end run in-process."""
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import subprocess
 import sys
@@ -526,6 +527,141 @@ def test_json_format_reads_back(tmp_path):
     run_cli("block", "unit", "--format", "json", "--out", str(jpath))
     r = run_cli("hamilton", str(jpath))
     assert json.loads(r.stdout)["verdict"] is False
+
+
+# sha256 of every synth and block output in every format: CLI output
+# bytes are part of the contract, however the writers produce them
+_OUTPUT_SHA256 = {
+    ("synth", "2/3"): {
+        "g6": "4a5e598d08025fa1eb69c752d3b7d86ba442abd8dc713c521bfb25fe43a49b2a",
+        "dot": "f82271001854e63582b3cb4b9cd58c9ebfbe4812b08d30b7ca9e00fae6485d26",
+        "edges": "c06858eb87a154553a55163b0b77b75aa771d1bfa6e6d4a7c8f806929f64f5ef",
+        "json": "3a4fda0df426921464f85dcf72b67af64a32d1a337860631f2d02b082102daf5",
+    },
+    ("synth", "1"): {
+        "g6": "a4fa548419fe7cd2901bc5ee73e77a1c91310ae21b5123b0cdeea217999c5f0c",
+        "dot": "3f23154e706d2469922f76f4acee00bd0c714278f8a5ce1abd71508ca988a7aa",
+        "edges": "bd26103bb742c1e4ebc8663c3074fef50573a3449687e19bef17668905da0484",
+        "json": "52746e785ea3917e990fb7d5304f128891f82008704975cdc9e4ba976bc76f3e",
+    },
+    ("synth", "6/5"): {
+        "g6": "6d220b4fbe6e4102d52ee309bf6984a202aeb932b5b4cdb32325834ea73d514a",
+        "dot": "1e90e0e1cba3b3c02ea71ea33abd2a0d6f4fcc9091c1033cb94f0da8619bace4",
+        "edges": "7663a1615630612e59731f4ff2794ed61a9711b0b543944ec471989bebef2bf8",
+        "json": "4441db18a81b9046dc3b36f5a73572f86c1126e77d7a48aab74d0a2d3774a4a6",
+    },
+    ("synth", "3/2"): {
+        "g6": "3c334ef26661df9b05d7c746490cc4abbd8c7f46689a61227ecf68e3d39170b5",
+        "dot": "6ecd5f1c44adcdd89b9c1d47f0e46d5a28c127676fb7ce67424173d0e6025a2b",
+        "edges": "dc81f0c00a91edb36274fe969461d931c61343a43436d28670251b6e8810f0ee",
+        "json": "f83b8c3132f3bdd785a449f260f0bc3455b9d884963bdc766c47ecef7a43b78f",
+    },
+    ("synth", "9/5"): {
+        "g6": "6dbb45f51b4b0981561ca3b0082873ff1e78a0643548fb770d449fdbe24dffd1",
+        "dot": "b35e4630d08b2b137c37d7023d8c09a9b20d1b442c28b655c54684f9f543beb4",
+        "edges": "5097d5909b1ef88b00a8e73aad999d5e291ad738ed5a3016770de0641ffe5a91",
+        "json": "63033bb7d512e3f9c66bb188e4973b75c5c71c58175504d5c01dfc110bd3ad09",
+    },
+    ("synth", "17/8"): {
+        "g6": "615c64444c4c7d6ff8020af2d9c5e003c34c92a210039b5888f9ad281f3b7247",
+        "dot": "15a17bffe05421132cab74d96b8b1a3a55acf0ed7d49c6320b68ce1d0c8a0816",
+        "edges": "d0e1cc63dfeada7e68ce47635cad6638453def7b806df678c15a34524b375b9c",
+        "json": "713905c8a2ff50ae8bd9995b37c0e39ade37b553af6b436fd12bae8b064a4050",
+    },
+    ("synth", "12/7"): {
+        "g6": "2717f35b8f22df3c9722de2a8b5c243e840572e25c87cc7d3e435814b9caf80a",
+        "dot": "38516a6cc72bc5e2177adca24ab14cbcdfb31f9bab01acf87de042e12f3afae6",
+        "edges": "c0b8cbd2e86140db94e7b361be68f347613320a175edb798a15d50ca198cf87e",
+        "json": "b30231c79feebb2dc22ecf56314c22ea9d69e4c59d5840488082b05962ff86b2",
+    },
+    ("block", "l1"): {
+        "g6": "6545d68697120f7a4a8a214b01b704122915d61ecf6fd680a3c4a27a19add31c",
+        "dot": "ff0f94366c843ce68820367c8f83d340fb745befb167588ab5bc41c3217b48d0",
+        "edges": "f612f22d28ec6748d09b3b22846eb73f08f036ee8c53789b709e33c43e73d19b",
+        "json": "ffa9582f2cb4aac3fcbe06c8eee37110813e69b19e130ddbfe2c3e882abc26d2",
+    },
+    ("block", "l2"): {
+        "g6": "a12b9fe9414400cf4ed1c97e4989e2a502d5a6342b4faa0acb2948be96cbfe00",
+        "dot": "52308e917e39ffb3baa3eaf0b0e1f01424b53f72807694af370499b3f2389add",
+        "edges": "54a6cd44e13c08e5040c9531bc5df8b0015303bd53c39726e42064e35b952ef9",
+        "json": "35272fd1af079bac64a491d91cdaddc34a707c90ba46639e986a3816dac529fe",
+    },
+    ("block", "l3"): {
+        "g6": "1d922d2d5244aded96c5b3efa7e809e63a6133cb3da623b1894212d8de096a15",
+        "dot": "f1a68bf1fac064b418cbc6f988f5864bebc6e2cb136d9bdae48c56c8a59374cf",
+        "edges": "c3e324cf564d7745161176c98b8d4efd9ebd96bb8fcab614629d3288bd0fb224",
+        "json": "49243f11bb4bb9a46e81e52119eb39ebd9f760f5506505cf43e7e435628ccadc",
+    },
+    ("block", "l4"): {
+        "g6": "cbbfc3437c369942aff41b8e824da07e7a08f19ad74dbbeb59accf33d5a5892f",
+        "dot": "c6ee0523facfde8ef3d148a3c384397106ca6027ac16feb5046969ab2bf19783",
+        "edges": "9fa1591eba0005b23b2bf44a039f370347a0d39ce8735e6ebb5088bb7bdd70c8",
+        "json": "33d1c0ce634032e8c0091ac9110ca644ec6b2cdc7ae2478365945113fb555388",
+    },
+    ("block", "unit"): {
+        "g6": "a4fa548419fe7cd2901bc5ee73e77a1c91310ae21b5123b0cdeea217999c5f0c",
+        "dot": "3f23154e706d2469922f76f4acee00bd0c714278f8a5ce1abd71508ca988a7aa",
+        "edges": "bd26103bb742c1e4ebc8663c3074fef50573a3449687e19bef17668905da0484",
+        "json": "52746e785ea3917e990fb7d5304f128891f82008704975cdc9e4ba976bc76f3e",
+    },
+    ("block", "petersen"): {
+        "g6": "ceabaff5db9ce9b57420723f97525b2229b7ad08638b0cc12c58fc36967ba743",
+        "dot": "d0d5e15a20075eca28048c85eb0559c44cdde7187cb80d80cd04bf4129fc9d3e",
+        "edges": "223b9bae4baa173304a95712770f74b4b0243e4f7f06382593b0da4967659e67",
+        "json": "efdd340d0cc3b200d073e7113ca14bb3a83df87499ee6f1913e424a3d75ffbe3",
+    },
+    ("block", "inflated-petersen"): {
+        "g6": "3c334ef26661df9b05d7c746490cc4abbd8c7f46689a61227ecf68e3d39170b5",
+        "dot": "6ecd5f1c44adcdd89b9c1d47f0e46d5a28c127676fb7ce67424173d0e6025a2b",
+        "edges": "dc81f0c00a91edb36274fe969461d931c61343a43436d28670251b6e8810f0ee",
+        "json": "f83b8c3132f3bdd785a449f260f0bc3455b9d884963bdc766c47ecef7a43b78f",
+    },
+}
+
+
+def test_output_bytes_are_frozen(tmp_path):
+    path = tmp_path / "g"
+    for (cmd, arg), digests in _OUTPUT_SHA256.items():
+        for fmt, digest in digests.items():
+            assert main([cmd, arg, "--format", fmt, "--out", str(path)]) == 0
+            got = hashlib.sha256(path.read_bytes()).hexdigest()
+            assert got == digest, (cmd, arg, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "edges", "json"])
+def test_text_formats_are_written_in_bounded_memory(tmp_path, fmt):
+    # written a row's edges at a time, the 4.6 MB edge list of 449/200
+    # never sits in memory whole
+    import tracemalloc
+
+    path = str(tmp_path / "g")
+    tracemalloc.start()
+    try:
+        assert main(["synth", "449/200", "--format", fmt, "--out", path]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, (fmt, peak)
+
+
+def test_sizes_past_the_index_range_exit_2(tmp_path, capsys):
+    # n = 10**20 overflows Python's index range before any allocation
+    edges = tmp_path / "huge.txt"
+    edges.write_text("100000000000000000000 0\n")
+    data = tmp_path / "huge.json"
+    data.write_text('{"n": 100000000000000000000, "edges": []}')
+    cert = tmp_path / "cert.json"
+    cert.write_text('{"t": "1/2"}')
+    for argv in (
+        ["synth", "1/100000000000000000000"],
+        ["tau", str(edges)],
+        ["tau", str(data)],
+        ["alpha", str(edges)],
+        ["alpha", str(data)],
+        ["verify", str(edges), str(cert)],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: out of memory\n"), argv
 
 
 def test_no_arguments_exits_2():

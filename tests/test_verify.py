@@ -124,9 +124,7 @@ def test_report_json_shape():
         "alpha", "checks",
     }
     assert all(set(c) == {"name", "ok", "detail"} for c in payload["checks"])
-    timed = json.loads(report.to_json(include_timings=True))
-    assert all("seconds" in c for c in timed["checks"])
-    # default output carries no timings, so repeated runs serialize equal
+    # the output carries no timings, so repeated runs serialize equal
     again = check_certificate(g, cert)
     assert again.to_json() == report.to_json()
 
