@@ -3,9 +3,11 @@
 Subcommands: synth (build a graph of prescribed toughness plus its
 certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
-the named building blocks).  Graph files may be graph6, the JSON edge
-schema, or the plain "n m" + edge-per-line text format; output format
-is chosen with --format (default g6).  Every output, graph or
+the named building blocks).  A graph file is read once, as bytes, and
+its first byte names its format: a digit the plain "n m" +
+edge-per-line text, "{" the JSON edge schema when the bytes parse as
+JSON, anything else graph6; no graph file is decoded as text.  Output
+format is chosen with --format (default g6).  Every output, graph or
 certificate, is a sequence of byte pieces that one writer sends to a
 file or to stdout's byte stream as they come, so no graph's whole text
 is held.  "-" means stdin for graph arguments and stdout for
@@ -38,11 +40,11 @@ from .blocks import BlockKind, block, inflate_triangles, petersen, unit_toughnes
 from .graphs import (
     Graph,
     GraphFormatError,
+    _edge_json_graph,
     _iter_dot,
     _iter_edge_json,
     _iter_edge_list,
     decode_graph6,
-    from_edge_json,
     iter_graph6,
     make_graph,
     validate_graph6,
@@ -82,71 +84,71 @@ def _render(g: Graph, fmt: str, highlight=()) -> Iterator[bytes]:
 
 
 def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
-    """The graph in a file, any of the three formats; with decode=False
-    a graph6 file is only validated and comes back as validate_graph6's
-    (n, bytes).  A file of one valid graph6 string is read as bytes only;
-    any other is read as text, which names its fault."""
+    """The graph in a file, or stdin for "-".  The file is read once, as
+    bytes, stripped once, and read in the format its first byte names:
+    a digit starts an edge list (no graph6 byte, 63-126, is a digit),
+    "{" starts JSON when the bytes parse as UTF-8 JSON (graph6 for
+    n = 60 also starts with "{"), and anything else is graph6.  With decode=False a
+    graph6 file is only validated and comes back as validate_graph6's
+    (n, bytes)."""
     data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    # a graph6 byte is 63-126, so a file that starts with "{" (JSON, or
-    # graph6 for n = 60) or a digit (an edge list) goes to the text reader
-    head = data.lstrip()[:1]
-    if head != b"{" and not head.isdigit():
-        try:
-            return decode_graph6(data) if decode else validate_graph6(data)
-        except GraphFormatError:
-            pass
-    # the text that sys.stdin or Path.read_text gives
-    if path == "-":
-        text = data.decode(sys.stdin.encoding, sys.stdin.errors)
-    else:
-        text = io.TextIOWrapper(io.BytesIO(data)).read()
-    stripped = text.strip()
-    if not stripped:
+    data = data.strip()
+    if not data:
         raise GraphFormatError(f"{path}: empty graph file")
-    if stripped[0] == "{":
-        # graph6 strings for n = 60 also start with "{", so only treat
-        # the file as JSON when it actually parses as JSON
+    if data[:1].isdigit():
+        return _read_edge_list(path, data)
+    if data[:1] == b"{":
         try:
-            json.loads(stripped)
-        except json.JSONDecodeError:
+            # JSON text is UTF-8; json.loads would guess UTF-16 or -32 from bytes
+            payload = json.loads(data.decode())
+        except ValueError:
             pass
         else:
-            return from_edge_json(stripped)
-    # a graph6 byte is 63-126, never a digit, so only a file that starts
-    # with one can be an edge list
-    if stripped[0].isdigit():
-        lines = stripped.splitlines()
-        head = lines[0].split()
-        if len(head) == 2 and all(tok.isdigit() for tok in head):
-            return _read_edge_list(path, lines)
-    # validation is the one scan of a graph6 file; a line break fails it,
-    # and only then are the lines counted
+            return _edge_json_graph(payload)
     try:
-        return decode_graph6(stripped) if decode else validate_graph6(stripped)
+        return decode_graph6(data) if decode else validate_graph6(data)
     except GraphFormatError:
-        count = len(stripped.splitlines())
-        if count > 1:
+        # a line break fails validation, and only then are breaks counted
+        breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        if breaks:
             raise GraphFormatError(
-                f"{path}: graph6 file holds {count} lines, expected one"
+                f'{path}: not a graph6, JSON or "n m" edge-list file '
+                f"(graph6 is one line; this file holds {breaks + 1})"
             ) from None
         raise
 
 
-def _read_edge_list(path: str, lines: list[str]) -> Graph:
-    """The "n m" header line, then one "u v" line per edge."""
-    n, m = (int(tok) for tok in lines[0].split())
-    edges = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2 or not all(tok.isdigit() for tok in parts):
-            raise GraphFormatError(f"{path}: bad edge line {ln!r}")
-        edges.append((int(parts[0]), int(parts[1])))
-    if len(edges) != m:
-        raise GraphFormatError(f"{path}: header says {m} edges, found {len(edges)}")
+def _read_edge_list(path: str, data: bytes) -> Graph:
+    """The "n m" header line, then one "u v" line per edge; each line is
+    parsed as make_graph takes its edge.  A line ends where
+    bytes.splitlines ends it: at LF, CR LF or CR."""
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = io.BytesIO(data)
     try:
-        return make_graph(n, edges)
+        n, m = _pair(next(lines), "header")
+        return make_graph(n, _edge_pairs(lines, m))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
+
+
+def _edge_pairs(lines: Iterable[bytes], m: int) -> Iterator[tuple[int, int]]:
+    """The edge of each line as it is read; past the last line, a count
+    other than the header's m is refused."""
+    found = 0
+    for found, line in enumerate(lines, 1):
+        yield _pair(line, "edge")
+    if found != m:
+        raise ValueError(f"header says {m} edges, found {found}")
+
+
+def _pair(line: bytes, kind: str) -> tuple[int, int]:
+    """The two numbers of an edge-list line."""
+    uv = line.split()
+    if len(uv) != 2 or not (uv[0].isdigit() and uv[1].isdigit()):
+        text = line.rstrip(b"\n").decode(errors="backslashreplace")
+        raise ValueError(f"bad {kind} line {text!r}")
+    return int(uv[0]), int(uv[1])
 
 
 def _emit(pieces: Iterable[bytes], out: str | None) -> None:

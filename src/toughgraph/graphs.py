@@ -15,7 +15,9 @@ the pieces.  graph6 is dense text, about n^2/12 bytes, so iter_graph6
 cuts it into fixed-size chunks, and validate_graph6 scans the body for
 invalid bytes one chunk at a time.  The text formats draw the edges
 from one row iterator, _later_rows, a piece per vertex with its later
-neighbors.  No transient buffer grows with the graph's text.
+neighbors.  No transient buffer grows with the graph's text.  On the
+read side, from_edge_json parses the JSON schema once and make_graph
+takes each edge entry as it is checked.
 """
 
 from __future__ import annotations
@@ -482,11 +484,17 @@ def to_edge_json(g: Graph) -> str:
     return b"".join(_iter_edge_json(g)).decode()
 
 
-def from_edge_json(text: str) -> Graph:
+def from_edge_json(text: str | bytes) -> Graph:
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
         raise GraphFormatError(f"bad JSON: {exc}") from None
+    return _edge_json_graph(payload)
+
+
+def _edge_json_graph(payload) -> Graph:
+    """The graph of a parsed JSON edge schema; make_graph takes each
+    edge entry as it is checked."""
     if not isinstance(payload, dict) or set(payload) != {"n", "edges"}:
         raise GraphFormatError('JSON graph must have exactly the keys "n" and "edges"')
     n = payload["n"]
@@ -495,16 +503,17 @@ def from_edge_json(text: str) -> Graph:
         raise GraphFormatError('"n" must be an integer')
     if not isinstance(edges, list):
         raise GraphFormatError('"edges" must be a list')
-    pairs = []
-    for e in edges:
-        if (
-            not isinstance(e, list)
-            or len(e) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
-        ):
-            raise GraphFormatError(f"bad edge entry {e!r}")
-        pairs.append((e[0], e[1]))
     try:
-        return make_graph(n, pairs)
+        return make_graph(n, map(_edge_entry, edges))
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
+
+
+def _edge_entry(e) -> tuple[int, int]:
+    if (
+        not isinstance(e, list)
+        or len(e) != 2
+        or not all(isinstance(x, int) and not isinstance(x, bool) for x in e)
+    ):
+        raise GraphFormatError(f"bad edge entry {e!r}")
+    return e[0], e[1]

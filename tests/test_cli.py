@@ -19,7 +19,7 @@ from toughgraph import (
     petersen,
     unit_toughness_graph,
 )
-from toughgraph.cli import _parser, main
+from toughgraph.cli import _parser, _read_graph, main
 
 
 def run_cli(*args, stdin=None):
@@ -297,7 +297,7 @@ def test_verify_reports_a_malformed_graph6_file_before_the_certificate(tmp_path)
         ("D]", "truncated graph6 body: need 2 bytes for n=5, got 1"),
         (">>graph6<<D]oo", "trailing bytes after graph6 body"),
         ("~?", "truncated graph6 size field"),
-        ("Cé", "invalid graph6 character 'é'"),
+        ("Cé", "invalid graph6 byte 195"),
     ):
         gpath = tmp_path / "g.g6"
         gpath.write_text(text)
@@ -312,19 +312,23 @@ def test_graph6_file_with_a_second_line_is_refused(tmp_path, capsys):
     cpath, gpath = tmp_path / "cert.json", tmp_path / "g.g6"
     run_cli("synth", "2/3", "--cert", str(cpath))
     gpath.write_text("D]o\nGARBAGE LINE\n")
+    lines = (f'{gpath}: not a graph6, JSON or "n m" edge-list file '
+             "(graph6 is one line; this file holds {})")
     for args in (("tau", str(gpath)), ("verify", str(gpath), str(cpath))):
         r = run_cli(*args)
         assert (r.returncode, r.stdout) == (2, ""), args
-        assert r.stderr == f"error: {gpath}: graph6 file holds 2 lines, expected one\n"
-    # in-process from here: only a file that starts with a digit is tried
-    # as an edge list, and a graph6 file's lines are counted only once it
-    # fails validation; every message is the one that counting the lines
-    # before validation gave
+        assert r.stderr == f"error: {lines.format(2)}\n"
+    # in-process from here: the first byte names the format (a digit an
+    # edge list, "{" JSON when it parses, anything else graph6), and a
+    # graph6 file's line breaks are counted only once it fails validation
     path60 = encode_graph6(make_graph(60, [(i, i + 1) for i in range(59)])).decode()
     assert path60[0] == "{"
-    lines = f"{gpath}: graph6 file holds {{}} lines, expected one"
-    cases = [("D]o" + sep + "GARBAGE LINE\n", lines.format(2))
-             for sep in ("\r\n", "\r", "\x0c", "\x1c", "\u2028", "\x85", "\x0b")]
+    cases = [("D]o" + sep + "GARBAGE LINE\n", lines.format(2)) for sep in ("\r\n", "\r")]
+    # no other byte breaks a line, and nothing is decoded: a separator
+    # is the graph6 byte (the first of its UTF-8 bytes) that it is
+    cases += [("D]o" + sep + "GARBAGE LINE\n", f"invalid graph6 byte {byte}")
+              for sep, byte in (("\x0c", 12), ("\x1c", 28), ("\u2028", 226),
+                                ("\x85", 194), ("\x0b", 11))]
     cases += [
         ("D]o D]o\n", "invalid graph6 byte 32"),
         ("D]o\tD]o\n", "invalid graph6 byte 9"),
@@ -333,11 +337,11 @@ def test_graph6_file_with_a_second_line_is_refused(tmp_path, capsys):
         (path60[:-1] + "\n", "truncated graph6 body: need 295 bytes for n=60, got 294"),
         (path60 + "\n" + path60 + "\n", lines.format(2)),
         ("{bad json\n", "invalid graph6 byte 32"),
-        ("3 x\n", "invalid graph6 byte 51"),
-        ("3 x\n0 1\n", lines.format(2)),
-        ("3 1 0 1", "invalid graph6 byte 51"),
+        ("3 x\n", f"{gpath}: bad header line '3 x'"),
+        ("3 x\n0 1\n", f"{gpath}: bad header line '3 x'"),
+        ("3 1 0 1", f"{gpath}: bad header line '3 1 0 1'"),
         ("3 2\n0 1\n", f"{gpath}: header says 2 edges, found 1"),
-        ("\u00b2\n", "invalid graph6 character '\u00b2'"),
+        ("\u00b2\n", "invalid graph6 byte 194"),
     ]
     capsys.readouterr()
     for text, message in cases:
@@ -350,6 +354,93 @@ def test_graph6_file_with_a_second_line_is_refused(tmp_path, capsys):
     assert main(["alpha", str(gpath)]) == 2
     assert capsys.readouterr() == ("", "error: independence oracle capped at n=48, got n=60\n")
     assert main(["verify", str(gpath), str(cpath)]) == 1
+
+
+def test_a_graph_file_and_stdin_are_read_alike(tmp_path):
+    # one byte reader for both: the same bytes give the same exit code,
+    # stdout and stderr, apart from the path the message names
+    k23 = "5 6\n0 3\n0 4\n1 3\n1 4\n2 3\n2 4\n"
+    table = [
+        b"D]o\n",
+        b">>graph6<<D]o\n",
+        k23.encode(),
+        k23.replace("\n", "\r\n").encode(),
+        b'{"n": 5, "edges": [[0, 3], [0, 4], [1, 3], [1, 4], [2, 3], [2, 4]]}\n',
+        b"",
+        b"D]o\nGARBAGE LINE\n",
+        b"D]o\x0cGARBAGE LINE\n",
+        "C\u00e9\n".encode(),
+        b"C\xe9\n",
+        b'{"n": 2, "edges": [], "\xff": 1}\n',
+        b"{bad json\n",
+        b"3 x\n0 1\n",
+        b"3 2\n0 1\n",
+        b"3 1\n0 x\n",
+        b'{"n": 3}\n',
+    ]
+    gpath = tmp_path / "g"
+    for data in table:
+        gpath.write_bytes(data)
+        runs = []
+        for arg, stdin in ((str(gpath), None), ("-", data)):
+            r = subprocess.run([sys.executable, "-m", "toughgraph", "tau", arg],
+                               input=stdin, capture_output=True, timeout=600)
+            err = r.stderr.replace(f"error: {arg}:".encode(), b"error: <path>:")
+            runs.append((r.returncode, r.stdout, err))
+        assert runs[0] == runs[1], data
+        assert runs[0][0] in (0, 2) and (runs[0][0] == 0) == bool(runs[0][1]), (data, runs[0])
+    assert runs[0] == (2, b"", b'error: JSON graph must have exactly the keys "n" and "edges"\n')
+
+
+def test_an_edge_list_reads_alike_with_any_line_end(tmp_path):
+    gpath = tmp_path / "g.edges"
+    g = unit_toughness_graph()
+    assert main(["block", "unit", "--format", "edges", "--out", str(gpath)]) == 0
+    lf = gpath.read_bytes()
+    assert lf.count(b"\n") == g.edge_count + 1
+    for end in (b"\r\n", b"\r"):
+        gpath.write_bytes(lf.replace(b"\n", end))
+        assert _read_graph(str(gpath)) == g, end
+    # a bad line is named without its line end
+    gpath.write_bytes(b"3 1\r\n0 x\r\n")
+    with pytest.raises(ValueError) as info:
+        _read_graph(str(gpath))
+    assert str(info.value) == f"{gpath}: bad edge line '0 x'"
+
+
+def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
+    # the edge list is parsed a line at a time as make_graph takes it,
+    # so past the file's bytes and one stripped copy little is held
+    import tracemalloc
+
+    from toughgraph import synthesize
+
+    gpath = str(tmp_path / "g.edges")
+    assert main(["synth", "449/200", "--format", "edges", "--out", gpath]) == 0
+    tracemalloc.start()
+    try:
+        g = _read_graph(gpath)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, peak
+    assert g == synthesize("449/200")[0]
+
+
+def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):
+    calls = []
+    loads = json.loads
+
+    def counted(*args, **kwargs):
+        calls.append(len(args[0]))
+        return loads(*args, **kwargs)
+
+    monkeypatch.setattr(json, "loads", counted)
+    gpath = tmp_path / "g.json"
+    g = petersen()
+    assert main(["block", "petersen", "--format", "json", "--out", str(gpath)]) == 0
+    assert _read_graph(str(gpath)) == g
+    assert calls == [len(gpath.read_bytes().strip())]
 
 
 # -- tau ---------------------------------------------------------------------
@@ -470,12 +561,13 @@ def test_alpha(tmp_path):
 
 
 def test_alpha_bad_inputs_exit_2(tmp_path):
-    # "é" must not turn into "?", which would decode as an empty C4
+    # "é" must not turn into "?", which would decode as an empty C4;
+    # the file is never decoded, so its first UTF-8 byte is refused
     bad = tmp_path / "bad.g6"
     bad.write_text("C\u00e9\n", encoding="utf-8")
     r = run_cli("alpha", str(bad))
-    assert r.returncode == 2
-    assert r.stderr.startswith("error:") and "invalid graph6 character" in r.stderr
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: invalid graph6 byte 195\n"
 
     gpath = tmp_path / "k23.g6"
     run_cli("synth", "2/3", "--out", str(gpath))
