@@ -3,10 +3,14 @@
 Subcommands: synth (build a graph of prescribed toughness plus its
 certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
-the named building blocks).  A graph file is read once, as bytes, and
-its first byte names its format: a digit the plain "n m" +
+the named building blocks).  A graph file is read once, as bytes, by
+one unbuffered read, and kept whole: surrounding whitespace is skipped
+by its bounds, and graph6 is validated and compared with the rebuilt
+graph inside that one buffer, so no stripped copy is made.  The first
+byte past the whitespace names the format: a digit the plain "n m" +
 edge-per-line text, "{" the JSON edge schema when the bytes parse as
-JSON, anything else graph6; no graph file is decoded as text.  Output
+JSON, anything else graph6; no graph file is decoded as text.  A
+certificate file is read the same way and decoded as UTF-8.  Output
 format is chosen with --format (default g6).  Every output, graph or
 certificate, is a sequence of byte pieces that one writer sends to a
 file or to stdout's byte stream as they come, so no graph's whole text
@@ -14,7 +18,11 @@ is held.  "-" means stdin for graph arguments and stdout for
 --out/--cert, so subcommands compose in pipes.
 The argument parser is built once per process, on the first call of
 main, and reused: parsing writes only a fresh namespace, and help and
-usage text take their width (COLUMNS) when they are printed.
+usage text take their width (COLUMNS) when they are printed.  argv is
+parsed once: when it opens with a command, that command's own parser
+takes the rest, as the full parser would hand it over, and only argv
+of any other shape, or with arguments left over, goes through the
+full parser.
 
 Exit codes: 0 success or accepted, 1 verification rejected, 2
 operational errors (unreadable input, out-of-range targets, oracle size
@@ -33,21 +41,22 @@ import io
 import itertools
 import json
 import sys
-from pathlib import Path
 from typing import Iterable, Iterator
 
 from .blocks import BlockKind, block, inflate_triangles, petersen, unit_toughness_graph
 from .graphs import (
     Graph,
     GraphFormatError,
+    _G6_VALID,
     _edge_json_graph,
+    _graph6_span,
     _iter_dot,
     _iter_edge_json,
     _iter_edge_list,
+    _strip_bounds,
     decode_graph6,
     iter_graph6,
     make_graph,
-    validate_graph6,
 )
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
@@ -83,33 +92,50 @@ def _render(g: Graph, fmt: str, highlight=()) -> Iterator[bytes]:
     raise ValueError(f"unknown format {fmt!r}")
 
 
-def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
+def _read_file(path: str) -> bytes:
+    """A file's bytes, from one unbuffered read."""
+    with open(path, "rb", buffering=0) as f:
+        return f.readall()
+
+
+def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes, int, int]:
     """The graph in a file, or stdin for "-".  The file is read once, as
-    bytes, stripped once, and read in the format its first byte names:
+    bytes, and kept whole: surrounding whitespace is skipped by bounds,
+    not stripped off a copy.  The first byte past it names the format:
     a digit starts an edge list (no graph6 byte, 63-126, is a digit),
     "{" starts JSON when the bytes parse as UTF-8 JSON (graph6 for
-    n = 60 also starts with "{"), and anything else is graph6.  With decode=False a
-    graph6 file is only validated and comes back as validate_graph6's
-    (n, bytes)."""
-    data = sys.stdin.buffer.read() if path == "-" else Path(path).read_bytes()
-    data = data.strip()
-    if not data:
+    n = 60 also starts with "{"), and anything else is graph6.  A "{"
+    file that is neither is reported by its JSON fault when it holds a
+    byte that graph6 never does, a line break aside.  With decode=False
+    a graph6 file is only validated and comes back as (n, bytes, start,
+    end), the graph6 string's order and its bounds in the file's bytes."""
+    data = sys.stdin.buffer.read() if path == "-" else _read_file(path)
+    start, end = _strip_bounds(data)
+    if start == end:
         raise GraphFormatError(f"{path}: empty graph file")
-    if data[:1].isdigit():
-        return _read_edge_list(path, data)
-    if data[:1] == b"{":
+    first = data[start : start + 1]
+    if first.isdigit():
+        return _read_edge_list(path, data, start, end)
+    json_fault = None
+    if first == b"{":
         try:
             # JSON text is UTF-8; json.loads would guess UTF-16 or -32 from bytes
-            payload = json.loads(data.decode())
-        except ValueError:
-            pass
+            payload = json.loads(str(memoryview(data)[start:end], "utf-8"))
+        except (ValueError, RecursionError) as exc:
+            json_fault = exc
         else:
             return _edge_json_graph(payload)
     try:
-        return decode_graph6(data) if decode else validate_graph6(data)
+        if decode:
+            return decode_graph6(data)
+        n, start, end = _graph6_span(data, start, end)
+        return n, data, start, end
     except GraphFormatError:
+        if json_fault is not None and data[start:end].translate(None, _G6_VALID + b"\r\n"):
+            raise GraphFormatError(f"{path}: bad JSON: {json_fault}") from None
         # a line break fails validation, and only then are breaks counted
-        breaks = data.count(b"\n") + data.count(b"\r") - data.count(b"\r\n")
+        breaks = (data.count(b"\n", start, end) + data.count(b"\r", start, end)
+                  - data.count(b"\r\n", start, end))
         if breaks:
             raise GraphFormatError(
                 f'{path}: not a graph6, JSON or "n m" edge-list file '
@@ -118,26 +144,38 @@ def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes]:
         raise
 
 
-def _read_edge_list(path: str, data: bytes) -> Graph:
-    """The "n m" header line, then one "u v" line per edge; each line is
-    parsed as make_graph takes its edge.  A line ends where
-    bytes.splitlines ends it: at LF, CR LF or CR."""
-    if b"\r" in data:
+def _read_edge_list(path: str, data: bytes, start: int, end: int) -> Graph:
+    """The "n m" header line, then one "u v" line per edge, in
+    data[start:end]; each line is parsed as make_graph takes its edge.
+    A line ends where bytes.splitlines ends it: at LF, CR LF or CR."""
+    if data.find(b"\r", start, end) >= 0:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    lines = io.BytesIO(data)
+        start, end = _strip_bounds(data)
+    lines = io.BytesIO(data)  # shares data's buffer
+    lines.seek(start)
     try:
-        n, m = _pair(next(lines), "header")
-        return make_graph(n, _edge_pairs(lines, m))
+        n, m = _pair(next(lines)[: end - start], "header")
+        return make_graph(n, _edge_pairs(lines, m, end))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _edge_pairs(lines: Iterable[bytes], m: int) -> Iterator[tuple[int, int]]:
+def _edge_pairs(lines: io.BytesIO, m: int, end: int) -> Iterator[tuple[int, int]]:
     """The edge of each line as it is read; past the last line, a count
-    other than the header's m is refused."""
+    other than the header's m is refused.  A line is located only when
+    it fails: one that starts at or past end is whitespace after the
+    last line and ends the edges, and any other is named up to end."""
     found = 0
-    for found, line in enumerate(lines, 1):
-        yield _pair(line, "edge")
+    for line in lines:
+        try:
+            pair = _pair(line, "edge")
+        except ValueError:
+            at = lines.tell() - len(line)
+            if at >= end:
+                break
+            raise _bad_line(line[: end - at], "edge") from None
+        found += 1
+        yield pair
     if found != m:
         raise ValueError(f"header says {m} edges, found {found}")
 
@@ -146,9 +184,13 @@ def _pair(line: bytes, kind: str) -> tuple[int, int]:
     """The two numbers of an edge-list line."""
     uv = line.split()
     if len(uv) != 2 or not (uv[0].isdigit() and uv[1].isdigit()):
-        text = line.rstrip(b"\n").decode(errors="backslashreplace")
-        raise ValueError(f"bad {kind} line {text!r}")
+        raise _bad_line(line, kind)
     return int(uv[0]), int(uv[1])
+
+
+def _bad_line(line: bytes, kind: str) -> ValueError:
+    text = line.rstrip(b"\n").decode(errors="backslashreplace")
+    return ValueError(f"bad {kind} line {text!r}")
 
 
 def _emit(pieces: Iterable[bytes], out: str | None) -> None:
@@ -182,7 +224,7 @@ def _cmd_verify(args) -> int:
     # the verifier matches graph6 to the rebuilt graph by its bytes,
     # which _read_graph has validated
     g = _read_graph(args.graph, decode=False)
-    cert = certificate_from_json(Path(args.cert).read_text())
+    cert = certificate_from_json(_read_file(args.cert).decode())
     report = _check_certificate(g, cert, args.max_oracle_n)
     sys.stdout.write(report.to_json())
     return 0 if report.accepted else 1
@@ -270,7 +312,8 @@ def _cmd_block(args) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The toughgraph parser with all six subcommands, built on first use."""
+    """The toughgraph parser with all six subcommands, built on first use.
+    It keeps the subcommands' own parsers, by name, as .commands."""
     parser = argparse.ArgumentParser(
         prog="toughgraph",
         description=(
@@ -279,15 +322,20 @@ def _parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    p = sub.add_parser("synth", help="build a graph with toughness exactly t")
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        parser.commands[name] = sub.add_parser(name, help=help)
+        return parser.commands[name]
+
+    p = command("synth", "build a graph with toughness exactly t")
     p.add_argument("t", help="target toughness, written a/b or a")
     p.add_argument("--out", help="write the graph to this file")
     p.add_argument("--cert", help="write the certificate JSON to this file")
     p.add_argument("--format", choices=_FORMATS, default="g6")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("verify", help="check a graph/certificate pair")
+    p = command("verify", "check a graph/certificate pair")
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--max-oracle-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
@@ -298,7 +346,7 @@ def _parser() -> argparse.ArgumentParser:
                         "the non-universal vertices for cases 1 and 2")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("tau", help="exact toughness (heuristic bound past --max-n)")
+    p = command("tau", "exact toughness (heuristic bound past --max-n)")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_TOUGHNESS_LIMIT,
                    help="largest n for exact toughness: one pruned depth-"
@@ -307,19 +355,19 @@ def _parser() -> argparse.ArgumentParser:
                    help="evaluations for the heuristic fallback")
     p.set_defaults(func=_cmd_tau)
 
-    p = sub.add_parser("hamilton", help="Hamilton cycle or spanning path search")
+    p = command("hamilton", "Hamilton cycle or spanning path search")
     p.add_argument("graph")
     p.add_argument("--path", nargs=2, type=int, metavar=("X", "Y"),
                    help="look for a spanning path between these vertices")
     p.add_argument("--budget", type=int, default=DEFAULT_NODE_LIMIT)
     p.set_defaults(func=_cmd_hamilton)
 
-    p = sub.add_parser("alpha", help="independence number")
+    p = command("alpha", "independence number")
     p.add_argument("graph")
     p.add_argument("--max-n", type=int, default=DEFAULT_ALPHA_LIMIT)
     p.set_defaults(func=_cmd_alpha)
 
-    p = sub.add_parser("block", help="emit a named building block")
+    p = command("block", "emit a named building block")
     p.add_argument("kind",
                    choices=("l1", "l2", "l3", "l4", "unit", "petersen",
                             "inflated-petersen"))
@@ -329,8 +377,24 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as the full parser parses it, in one pass when argv
+    opens with a command: its parser takes the rest, by the
+    parse_known_args call the subparsers action makes.  Any other argv,
+    and any with arguments left over, goes to the full parser, so every
+    help, usage and error byte is argparse's."""
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, rest = command.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     # GraphFormatError, CertificateError and SizeLimitError are ValueErrors

@@ -13,11 +13,13 @@ piece at a time, for the CLI to write and the verifier to compare as
 they come; the string forms (encode_graph6, to_dot, to_edge_json) join
 the pieces.  graph6 is dense text, about n^2/12 bytes, so iter_graph6
 cuts it into fixed-size chunks, and validate_graph6 scans the body for
-invalid bytes one chunk at a time.  The text formats draw the edges
-from one row iterator, _later_rows, a piece per vertex with its later
-neighbors.  No transient buffer grows with the graph's text.  On the
-read side, from_edge_json parses the JSON schema once and make_graph
-takes each edge entry as it is checked.
+invalid bytes one chunk at a time, in place: _graph6_span checks a
+string within bounds of a larger buffer, so a file's bytes need no
+stripped copy.  The text formats draw the edges from one row iterator,
+_later_rows, a piece per vertex with its later neighbors.  No
+transient buffer grows with the graph's text.  On the read side,
+from_edge_json parses the JSON schema once and make_graph takes each
+edge entry as it is checked.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
 GRAPH6_MAX_N = 2**36 - 1
 
 _G6_HEADER = b">>graph6<<"
+# the bytes bytes.strip() removes
+_WHITESPACE = b" \t\n\r\x0b\x0c"
 _G6_VALID = bytes(range(63, 127))
 
 # graph6 writes a 6-bit group as the byte 63 + value, base64 as its alphabet
@@ -348,42 +352,68 @@ def validate_graph6(data: bytes | str) -> tuple[int, bytes]:
     bit, and since each byte holds its 6-bit group most significant bit
     first, they are the low bits of the last byte: checking them needs
     no base64 decode."""
+    data = _ascii(data)
+    n, start, end = _graph6_span(data, *_strip_bounds(data))
+    return n, data[start:end]
+
+
+def _ascii(data: bytes | str) -> bytes:
     if isinstance(data, str):
         if not data.isascii():
             bad = next(c for c in data if not c.isascii())
             raise GraphFormatError(f"invalid graph6 character {bad!r}")
-        data = data.encode("ascii")
-    data = data.strip()
-    if data.startswith(_G6_HEADER):
-        data = data[len(_G6_HEADER):]
-    if not data:
+        return data.encode("ascii")
+    return data
+
+
+def _strip_bounds(data: bytes) -> tuple[int, int]:
+    """(start, end) with data[start:end] == data.strip(), found without
+    a copy of data: only pieces of at most _G6_CHUNK bytes at either end
+    are stripped, and none when no whitespace is there."""
+    start, end = 0, len(data)
+    while start < end and data[start] in _WHITESPACE:
+        piece = data[start : start + _G6_CHUNK]
+        start += len(piece) - len(piece.lstrip())
+    while end > start and data[end - 1] in _WHITESPACE:
+        piece = data[max(start, end - _G6_CHUNK) : end]
+        end -= len(piece) - len(piece.rstrip())
+    return start, end
+
+
+def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, int, int]:
+    """validate_graph6 on data[start:end], which holds no surrounding
+    whitespace, in place: returns n and the bounds of the graph6 string
+    past the optional header, and copies no more than a chunk."""
+    if data.startswith(_G6_HEADER, start, end):
+        start += len(_G6_HEADER)
+    if start == end:
         raise GraphFormatError("empty graph6 input")
     # deleting the valid bytes leaves the invalid ones, a chunk at a time
-    for i in range(0, len(data), _G6_CHUNK):
-        bad = data[i : i + _G6_CHUNK].translate(None, _G6_VALID)
+    for i in range(start, end, _G6_CHUNK):
+        bad = data[i : min(i + _G6_CHUNK, end)].translate(None, _G6_VALID)
         if bad:
             raise GraphFormatError(f"invalid graph6 byte {bad[0]}")
-    if data[0] != 126:
-        n, pos = data[0] - 63, 1
+    if data[start] != 126:
+        n, pos = data[start] - 63, 1
     else:
-        start, pos = (2, 8) if data[1:2] == b"~" else (1, 4)
-        if len(data) < pos:
+        first, pos = (2, 8) if data.startswith(b"~", start + 1, end) else (1, 4)
+        if end - start < pos:
             raise GraphFormatError("truncated graph6 size field")
         n = 0
-        for b in data[start:pos]:
+        for b in data[start + first : start + pos]:
             n = (n << 6) | (b - 63)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
-    got = len(data) - pos
+    got = end - start - pos
     if got < need:
         raise GraphFormatError(
             f"truncated graph6 body: need {need} bytes for n={n}, got {got}"
         )
     if got > need:
         raise GraphFormatError("trailing bytes after graph6 body")
-    if need and (data[-1] - 63) & ((1 << (6 * need - nbits)) - 1):
+    if need and (data[end - 1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    return n, data
+    return n, start, end
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -397,11 +427,12 @@ def decode_graph6(data: bytes | str) -> Graph:
     in place.  In the result the neighbors of v above v, one byte per
     8-row block, sit nb * 8 bytes apart from byte (v & 7) * nb + (v >> 3):
     a single stride slice."""
-    n, data = validate_graph6(data)
+    data = _ascii(data)
+    n, _, end = _graph6_span(data, *_strip_bounds(data))
     need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return Graph((0,) * n)
-    body = data[len(data) - need:]
+    body = data[end - need : end]
     raw = binascii.a2b_base64(body.translate(_G6_TO_B64) + b"A" * (-need % 4))
     xb = raw.translate(_REVERSE_BITS)
     cols = []
@@ -487,7 +518,8 @@ def to_edge_json(g: Graph) -> str:
 def from_edge_json(text: str | bytes) -> Graph:
     try:
         payload = json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or bytes that are not UTF-8
+    # a JSONDecodeError, bytes that are not UTF-8, or nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad JSON: {exc}") from None
     return _edge_json_graph(payload)
 

@@ -610,7 +610,8 @@ def certificate_from_json(text: str) -> dict:
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a RecursionError is nesting too deep for the parser
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"bad JSON: {exc}") from None
     if not isinstance(payload, dict) or not isinstance(payload.get("t"), str):
         raise CertificateError('certificate must be a JSON object with a rational "t"')

@@ -135,15 +135,17 @@ def _encoded(payload: dict, key: str) -> Optional[str]:
     return json.dumps(payload[key], sort_keys=True) if key in payload else None
 
 
-def _encodes_to(g: Graph, data: bytes) -> bool:
-    """Whether data is g's graph6 encoding, compared one piece of
-    iter_graph6 at a time, so no copy of the encoding is ever whole."""
-    pos = 0
+def _encodes_to(g: Graph, data: bytes, start: int = 0, end: Optional[int] = None) -> bool:
+    """Whether data[start:end] is g's graph6 encoding, compared in place
+    one piece of iter_graph6 at a time, so no copy of the encoding or of
+    the input is ever whole."""
+    end = len(data) if end is None else end
+    pos = start
     for piece in iter_graph6(g):
-        if not data.startswith(piece, pos):
+        if not data.startswith(piece, pos, end):
             return False
         pos += len(piece)
-    return pos == len(data)
+    return pos == end
 
 
 def check_certificate(
@@ -175,20 +177,22 @@ def check_certificate(
     report is the one the decoded Graph would get.  max_oracle_n is the
     largest n whose toughness is decided exactly."""
     if not isinstance(g, Graph):
-        g = validate_graph6(g)
+        n, data = validate_graph6(g)
+        g = n, data, 0, len(data)
     return _check_certificate(g, cert, max_oracle_n)
 
 
 def _check_certificate(
-    g: Graph | tuple[int, bytes], cert: Certificate | dict, max_oracle_n: int
+    g: Graph | tuple[int, bytes, int, int], cert: Certificate | dict, max_oracle_n: int
 ) -> VerificationReport:
-    """check_certificate on a Graph or on the (n, bytes) that
-    validate_graph6 returned for it."""
+    """check_certificate on a Graph or on graph6 input given as
+    (n, data, start, end): a validated graph6 string of order n in
+    data[start:end], header and whitespace outside the bounds."""
     checks: list[CheckOutcome] = []
     if isinstance(g, Graph):
-        n, data = g.n, None
+        n, data, start, end = g.n, None, 0, 0
     else:
-        n, data = g
+        n, data, start, end = g
 
     def run(name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
         t0 = time.perf_counter()
@@ -225,7 +229,7 @@ def _check_certificate(
             )
         g2 = plan_graph(fresh)
         # only a noncanonical size field or a different graph decodes
-        if data is None or not _encodes_to(g2, data):
+        if data is None or not _encodes_to(g2, data, start, end):
             given = g if data is None else decode_graph6(data)
             if given != g2:
                 return False, (

@@ -112,26 +112,35 @@ def test_a_graph_graph6_cannot_encode_leaves_the_out_file_as_it_was(
 def test_large_synth_and_verify_peak_in_bounded_memory(tmp_path, capsys):
     # graph6 is written, validated and compared in fixed-size pieces, so
     # the traced peak of either command stays under the graph's rows, two
-    # copies of its graph6 bytes and 256 KiB
+    # copies of its graph6 bytes and 256 KiB.  The graph file itself is
+    # held once: verify against a certificate of another order stops
+    # before any build, at one copy and 256 KiB
     import tracemalloc
 
     from toughgraph import synthesize
 
     g, _ = synthesize("449/200")
     rows = sum(sys.getsizeof(r) for r in g.neighbor_masks)
-    bound = rows + 2 * len(encode_graph6(g)) + 256 * 1024
+    size = len(encode_graph6(g))
     gpath, cpath = str(tmp_path / "g.g6"), str(tmp_path / "cert.json")
-    for argv in (["synth", "449/200", "--out", gpath, "--cert", cpath],
-                 ["verify", gpath, cpath]):
+    other = str(tmp_path / "other.json")
+    assert main(["synth", "2/3", "--cert", other]) == 0
+    for argv, code, bound in (
+        (["synth", "449/200", "--out", gpath, "--cert", cpath], 0, rows + 2 * size),
+        (["verify", gpath, cpath], 0, rows + 2 * size),
+        (["verify", gpath, other], 1, size),
+    ):
+        capsys.readouterr()
         tracemalloc.start()
         try:
-            assert main(argv) == 0
+            assert main(argv) == code
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound, (argv[0], peak, bound)
-        out = capsys.readouterr().out
-    assert json.loads(out)["accepted"] is True
+        assert peak < bound + 256 * 1024, (argv, peak, bound)
+        report = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert json.loads(report)["accepted"] is (code == 0)
 
 
 # -- verify ----------------------------------------------------------------
@@ -336,7 +345,8 @@ def test_graph6_file_with_a_second_line_is_refused(tmp_path, capsys):
         ("D] 1\n", "invalid graph6 byte 32"),
         (path60[:-1] + "\n", "truncated graph6 body: need 295 bytes for n=60, got 294"),
         (path60 + "\n" + path60 + "\n", lines.format(2)),
-        ("{bad json\n", "invalid graph6 byte 32"),
+        ("{bad json\n", f"{gpath}: bad JSON: Expecting property name enclosed in "
+                         "double quotes: line 1 column 2 (char 1)"),
         ("3 x\n", f"{gpath}: bad header line '3 x'"),
         ("3 x\n0 1\n", f"{gpath}: bad header line '3 x'"),
         ("3 1 0 1", f"{gpath}: bad header line '3 1 0 1'"),
@@ -410,21 +420,26 @@ def test_an_edge_list_reads_alike_with_any_line_end(tmp_path):
 
 def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
     # the edge list is parsed a line at a time as make_graph takes it,
-    # so past the file's bytes and one stripped copy little is held
+    # in the file's bytes as read, so past them and the graph's rows
+    # little is held
+    import os
     import tracemalloc
 
     from toughgraph import synthesize
 
     gpath = str(tmp_path / "g.edges")
     assert main(["synth", "449/200", "--format", "edges", "--out", gpath]) == 0
+    want = synthesize("449/200")[0]
+    rows = sum(sys.getsizeof(r) for r in want.neighbor_masks)
     tracemalloc.start()
     try:
         g = _read_graph(gpath)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12_000_000, peak
-    assert g == synthesize("449/200")[0]
+    bound = os.path.getsize(gpath) + rows + 256 * 1024
+    assert peak < bound, (peak, bound)
+    assert g == want
 
 
 def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):
@@ -441,6 +456,53 @@ def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):
     assert main(["block", "petersen", "--format", "json", "--out", str(gpath)]) == 0
     assert _read_graph(str(gpath)) == g
     assert calls == [len(gpath.read_bytes().strip())]
+
+
+def test_json_nested_too_deep_exits_2(tmp_path, capsys):
+    # nesting past the parser's recursion limit is a JSON fault like any
+    # other: one error line and exit 2, for a graph file and a certificate
+    deep = b'{"a":' + b"[" * 100_000
+    gpath, cpath, deep_cert = tmp_path / "g.json", tmp_path / "c.json", tmp_path / "d.json"
+    gpath.write_bytes(deep)
+    deep_cert.write_bytes(deep)
+    assert main(["synth", "2/3", "--out", str(tmp_path / "k.g6"), "--cert", str(cpath)]) == 0
+    capsys.readouterr()
+    for argv, head in (
+        (["tau", str(gpath)], f"error: {gpath}: bad JSON: "),
+        (["alpha", str(gpath)], f"error: {gpath}: bad JSON: "),
+        (["verify", str(gpath), str(cpath)], f"error: {gpath}: bad JSON: "),
+        (["verify", str(tmp_path / "k.g6"), str(deep_cert)], "error: bad JSON: "),
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(head) and err.count("\n") == 1, (argv, err)
+        assert "recursion" in err, err
+
+
+def test_a_brace_file_is_json_or_graph6(tmp_path, capsys):
+    # "{" starts both the JSON schema and graph6 for n = 60: a file that
+    # is neither is named by its JSON fault when it holds a byte graph6
+    # never does, and valid n = 60 graph6 still decodes
+    gpath = tmp_path / "g"
+    json_fault = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    for data, message in (
+        (b"{bad json\n", f"{gpath}: bad JSON: {json_fault}"),
+        (b'{"n": 3,\n"edges": [[0, 1]\n', f"{gpath}: bad JSON: Expecting ',' delimiter: "
+                                          "line 2 column 17 (char 25)"),
+        (b'{"n": 2, "edges": [], "\xff": 1}\n', f"{gpath}: bad JSON: 'utf-8' codec can't "
+                                               "decode byte 0xff in position 23: "
+                                               "invalid start byte"),
+        (b"{~~}\n", "truncated graph6 body: need 295 bytes for n=60, got 3"),
+    ):
+        gpath.write_bytes(data)
+        assert main(["tau", str(gpath)]) == 2, data
+        assert capsys.readouterr() == ("", f"error: {message}\n"), data
+    g = make_graph(60, [(i, i + 1) for i in range(59)])
+    data = encode_graph6(g)
+    assert data[:1] == b"{"
+    gpath.write_bytes(data + b"\n")
+    assert _read_graph(str(gpath)) == g
+    assert _read_graph(str(gpath), decode=False) == (60, data + b"\n", 0, len(data))
 
 
 # -- tau ---------------------------------------------------------------------
@@ -787,6 +849,15 @@ _PARSER_FORMS = {
 }
 
 
+def _corpus() -> list[list[str]]:
+    """Each command's valid and bad forms, its help, usage and an
+    unknown option, and the top level's."""
+    forms = [[], ["-h"], ["bogus"], ["--", "alpha"]]
+    for cmd, (valid, bad) in _PARSER_FORMS.items():
+        forms += [[cmd, "-h"], [cmd, "--bogus", *valid], [cmd], [cmd, *valid], [cmd, *bad]]
+    return forms
+
+
 def _parse(parser, argv, capsys):
     try:
         outcome = sorted(vars(parser.parse_args(argv)).items())
@@ -805,10 +876,7 @@ def test_cached_parser_matches_a_fresh_one(columns, monkeypatch, capsys):
     monkeypatch.setenv("COLUMNS", "55")
     cached = _parser()
     monkeypatch.setenv("COLUMNS", columns)
-    forms = [[], ["-h"], ["bogus"], ["--", "alpha"]]
-    for cmd, (valid, bad) in _PARSER_FORMS.items():
-        forms += [[cmd, "-h"], [cmd, "--bogus", *valid], [cmd], [cmd, *valid], [cmd, *bad]]
-    for argv in forms:
+    for argv in _corpus():
         expected = _parse(_parser.__wrapped__(), argv, capsys)
         assert _parse(cached, argv, capsys) == expected, argv
     assert _parser() is cached
@@ -849,3 +917,69 @@ def test_the_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
     assert [code for code, _ in outputs] == [2, 2, 0, 0]
     assert outputs[0] == outputs[1] and outputs[2] == outputs[3]
     assert built == []
+
+
+def test_main_parses_argv_once_as_the_full_parser_does(monkeypatch, capsys):
+    # main gives argv[1:] to the command's own parser when argv[0] names
+    # one; its exit code, stdout, stderr and parsed values are those of
+    # the full parser, also for "--opt=value", abbreviated options, "--"
+    # before or after the command, arguments left over and help
+    from toughgraph import cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    parsed = []
+
+    def record(args):
+        parsed.append(sorted(vars(args).items()))
+        return 0
+
+    parser = _parser.__wrapped__()
+    for command in parser.commands.values():
+        command.set_defaults(func=record)
+    monkeypatch.setattr(cli, "_parser", lambda: parser)
+    forms = _corpus() + [
+        ["synth", "2/3", "--format=dot"],
+        ["synth", "2/3", "--format=xyz"],
+        ["verify", "g", "c", "--max-oracle-n=5"],
+        ["tau", "g", "--max-n=9", "--budget=3"],
+        ["hamilton", "g", "--budget=7"],
+        ["block", "l2", "--out=-"],
+        ["verify", "g", "c", "--max-o", "5"],
+        ["verify", "g", "c", "--max-o=5"],
+        ["tau", "g", "--max", "9", "--b", "3"],
+        ["hamilton", "g", "--pa", "0", "1"],
+        ["synth", "2/3", "--f", "json", "--c", "c.json", "--o", "-"],
+        ["synth", "2/3", "--he"],
+        ["alpha", "g", "--max-"],
+        ["--", "alpha", "g"],
+        ["alpha", "--", "g"],
+        ["alpha", "g", "--"],
+        ["--", "synth", "--", "2/3"],
+        ["synth", "--", "-1/2"],
+        ["verify", "g", "--", "c"],
+        ["hamilton", "g", "--path", "0", "1", "--"],
+        ["verify", "g", "c", "--budget", "5"],
+        ["alpha", "g", "h"],
+        ["alpha", "g", "--", "h"],
+        ["tau", "g", "--max-n", "9", "extra"],
+        ["synth", "2/3", "-x"],
+        ["block", "l2", "l3"],
+        ["hamilton", "g", "--path", "-1", "2"],
+        ["alpha", "alpha"],
+        ["alpha", ""],
+        [""],
+        ["Alpha", "g"],
+        ["-h", "alpha"],
+        ["alpha", "-h", "--bogus"],
+    ]
+    for cmd, (valid, _) in _PARSER_FORMS.items():
+        forms += [[cmd, "--help"], [cmd, *valid, "-h"], [cmd, "--", "-h"]]
+    for argv in forms:
+        expected = _parse(parser, argv, capsys)
+        try:
+            assert main(argv) == 0, argv
+            outcome = parsed.pop()
+        except SystemExit as exc:
+            outcome = ("exit", exc.code)
+        assert (outcome, *capsys.readouterr()) == expected, argv
+        assert parsed == []

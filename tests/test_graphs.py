@@ -526,6 +526,23 @@ def test_validate_graph6_names_the_first_invalid_byte_in_any_chunk(monkeypatch, 
             validate_graph6(bytes(data))
 
 
+@pytest.mark.parametrize("chunk", [3, None])
+def test_strip_bounds_are_those_of_strip(monkeypatch, chunk):
+    # the bounds are found a chunk at a time from either end, also when
+    # the whitespace spans several chunks or is all there is
+    if chunk:
+        monkeypatch.setattr(graphs, "_G6_CHUNK", chunk)
+    rng = random.Random(5)
+    space = b" \t\n\r\x0b\x0c"
+    for _ in range(300):
+        pad = [bytes(rng.choices(space, k=rng.randrange(12))) for _ in range(2)]
+        body = bytes(rng.choices(b"ab \n", k=rng.randrange(6))).strip()
+        data = pad[0] + body + pad[1]
+        start, end = graphs._strip_bounds(data)
+        assert data[start:end] == data.strip(), data
+        assert start == end or data[start:start + 1] == body[:1], data
+
+
 def test_validate_graph6_returns_the_order_and_the_stripped_bytes():
     assert validate_graph6(b"?") == (0, b"?")
     assert validate_graph6(b"@") == (1, b"@")
@@ -589,6 +606,8 @@ def test_edge_json_rejects_bad_payloads():
         from_edge_json('{"n": 3, "edges": [[0, true]]}')
     with pytest.raises(GraphFormatError):
         from_edge_json('{"n": 2, "edges": [[0, 5]]}')
+    with pytest.raises(GraphFormatError, match="^bad JSON: .*recursion"):
+        from_edge_json('{"a":' + "[" * 100_000)
 
 
 def test_unit_graph_shape(unit_graph):
