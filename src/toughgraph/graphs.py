@@ -16,7 +16,8 @@ cuts it into fixed-size chunks, and validate_graph6 scans the body for
 invalid bytes one chunk at a time, in place: _graph6_span checks a
 string within bounds of a larger buffer, so a file's bytes need no
 stripped copy.  The text formats draw the edges from one row iterator,
-_later_rows, a piece per vertex with its later neighbors.  No
+_later_rows, a piece per vertex with its later neighbors, whose decimal
+labels are made once per graph, not once per edge.  No
 transient buffer grows with the graph's text.  On the read side,
 from_edge_json parses the JSON schema once and make_graph takes each
 edge entry as it is checked.
@@ -112,7 +113,7 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted."""
         out: list[tuple[int, int]] = []
-        for v, later in _later_rows(self):
+        for v, later in _later_rows(self, range(self.n)):
             out.extend(zip(repeat(v), later))
         return out
 
@@ -129,14 +130,14 @@ class Graph:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
 
-def _later_rows(g: Graph) -> Iterator[tuple[int, Iterator[int]]]:
-    """Each vertex v with its neighbors u > v, ascending: the edges row
-    by row, so a writer holds one row of them at a time."""
+def _later_rows(g: Graph, labels: Sequence) -> Iterator[tuple[int, Iterator]]:
+    """Each vertex v with its neighbors u > v, ascending, as labels[u]:
+    the edges row by row, so a writer holds one row of them at a time."""
     n = g.n
     for v, row in enumerate(g.neighbor_masks):
         # one byte per later vertex u, 1 iff uv is an edge
         flags = format(row >> v + 1, f"0{n - v - 1}b")[::-1].encode()
-        yield v, compress(range(v + 1, n), flags.translate(_BIT_BYTES))
+        yield v, compress(labels[v + 1 :], flags.translate(_BIT_BYTES))
 
 
 def _bits(mask: int):
@@ -470,9 +471,11 @@ def _edge_lines(g: Graph, head: str, tail: str, sep: str = "") -> Iterator[bytes
     """The edges u < v as text, one piece per row: each edge is
     head.format(u) + str(v) + tail, and sep goes between edges."""
     before = ""
-    for u, later in _later_rows(g):
+    # each vertex's decimal text is made once, not once per edge it is on
+    labels = [str(v) for v in range(g.n)]
+    for u, later in _later_rows(g, labels):
         start = head.format(u)
-        text = (tail + sep + start).join(map(str, later))
+        text = (tail + sep + start).join(later)
         if text:
             yield f"{before}{start}{text}{tail}".encode()
             before = sep

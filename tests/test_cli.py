@@ -4,10 +4,15 @@ parser tests at the end run in-process."""
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +24,7 @@ from toughgraph import (
     petersen,
     unit_toughness_graph,
 )
-from toughgraph.cli import _parser, _read_graph, main
+from toughgraph.cli import _emit, _parser, _read_graph, main
 
 
 def run_cli(*args, stdin=None):
@@ -107,6 +112,97 @@ def test_a_graph_graph6_cannot_encode_leaves_the_out_file_as_it_was(
         assert capsys.readouterr() == ("", f"error: graph6 cannot encode n={n}\n")
         assert gpath.read_bytes() == b"old graph\n"
     assert cpath.read_bytes() == b"old certificate\n"
+
+
+def test_output_files_are_opened_without_o_trunc(tmp_path, monkeypatch, capsys):
+    # a file truncated to zero and rewritten is flushed when it is
+    # closed (ext4's auto_da_alloc, XFS alike), so outputs are opened
+    # in place, with open's own flags less O_TRUNC and its mode 0o666
+    calls = []
+    real_open = os.open
+
+    def recording_open(path, flags, mode=0o777, **kwargs):
+        calls.append((path, flags, mode))
+        return real_open(path, flags, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    gpath, cpath = str(tmp_path / "g.g6"), str(tmp_path / "cert.json")
+    assert main(["synth", "2/3", "--out", gpath, "--cert", cpath]) == 0
+    assert [path for path, _, _ in calls] == [gpath, cpath]
+    for _, flags, mode in calls:
+        assert not flags & os.O_TRUNC and flags & os.O_CREAT and flags & os.O_WRONLY
+        assert mode == 0o666
+    assert capsys.readouterr() == ("case=1 q=1 n=5 tau=2/3\n", "")
+
+
+def test_a_short_output_over_a_longer_file_leaves_exactly_the_fresh_bytes(tmp_path):
+    # the file is cut at the write position, and keeps its inode, so a
+    # hard link sees the fresh bytes and the mode set on it stays
+    gpath, link = tmp_path / "g", tmp_path / "link"
+    assert main(["synth", "449/200", "--format", "edges", "--out", str(gpath)]) == 0
+    os.chmod(gpath, 0o600)
+    os.link(gpath, link)
+    before = os.stat(gpath)
+    assert main(["block", "petersen", "--format", "g6", "--out", str(gpath)]) == 0
+    after = os.stat(gpath)
+    assert gpath.read_bytes() == link.read_bytes() == encode_graph6(petersen()) + b"\n"
+    assert after.st_ino == before.st_ino and after.st_nlink == 2
+    assert stat.S_IMODE(after.st_mode) == 0o600
+
+
+def test_a_new_output_file_gets_opens_default_mode(tmp_path):
+    old = os.umask(0o027)
+    try:
+        assert main(["block", "petersen", "--out", str(tmp_path / "g.g6")]) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(tmp_path / "g.g6").st_mode) == 0o666 & ~0o027
+
+
+def test_a_write_that_fails_partway_leaves_the_pieces_written(tmp_path):
+    path = tmp_path / "g"
+    path.write_bytes(b"an older and much longer file\n" * 100)
+
+    def pieces():
+        yield b"first piece"
+        raise ValueError("the second piece fails")
+
+    with pytest.raises(ValueError, match="second piece"):
+        _emit(pieces(), str(path))
+    assert path.read_bytes() == b"first piece"
+
+
+def test_special_outputs_are_written_as_before(tmp_path, capsys):
+    # /dev/null cannot be truncated and a FIFO cannot seek: only a
+    # regular file is cut to length
+    summary = "case=1 q=1 n=5 tau=2/3\n"
+    assert main(["synth", "2/3", "--out", os.devnull, "--cert", os.devnull]) == 0
+    assert capsys.readouterr() == (summary, "")
+
+    fifo = str(tmp_path / "fifo")
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(
+        target=lambda: got.append(Path(fifo).read_bytes()), daemon=True
+    )
+    reader.start()
+    try:
+        code = main(["synth", "2/3", "--out", fifo])
+    finally:
+        reader.join(timeout=60)
+    assert code == 0 and got == [b"D]o\n"]
+    assert capsys.readouterr() == (summary, "")
+
+    (tmp_path / "dir").mkdir()
+    for out, err in (
+        (tmp_path / "dir", errno.EISDIR),
+        (tmp_path / "missing" / "g.g6", errno.ENOENT),
+    ):
+        for flag in ("--out", "--cert"):
+            assert main(["synth", "2/3", flag, str(out)]) == 2
+            message = f"error: [Errno {err}] {os.strerror(err)}: {str(out)!r}\n"
+            assert capsys.readouterr() == ("", message)
+    assert not (tmp_path / "missing").exists()
 
 
 def test_large_synth_and_verify_peak_in_bounded_memory(tmp_path, capsys):
@@ -421,25 +517,27 @@ def test_an_edge_list_reads_alike_with_any_line_end(tmp_path):
 def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
     # the edge list is parsed a line at a time as make_graph takes it,
     # in the file's bytes as read, so past them and the graph's rows
-    # little is held
-    import os
+    # little is held; the CR of a CR LF needs no normalized copy
     import tracemalloc
 
     from toughgraph import synthesize
 
-    gpath = str(tmp_path / "g.edges")
-    assert main(["synth", "449/200", "--format", "edges", "--out", gpath]) == 0
+    gpath = tmp_path / "g.edges"
+    assert main(["synth", "449/200", "--format", "edges", "--out", str(gpath)]) == 0
+    lf = gpath.read_bytes()
     want = synthesize("449/200")[0]
     rows = sum(sys.getsizeof(r) for r in want.neighbor_masks)
-    tracemalloc.start()
-    try:
-        g = _read_graph(gpath)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    bound = os.path.getsize(gpath) + rows + 256 * 1024
-    assert peak < bound, (peak, bound)
-    assert g == want
+    for end in (b"\n", b"\r\n"):
+        gpath.write_bytes(lf.replace(b"\n", end))
+        tracemalloc.start()
+        try:
+            g = _read_graph(str(gpath))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = os.path.getsize(gpath) + rows + 256 * 1024
+        assert peak < bound, (end, peak, bound)
+        assert g == want, end
 
 
 def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):
@@ -785,13 +883,18 @@ def test_output_bytes_are_frozen(tmp_path):
 @pytest.mark.parametrize("fmt", ["dot", "edges", "json"])
 def test_text_formats_are_written_in_bounded_memory(tmp_path, fmt):
     # written a row's edges at a time, the 4.6 MB edge list of 449/200
-    # never sits in memory whole
+    # never sits in memory whole; the graph is built untraced, and only
+    # its rendering and writing are traced
     import tracemalloc
 
+    from toughgraph import synthesize
+    from toughgraph.cli import _render
+
+    g, _ = synthesize("449/200")
     path = str(tmp_path / "g")
     tracemalloc.start()
     try:
-        assert main(["synth", "449/200", "--format", fmt, "--out", path]) == 0
+        _emit(_render(g, fmt), path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
