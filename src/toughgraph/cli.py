@@ -42,10 +42,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import itertools
 import json
 import os
+import re
 import stat
 import sys
 from typing import Iterable, Iterator
@@ -153,41 +153,53 @@ def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes, int
 
 def _read_edge_list(path: str, data: bytes, start: int, end: int) -> Graph:
     """The "n m" header line, then one "u v" line per edge, in
-    data[start:end]; each line is parsed as make_graph takes its edge.
-    A line ends where bytes.splitlines ends it: at LF, CR LF or CR.
-    Lines are read at LF, and the CR of a CR LF is whitespace to the
-    line's split, so only a file with a lone CR is read from a copy
-    with its line ends made LF."""
+    data[start:end]; the edges are parsed a chunk of lines at a time as
+    make_graph takes them.  A line ends where bytes.splitlines ends it:
+    at LF, CR LF or CR.  Lines are found at LF, and the CR of a CR LF is
+    whitespace to a split, so only a file with a lone CR is read from a
+    copy with its line ends made LF."""
     if data.find(b"\r", start, end) >= 0 and (
         data.count(b"\r", start, end) != data.count(b"\r\n", start, end)
     ):
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         start, end = _strip_bounds(data)
-    lines = io.BytesIO(data)  # shares data's buffer
-    lines.seek(start)
+    pos = data.find(b"\n", start, end) + 1 or end
     try:
-        n, m = _pair(next(lines)[: end - start], "header")
-        return make_graph(n, _edge_pairs(lines, m, end))
+        n, m = _pair(data[start:pos], "header")
+        return make_graph(n, _edge_pairs(data, pos, end, m))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _edge_pairs(lines: io.BytesIO, m: int, end: int) -> Iterator[tuple[int, int]]:
-    """The edge of each line as it is read; past the last line, a count
-    other than the header's m is refused.  A line is located only when
-    it fails: one that starts at or past end is whitespace after the
-    last line and ends the edges, and any other is named up to end."""
+# an LF not followed by an edge line: two digit runs in the whitespace
+# of bytes.split, LF aside, up to the next LF or the end
+_NOT_AN_EDGE = re.compile(rb"\n(?![ \t\v\f\r]*[0-9]+[ \t\v\f\r]+[0-9]+[ \t\v\f\r]*(?:\n|\Z))")
+# the bytes of an edge list parsed per call, then up to the next LF
+_EDGE_CHUNK = 1 << 13
+
+
+def _edge_pairs(data: bytes, pos: int, end: int, m: int) -> Iterator[tuple[int, int]]:
+    """The edges of the lines in data[pos:end], which follow an LF at
+    pos - 1, a chunk of whole lines at a time; past the last line, a
+    count other than the header's m is refused.  A chunk in which every
+    line has an edge line's shape is split once and its numbers
+    converted by map; any other is walked a line at a time, which names
+    its first bad line."""
     found = 0
-    for line in lines:
-        try:
-            pair = _pair(line, "edge")
-        except ValueError:
-            at = lines.tell() - len(line)
-            if at >= end:
-                break
-            raise _bad_line(line[: end - at], "edge") from None
-        found += 1
-        yield pair
+    while pos < end:
+        stop = data.find(b"\n", pos + _EDGE_CHUNK, end)
+        if stop < 0:
+            stop = end
+        if _NOT_AN_EDGE.search(data, pos - 1, stop) is None:
+            numbers = data[pos:stop].split()
+            found += len(numbers) // 2
+            numbers = map(int, numbers)
+            yield from zip(numbers, numbers)
+        else:
+            for line in data[pos:stop].split(b"\n"):
+                yield _pair(line, "edge")
+                found += 1
+        pos = stop + 1
     if found != m:
         raise ValueError(f"header says {m} edges, found {found}")
 

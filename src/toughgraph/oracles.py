@@ -124,19 +124,30 @@ def _below_search(g: Graph, max_n: int):
     so the set U of universal vertices lies in every cutset; only the
     subsets S' of R = V - U are searched, each scored as
     (|U| + |S'|) / omega(G - U - S').  The search decides the vertices
-    of R in label order on an explicit stack, "v out of S'" before "v
-    in S'", so it reads the subsets S' as binary numbers, smallest
-    first, with the lowest label as the top bit.  A node holds the next
-    vertex index, the vertices cut so far, the cut mask, the components
-    of the decided survivors and their joint neighborhood.
+    of R in (-degree, label) order, most neighbors first, on an
+    explicit stack, "v out of S'" before "v in S'", so it reads the
+    subsets S' as binary numbers, smallest first, whose bits run from
+    the top in that order.  A node holds the next vertex index, the
+    vertices cut so far, the cut mask, the components of the decided
+    survivors and their joint neighborhood `touched`; a survivor
+    outside `touched` starts a component of its own.
 
     - Bound.  An undecided vertex that is not cut later survives, and
       either joins a decided survivor's component or touches none of
       them.  So below a node with j vertices cut, every cutset cuts at
       least |U| + j vertices and leaves at most `most` components: the
-      decided survivors' plus the undecided vertices adjacent to none
+      decided survivors' plus the undecided vertices F adjacent to none
       of them.  If most < 2 or b (|U| + j) >= a most, no cutset below
       has ratio under a / b, and the node is skipped.
+    - Matching.  The components that form inside F are pairwise
+      non-adjacent, so an edge of G[F] has both ends in one of them or
+      an end cut.  For a matching M of G[F], a component holding k of
+      its edges has at least k + 1 vertices of F, and every other edge
+      of M has a cut end, so at most |F| - |M| such components form.
+      A greedy matching of G[F] is grown only when the largest it can
+      be, |F| // 2, would skip the node; it is then subtracted from
+      `most` and the bound tested again, so nodes where it cannot help
+      pay nothing for it.
     - Leaves.  Once every vertex is decided, `most` is the exact
       component count, so a leaf that is not skipped is a cutset below
       a / b; the search itself counts no components.  It is yielded,
@@ -149,7 +160,10 @@ def _below_search(g: Graph, max_n: int):
       order comes after C_k: a search restarted at ratio(C_k) returns
       it, and it is the next cutset this pass yields.  The cutsets,
       their ratios, the last one (the first optimal cutset in search
-      order) and their number are those of the restarted rounds.
+      order) and their number are those of the restarted rounds.  This
+      holds for any fixed vertex order.  (-degree, label) order
+      tightens the bound near the root: a vertex with many neighbors
+      either adds them all to `touched` or adds one to j.
     """
     n = g.n
     if n > max_n:
@@ -160,20 +174,36 @@ def _below_search(g: Graph, max_n: int):
     nbr = g.neighbor_masks
     full = (1 << n) - 1
     universal = sum(1 << v for v in range(n) if nbr[v] | (1 << v) == full)
-    alive_rest = full ^ universal
-    rest = list(_bits(alive_rest))
     u = universal.bit_count()
+    rest = sorted(_bits(full ^ universal), key=lambda v: (-nbr[v].bit_count(), v))
     r = len(rest)
-    # undecided[i]: the vertices of R from rest[i] on
-    undecided = [alive_rest >> v << v for v in rest] + [0]
+    # undecided[i]: the vertices rest[i:]
+    undecided = [0] * (r + 1)
+    for i in range(r - 1, -1, -1):
+        undecided[i] = undecided[i + 1] | 1 << rest[i]
 
     def improving(a: int, b: int) -> Iterator[tuple[int, int]]:
         stack = [(0, 0, 0, (), 0)]
         while stack:
             i, j, mask, comps, touched = stack.pop()
-            most = len(comps) + (undecided[i] & ~touched).bit_count()
+            free = undecided[i] & ~touched
+            f = free.bit_count()
+            most = len(comps) + f
             if most < 2 or b * (u + j) >= a * most:
                 continue
+            least = most - f // 2
+            if least < 2 or b * (u + j) >= a * least:
+                # subtract a greedy matching of G[free]
+                rem = free
+                while rem:
+                    low = rem & -rem
+                    rem ^= low
+                    w = nbr[low.bit_length() - 1] & rem
+                    if w:
+                        rem ^= w & -w
+                        most -= 1
+                if most < 2 or b * (u + j) >= a * most:
+                    continue
             if i == r:
                 yield universal | mask, most
                 a, b = u + j, most
@@ -182,7 +212,11 @@ def _below_search(g: Graph, max_n: int):
             row = nbr[v]
             stack.append((i + 1, j + 1, mask | 1 << v, comps, touched))
             # pushed last, so "v out of S'" is searched before "v in S'"
-            stack.append((i + 1, j, mask, _survive(comps, v, row), touched | row))
+            if touched >> v & 1:
+                comps = _survive(comps, v, row)
+            else:
+                comps += (1 << v,)
+            stack.append((i + 1, j, mask, comps, touched | row))
 
     return improving
 
@@ -199,8 +233,10 @@ def toughness_exact(g: Graph, max_n: int = DEFAULT_TOUGHNESS_LIMIT) -> Toughness
       ends once no cutset is below lambda: lambda is the toughness tau.
     - Witness.  The last cutset yielded has ratio tau.  Every optimal
       cutset was below the lambda before it too, so it is the first
-      optimal cutset in toughness_below's order.  For a disconnected
-      graph it is the empty cutset.
+      optimal cutset in toughness_below's order, which decides the
+      vertices in (-degree, label) order: labels matter only among
+      vertices of equal degree.  For a disconnected graph it is the
+      empty cutset.
     """
     improving = _below_search(g, max_n)
     if g.is_complete():
@@ -227,9 +263,9 @@ def toughness_below(
 
     It is the first cutset that _below_search's pass yields from a / b:
     the first below t when the subsets S' of R = V - U (U the universal
-    vertices) are read as binary numbers, smallest first, with the
-    lowest label as the top bit.  A disconnected graph gives the empty
-    cutset.
+    vertices) are read as binary numbers, smallest first, whose bits run
+    from the top in (-degree, label) order.  A disconnected graph gives
+    the empty cutset.
     """
     found = next(_below_search(g, max_n)(t.numerator, t.denominator), None)
     if found is None:
@@ -626,9 +662,11 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
     - Degree 0 and 1.  A candidate v with at most one candidate neighbor
       lies in some maximum independent set of the candidates: a maximum
       set without v holds v's neighbor u, else v could be added, and
-      swapping u for v keeps it independent.  So every candidate of
-      degree 0 is taken at once, and one of degree 1 is taken and its
-      neighbor dropped, then the candidates are scanned again.
+      swapping u for v keeps it independent.  So the scan takes every
+      candidate of degree 0 or 1 as it meets it, and drops the neighbor
+      of one of degree 1.  A scan that dropped a neighbor counted
+      degrees that have since fallen, so the candidates are scanned
+      once more, until a scan drops none.
     - Cycles.  When every candidate has exactly two candidate neighbors,
       the candidates induce disjoint cycles, and a cycle of length L has
       independence number floor(L / 2).  The node closes without
@@ -659,11 +697,13 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
     stack = [((1 << n) - 1, 0)]
     while stack:
         cand, size = stack.pop()
-        while True:
+        forced = True
+        while forced:
             free = cand  # candidates the greedy matching has not used
             matched = 0
-            pivot = leaf = -1
+            pivot = -1
             pivot_deg = 0
+            forced = False
             c = cand
             while c:
                 b = c & -c
@@ -675,8 +715,11 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
                     size += 1
                     continue
                 if not row & (row - 1):
-                    leaf = v
-                    break
+                    cand &= ~(row | b)
+                    c &= cand
+                    size += 1
+                    forced = True
+                    continue
                 d = row.bit_count()
                 if d > pivot_deg:
                     pivot, pivot_deg = v, d
@@ -685,10 +728,6 @@ def independence_number(g: Graph, max_n: int = DEFAULT_ALPHA_LIMIT) -> int:
                     if w:
                         free ^= b | w & -w
                         matched += 1
-            if leaf < 0:
-                break
-            cand &= ~(nbr[leaf] | 1 << leaf)
-            size += 1
         if size + cand.bit_count() - matched <= best:
             continue
         if pivot_deg <= 2:

@@ -550,6 +550,11 @@ def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
     certificate, whose component count is checked on the graph."""
     if p != plan(p.t):
         raise PlanError(f"plan is not the canonical plan for t={p.t}")
+    return _realize(p)
+
+
+def _realize(p: SynthesisPlan) -> tuple[Graph, Certificate]:
+    """build's graph and certificate of a plan known to be canonical."""
     g = plan_graph(p)
     cert = plan_certificate(p)
     count = cutset_witness(g, cert.cutset).component_count
@@ -563,7 +568,8 @@ def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
 
 
 def synthesize(t: Union[Fraction, int, str]) -> tuple[Graph, Certificate]:
-    return build(plan(t))
+    """build(plan(t)), planned once: plan's own result is canonical."""
+    return _realize(plan(t))
 
 
 # -- certificate JSON ---------------------------------------------------

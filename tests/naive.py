@@ -115,7 +115,8 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[int, int, tuple[int, .
     """Every cutset as (size, component count, cutset), in
     toughness_below's order: a vertex adjacent to all others lies in
     every cutset, and the subsets of the other vertices go as binary
-    numbers, smallest first, with the lowest label as the top bit."""
+    numbers, smallest first, whose bits run from the top in (-degree,
+    label) order."""
     adj = _adjacency(g)
     universal = {v for v in adj if len(adj[v]) == g.n - 1}
     order = [
@@ -123,23 +124,36 @@ def naive_cutsets_in_search_order(g: Graph) -> list[tuple[int, int, tuple[int, .
         for cut, comps in _subset_components(g).items()
         if comps >= 2 and universal.issubset(cut)
     ]
-    # the cutset as a binary number whose top bit is vertex 0; the
-    # universal vertices' bits are set in every cutset
-    top = [1 << (g.n - 1 - v) for v in range(g.n)]
+    # the cutset as a binary number whose top bit is the first vertex in
+    # (-degree, label) order; the universal vertices' bits are set in
+    # every cutset
+    ranked = sorted(adj, key=lambda v: (-len(adj[v]), v))
+    top = {v: 1 << (g.n - 1 - k) for k, v in enumerate(ranked)}
     order.sort(key=lambda c: sum([top[v] for v in c[2]]))
     return order
 
 
-def naive_dinkelbach_witness(g: Graph) -> Optional[tuple[Fraction, tuple[int, ...]]]:
+def naive_dinkelbach_rounds(g: Graph) -> list[tuple[int, int, tuple[int, ...]]]:
     """Dinkelbach's rounds over the cutsets in toughness_below's order:
     from lambda = n, take the first cutset below lambda and set lambda
-    to its ratio, until no cutset is below lambda.  The last cutset
-    taken, with its ratio; None when complete."""
+    to its ratio, until no cutset is below lambda.  The cutsets taken,
+    each as (size, component count, cutset); none when complete."""
     order = naive_cutsets_in_search_order(g)
-    size, comps, last = g.n, 1, None  # lambda = size / comps
+    size, comps, taken = g.n, 1, []  # lambda = size / comps
     while (found := next((c for c in order if c[0] * comps < size * c[1]), None)) is not None:
-        size, comps, last = found
-    return None if last is None else (Fraction(size, comps), last)
+        size, comps = found[0], found[1]
+        taken.append(found)
+    return taken
+
+
+def naive_dinkelbach_witness(g: Graph) -> Optional[tuple[Fraction, tuple[int, ...]]]:
+    """The last cutset of Dinkelbach's rounds, with its ratio; None when
+    complete."""
+    rounds = naive_dinkelbach_rounds(g)
+    if not rounds:
+        return None
+    size, comps, last = rounds[-1]
+    return Fraction(size, comps), last
 
 
 def naive_component_count(g: Graph, removed: set[int]) -> int:

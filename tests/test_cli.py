@@ -24,7 +24,7 @@ from toughgraph import (
     petersen,
     unit_toughness_graph,
 )
-from toughgraph.cli import _emit, _parser, _read_graph, main
+from toughgraph.cli import _EDGE_CHUNK, _emit, _parser, _read_graph, main
 
 
 def run_cli(*args, stdin=None):
@@ -515,9 +515,10 @@ def test_an_edge_list_reads_alike_with_any_line_end(tmp_path):
 
 
 def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
-    # the edge list is parsed a line at a time as make_graph takes it,
-    # in the file's bytes as read, so past them and the graph's rows
-    # little is held; the CR of a CR LF needs no normalized copy
+    # the edge list is parsed a chunk of lines at a time as make_graph
+    # takes it, in the file's bytes as read, so past them and the
+    # graph's rows little is held; the CR of a CR LF needs no
+    # normalized copy
     import tracemalloc
 
     from toughgraph import synthesize
@@ -538,6 +539,39 @@ def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
         bound = os.path.getsize(gpath) + rows + 256 * 1024
         assert peak < bound, (end, peak, bound)
         assert g == want, end
+
+
+def test_an_edge_list_is_parsed_a_chunk_of_lines_at_a_time(tmp_path):
+    # a chunk of whole lines in which every line has an edge line's shape
+    # (two digit runs, any whitespace of bytes.split around them) is split
+    # at once; a chunk with any other line is walked a line at a time and
+    # gives the message that a line-at-a-time reader gives
+    n = 250
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (7 * u + 3 * v) % 5 == 0]
+    want = make_graph(n, edges)
+    seps = (b" ", b"\t", b" \x0b ", b"\x0c", b"  ")
+    lines = [b" " * (i % 3) + b"%d%s%d" % (u, seps[i % 5], v) for i, (u, v) in enumerate(edges)]
+    assert sum(map(len, lines)) > 4 * _EDGE_CHUNK
+    gpath = tmp_path / "g.edges"
+
+    def read(end: bytes, body: list[bytes], header: bytes = b"%d %d" % (n, len(edges))):
+        gpath.write_bytes(end.join([header] + body) + end)
+        try:
+            return _read_graph(str(gpath))
+        except ValueError as exc:
+            return str(exc)
+
+    for end in (b"\n", b"\r\n", b"\r"):
+        assert read(end, lines) == want, end
+        for at in [*range(0, len(lines), 331), len(lines) - 1]:
+            for bad, message in ((b"0 x", "bad edge line '0 x'"),
+                                 (b"1 2 3", "bad edge line '1 2 3'"),
+                                 (b"", "bad edge line ''"),
+                                 (b"%d 0" % n, f"edge ({n}, 0) out of range for n={n}")):
+                if at == len(lines) - 1 and not bad:
+                    # a blank last line is whitespace after the edges
+                    message = f"header says {len(edges)} edges, found {len(edges) - 1}"
+                assert read(end, lines[:at] + [bad] + lines[at + 1:]) == f"{gpath}: {message}"
 
 
 def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):

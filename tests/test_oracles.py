@@ -15,6 +15,7 @@ from naive import (
     naive_alpha_branching,
     naive_component_count,
     naive_cutsets_in_search_order,
+    naive_dinkelbach_rounds,
     naive_dinkelbach_witness,
     naive_first_optimal_cutset,
     naive_hamilton_backtrack,
@@ -53,7 +54,7 @@ from toughgraph import (
     unit_toughness_graph,
 )
 from toughgraph import oracles
-from toughgraph.graphs import _reach
+from toughgraph.graphs import _bits, _reach
 from toughgraph.oracles import (
     DEFAULT_NODE_LIMIT,
     _below_search,
@@ -245,9 +246,10 @@ def test_toughness_first_optimal_cutset_on_shapes():
 
 
 # sha256 over "value|witness" lines of the corpus below, recorded with the
-# witness as Dinkelbach's last cutset; the values are those of the flat
-# combinations enumeration that the depth-first search replaced
-RANDOM_CORPUS_DIGEST = "8be37a322319e0d9adbd0a5e1e4214f35a7151900a57d5bd05b2f2c7f8eb6fa6"
+# witness as Dinkelbach's last cutset in the (-degree, label) order; the
+# values are those of the flat combinations enumeration that the
+# depth-first search replaced, and of the label-order search
+RANDOM_CORPUS_DIGEST = "f96d72b3cf9a37d6d45f52bdd4cf86423034bf6677e1c7a6ba816dc9c6ae6ae8"
 
 
 def test_toughness_random_corpus_digest():
@@ -327,20 +329,82 @@ def test_toughness_witness_is_dinkelbach_last_cutset():
                     first = naive_first_optimal_cutset(g)[1]
                     other_order += r.witness.cutset != frozenset(first)
     assert naive_checked == 18
-    assert other_order == 4
+    assert other_order == 2
 
 
 def test_toughness_rounds_on_oracle_random_classes():
     # the G(n, p) classes of the benchmark's oracle-random workload, 20
-    # graphs each: the pass yields at most 8 cutsets, so Dinkelbach's
-    # restarted rounds would number at most 9
+    # graphs each: the pass yields at most 10 cutsets, so Dinkelbach's
+    # restarted rounds would number at most 11
     rng = random.Random(5)
     classes = [(n, p) for n in range(14, 19) for p in (0.25, 0.4, 0.6)]
     classes += [(n, p) for n in (10, 12) for p in (0.3, 0.5)]
     for n, p in classes:
         for _ in range(20):
             g = _random_graph(rng, n, p)
-            assert toughness_exact(g).rounds <= 9, g.edges()
+            assert toughness_exact(g).rounds <= 11, g.edges()
+
+
+def _relabel_within_degree_ties(rng: random.Random, g):
+    """new[v], a random relabeling of g that keeps the label order among
+    the vertices of each degree."""
+    shuffled = list(range(g.n))
+    rng.shuffle(shuffled)
+    ties = {}
+    for v in range(g.n):
+        ties.setdefault(g.degree(v), []).append(v)
+    new = [0] * g.n
+    for tied in ties.values():
+        for v, label in zip(tied, sorted(shuffled[v] for v in tied)):
+            new[v] = label
+    return new
+
+
+def test_toughness_search_order_depends_on_labels_only_within_degree_ties():
+    # the search decides the vertices in (-degree, label) order, so a
+    # relabeling that keeps the label order among equal degrees keeps
+    # the order: the pass yields the same cutsets, relabeled, and the
+    # witness maps back.  A label-order search fails this.
+    rng = random.Random(33)
+    graphs = [_random_graph(rng, n, p) for n in (8, 11, 14, 16) for p in (0.3, 0.5, 0.7)]
+    graphs += [synthesize("4/3")[0], _cycle(9), _grid(3, 4)]
+    moved = 0
+    for g in graphs:
+        new = _relabel_within_degree_ties(rng, g)
+        h = make_graph(g.n, [(new[u], new[v]) for u, v in g.edges()])
+        passed = list(_below_search(g, g.n)(g.n, 1))
+        relabeled = [(_mask(new[v] for v in _bits(cut)), c) for cut, c in passed]
+        assert list(_below_search(h, h.n)(h.n, 1)) == relabeled, g.edges()
+        wg, wh = toughness_exact(g).witness, toughness_exact(h).witness
+        if wg is not None:
+            assert wh.cutset == frozenset(new[v] for v in wg.cutset), g.edges()
+            moved += wh.cutset != wg.cutset
+    assert moved >= 10  # the witnesses' labels did change
+
+
+def _with_pendants(g, hosts):
+    """g plus one new vertex of degree 1 on each host."""
+    return make_graph(g.n + len(hosts), g.edges() + [(h, g.n + i) for i, h in enumerate(hosts)])
+
+
+def test_toughness_pass_on_sparse_graphs_with_pendants():
+    # cycles and paths with pendant vertices, n <= 12: most undecided
+    # vertices touch no decided survivor, and a matching among them
+    # skips nodes that counting each as a component cannot.  The pass
+    # yields exactly the naive Dinkelbach rounds.
+    graphs = [_cycle(k) for k in range(4, 13)]
+    for k in range(2, 9):
+        for base in [_path(k)] + [_cycle(k)] * (k >= 3):
+            graphs.append(_with_pendants(base, range(0, k, 2)))
+            if 2 * k <= 12:
+                graphs.append(_with_pendants(base, range(k)))
+    for g in graphs:
+        passed = list(_below_search(g, g.n)(g.n, 1))
+        rounds = naive_dinkelbach_rounds(g)
+        assert passed == [(_mask(cut), c) for s, c, cut in rounds], g.edges()
+        r = toughness_exact(g)
+        assert r.rounds == len(rounds) + 1
+        assert r.value == naive_toughness(g) == Fraction(rounds[-1][0], rounds[-1][1])
 
 
 def test_toughness_search_prunes():
@@ -356,9 +420,10 @@ def test_toughness_search_prunes():
 
 def test_toughness_search_is_not_recursive():
     # a star whose hub (the last label) misses one vertex, hung off the
-    # first leaf: no vertex is universal, and the size-1 search decides
-    # every other vertex before it cuts the hub; a walk that recursed
-    # once per vertex would pass the interpreter's recursion limit
+    # first leaf: no vertex is universal, and the first cutset the
+    # search reaches, {0}, is decided with every other vertex, n levels
+    # down; a walk that recursed once per vertex would pass the
+    # interpreter's recursion limit
     n = 1500
     hub = n - 1
     g = make_graph(n, [(0, n - 2)] + [(v, hub) for v in range(n - 2)])
