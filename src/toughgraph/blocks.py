@@ -5,18 +5,22 @@ Hamilton path between their terminals, which is what makes the composed
 graphs nonhamiltonian; the fourth kind does admit one and is used to fix
 parity.  Blocks compose by taking a disjoint union, turning the terminal
 pairs into one clique (f_m), and joining a complete graph onto the
-result (g_construct).
+result (g_construct).  Both are layout_graph, which builds that shape
+from runs of any two-terminal gadgets: K_l joined onto the gadgets with
+all their terminals in one clique, the input decomposition_below decides.
 
 Also here: the exceptional small graphs used for toughness exactly 1 and
 3/2, the layered family covering 1 < t < 3/2, and triangle inflation of
 cubic graphs together with a cutset that shatters the inflation into one
 component per triangle.
 
-Every family is built directly as neighbor-mask rows: g_construct and
-f_m write each row once at its final offset, complete_bipartite and
+Every family is built directly as neighbor-mask rows: layout_graph
+writes each row once at its final offset, complete_bipartite and
 matched_layers go through join, and the rest through row arithmetic;
 edge lists appear only in the fixed tables of the blocks, the unit
-graph and the Petersen graph.
+graph and the Petersen graph.  matched_layers is K_{A-B+1} joined onto
+B matched edges, a layout too, but numbered layer by layer rather than
+gadget by gadget.
 """
 
 from __future__ import annotations
@@ -24,14 +28,16 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Sequence
 
-from .graphs import Graph, join, make_graph
+from .graphs import Graph, _bits, join, make_graph
 
 __all__ = [
     "BlockKind",
     "Block",
     "block",
+    "layout_graph",
     "f_m",
     "g_construct",
     "complete_graph",
@@ -71,6 +77,10 @@ class Block:
     @property
     def n(self) -> int:
         return self.graph.n
+
+    def run(self, count: int) -> tuple[Graph, int, int]:
+        """count copies of the block as a layout_graph run, terminals x and y."""
+        return self.graph, 1 << self.x | 1 << self.y, count
 
 
 # Vertex data per kind.  L1 is an 8-cycle w1..w8 with chords between the
@@ -132,58 +142,60 @@ def block(kind: BlockKind) -> Block:
     )
 
 
-def _chain(l: int, blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
-    """K_l joined onto f_m of the blocks, each row written once at its
-    final offset: the l clique rows see every other vertex, a block row
-    is the block's row shifted to its block's offset with the l clique
-    bits below, and a terminal row also holds every other terminal.
-    Returns the graph and the global (x_i, y_i) pairs."""
+def layout_graph(l: int, runs: Sequence[tuple[Graph, int, int]]) -> Graph:
+    """K_l joined onto the runs' gadgets with all their terminals turned
+    into one clique: decomposition_below's input, runs of (gadget,
+    terminal mask, copies), as a graph.
+
+    The l join vertices come first, then each run's copies in order, and
+    each row is written once, at its final offset: a join row sees every
+    other vertex, a gadget row is the gadget's row shifted to its copy's
+    offset with the l join bits below, and a terminal row also holds
+    every other terminal.  With no runs it is K_l.
+    """
     low = (1 << l) - 1
-    terminals = []
-    clique = 0
-    offset = l
-    for b in blocks:
-        x, y = offset + b.x, offset + b.y
-        terminals.append((x, y))
-        clique |= 1 << x | 1 << y
-        offset += b.n
-    full = (1 << offset) - 1
-    rows = [full ^ 1 << v for v in range(l)]
-    for b in blocks:
-        offset = len(rows)
-        rows.extend(r << offset | low for r in b.graph.neighbor_masks)
-        for v in (offset + b.x, offset + b.y):
-            rows[v] |= clique ^ 1 << v
-    return Graph(tuple(rows)), tuple(terminals)
+    clique, offset = 0, l
+    for h, terminals, count in runs:
+        clique |= sum(terminals << offset + i * h.n for i in range(count))
+        offset += count * h.n
+    rows = [((1 << offset) - 1) ^ 1 << v for v in range(l)]
+    for h, terminals, count in runs:
+        # a run's terminal positions are found once, not per copy
+        ends = tuple(_bits(terminals))
+        for offset in range(len(rows), len(rows) + count * h.n, h.n):
+            rows.extend(r << offset | low for r in h.neighbor_masks)
+            for v in ends:
+                rows[offset + v] |= clique ^ 1 << offset + v
+    return Graph(tuple(rows))
 
 
 def f_m(blocks: Sequence[Block]) -> tuple[Graph, tuple[tuple[int, int], ...]]:
     """Disjoint union of blocks with all 2m terminals turned into a clique.
 
     Block i occupies the contiguous id range starting at the sum of the
-    orders before it.  Returns the graph and the global (x_i, y_i) pairs.
-    It is g_construct's row builder with no join vertices.
+    orders before it.  Returns the graph, g_construct's with no join
+    vertices, and the global (x_i, y_i) pairs.
     """
     if not blocks:
         raise ValueError("f_m needs at least one block")
-    return _chain(0, blocks)
+    offsets = accumulate((b.n for b in blocks), initial=0)
+    pairs = tuple((offset + b.x, offset + b.y) for offset, b in zip(offsets, blocks))
+    return g_construct(0, blocks), pairs
 
 
 def g_construct(l: int, blocks: Sequence[Block]) -> Graph:
     """Join a complete graph on l vertices onto f_m of the blocks.
 
-    The l join vertices come first, then the blocks in order; each row
-    is written once, at its final offset.  With no blocks this
-    degenerates to the complete graph, so l = 0 with an empty block list
+    The l join vertices come first, then the blocks in order: it is
+    layout_graph with one run per block, terminals x and y.  With no
+    blocks this is the complete graph, so l = 0 with an empty block list
     is rejected.
     """
     if l < 0:
         raise ValueError("l must be nonnegative")
-    if not blocks:
-        if l == 0:
-            raise ValueError("need l > 0 or at least one block")
-        return complete_graph(l)
-    return _chain(l, blocks)[0]
+    if not blocks and l == 0:
+        raise ValueError("need l > 0 or at least one block")
+    return layout_graph(l, [b.run(1) for b in blocks])
 
 
 def complete_graph(n: int) -> Graph:

@@ -135,8 +135,7 @@ def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes, int
     try:
         if decode:
             return decode_graph6(data)
-        n, start, end = _graph6_span(data, start, end)
-        return n, data, start, end
+        return _graph6_span(data, start, end)
     except GraphFormatError:
         if json_fault is not None and data[start:end].translate(None, _G6_VALID + b"\r\n"):
             raise GraphFormatError(f"{path}: bad JSON: {json_fault}") from None

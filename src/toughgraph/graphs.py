@@ -13,14 +13,14 @@ piece at a time, for the CLI to write and the verifier to compare as
 they come; the string forms (encode_graph6, to_dot, to_edge_json) join
 the pieces.  graph6 is dense text, about n^2/12 bytes, so iter_graph6
 cuts it into fixed-size chunks, and validate_graph6 scans the body for
-invalid bytes one chunk at a time, in place: _graph6_span checks a
-string within bounds of a larger buffer, so a file's bytes need no
-stripped copy.  The text formats draw the edges from one row iterator,
-_later_rows, a piece per vertex with its later neighbors, whose decimal
-labels are made once per graph, not once per edge.  No
-transient buffer grows with the graph's text.  On the read side,
-from_edge_json parses the JSON schema once and make_graph takes each
-edge entry as it is checked.
+invalid bytes one chunk at a time, in place: _graph6_in_place finds
+the string's bounds past whitespace and the header, so neither a file's
+bytes nor the verifier's input needs a stripped copy.  The text formats
+draw the edges from one row iterator, _later_rows, a piece per vertex
+with its later neighbors, whose decimal labels are made once per graph,
+not once per edge.  No transient buffer grows with the graph's text.
+On the read side, from_edge_json parses the JSON schema once and
+make_graph takes each edge entry as it is checked.
 """
 
 from __future__ import annotations
@@ -353,8 +353,7 @@ def validate_graph6(data: bytes | str) -> tuple[int, bytes]:
     bit, and since each byte holds its 6-bit group most significant bit
     first, they are the low bits of the last byte: checking them needs
     no base64 decode."""
-    data = _ascii(data)
-    n, start, end = _graph6_span(data, *_strip_bounds(data))
+    n, data, start, end = _graph6_in_place(data)
     return n, data[start:end]
 
 
@@ -381,10 +380,17 @@ def _strip_bounds(data: bytes) -> tuple[int, int]:
     return start, end
 
 
-def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, int, int]:
-    """validate_graph6 on data[start:end], which holds no surrounding
-    whitespace, in place: returns n and the bounds of the graph6 string
-    past the optional header, and copies no more than a chunk."""
+def _graph6_in_place(data: bytes | str) -> tuple[int, bytes, int, int]:
+    """validate_graph6 in place: returns n, data as bytes, and the
+    bounds of the graph6 string in them, past surrounding whitespace and
+    the optional header, and copies no more than a chunk of the bytes."""
+    data = _ascii(data)
+    return _graph6_span(data, *_strip_bounds(data))
+
+
+def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, bytes, int, int]:
+    """_graph6_in_place on data[start:end], bounds that hold no
+    surrounding whitespace, for a caller that has found them already."""
     if data.startswith(_G6_HEADER, start, end):
         start += len(_G6_HEADER)
     if start == end:
@@ -414,7 +420,7 @@ def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, int, int]:
         raise GraphFormatError("trailing bytes after graph6 body")
     if need and (data[end - 1] - 63) & ((1 << (6 * need - nbits)) - 1):
         raise GraphFormatError("nonzero padding bits in graph6 body")
-    return n, start, end
+    return n, data, start, end
 
 
 def decode_graph6(data: bytes | str) -> Graph:
@@ -428,8 +434,7 @@ def decode_graph6(data: bytes | str) -> Graph:
     in place.  In the result the neighbors of v above v, one byte per
     8-row block, sit nb * 8 bytes apart from byte (v & 7) * nb + (v >> 3):
     a single stride slice."""
-    data = _ascii(data)
-    n, _, end = _graph6_span(data, *_strip_bounds(data))
+    n, data, _, end = _graph6_in_place(data)
     need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return Graph((0,) * n)

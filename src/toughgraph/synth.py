@@ -45,9 +45,9 @@ from .blocks import (
     block,
     complete_bipartite,
     complete_graph,
-    g_construct,
     inflate_triangles,
     inflation_cutset,
+    layout_graph,
     matched_layers,
     petersen,
     unit_toughness_graph,
@@ -186,8 +186,11 @@ class _Regime:
 
     Rules over counts read only l, m, m1 and m2, so they take a
     SynthesisPlan or a bare _Counts alike.  The block regimes share one
-    admissibility rule, order, builder, witness cutset and layout;
-    regimes 1-4 give their own.
+    admissibility rule, witness cutset and layout; their graph is
+    layout_graph of that layout and their order its vertex count, so
+    what is built, counted and decided is one value.  Regimes 1-4 give
+    their own admissibility rule, builder, witness and order, except
+    case 3, whose order is its layout's.
     """
 
     case_id: str
@@ -198,10 +201,11 @@ class _Regime:
     nonham: str = NONHAM_BLOCK_COUNT  # the nonhamiltonicity argument's kind
     # regimes 1-4 only
     admits: Optional[Callable[[SynthesisPlan], bool]] = None
-    order: Optional[Callable[[SynthesisPlan], int]] = None
     builder: Optional[Callable[[SynthesisPlan], Graph]] = None
     cut: Optional[Callable[[SynthesisPlan], frozenset[int]]] = None  # the witness
-    # the layout, where the graph is a join onto gadgets
+    # regimes 1, 2 and 4 only: the vertex count, as they have no layout
+    order: Optional[Callable[[SynthesisPlan], int]] = None
+    # case 3 only: its layout, the builder's graph numbered gadget by gadget
     gadgets: Optional[Callable[[SynthesisPlan], _Layout]] = None
     # block regimes only: the verify_claim_formula name; l and the counts
     # at scale (A, B); the formula's hypothesis beyond l >= 2, as floors
@@ -243,21 +247,24 @@ class _Regime:
         )
 
     def order_of(self, p: SynthesisPlan) -> int:
+        """The vertex count: l plus the layout's gadget orders, if any."""
         if self.order is not None:
             return self.order(p)
-        return p.l + sum(block(k).n * count for k, count in p.block_kinds)
+        l, runs = self.layout(p)
+        return l + sum(h.n * count for h, _, count in runs)
 
     def layout(self, p: SynthesisPlan) -> Optional[_Layout]:
         """The plan's graph as K_l joined onto gadgets, up to labels, or
         None for a graph of another shape."""
         if self.builder is None:
-            return p.l, _block_gadgets(p.block_kinds)
+            return p.l, tuple(block(k).run(c) for k, c in p.block_kinds)
         return self.gadgets(p) if self.gadgets else None
 
     def graph(self, p: SynthesisPlan) -> Graph:
+        """The plan's graph; in a block regime, layout_graph of its layout."""
         if self.builder is not None:
             return self.builder(p)
-        return g_construct(p.l, [block(k) for k in _expand(p.block_kinds)])
+        return layout_graph(*self.layout(p))
 
     def cutset(self, p: SynthesisPlan) -> frozenset[int]:
         """The witness cutset; in a block regime the l join vertices and
@@ -283,12 +290,6 @@ def _runs(*runs: tuple[BlockKind, int]) -> _Runs:
 def _expand(runs: _Runs) -> list[BlockKind]:
     """The block sequence the runs encode."""
     return [k for k, count in runs for _ in range(count)]
-
-
-def _block_gadgets(runs: _Runs) -> tuple[GadgetRun, ...]:
-    """The runs' blocks as gadget runs, terminals x and y."""
-    blocks = [(block(k), count) for k, count in runs]
-    return tuple((b.graph, 1 << b.x | 1 << b.y, c) for b, c in blocks)
 
 
 @functools.lru_cache(maxsize=None)
@@ -365,8 +366,9 @@ _NO_L2_NOTE = (
     "no contracted blocks exist at this t"
 )
 
-# The builders of regimes 1-4 name their constructors as module globals
-# at call time, so wrappers installed on this module see the calls.
+# The builders of regimes 1-4, and _Regime.graph for the block regimes
+# (layout_graph), name their constructors as module globals at call
+# time, so wrappers installed on this module see the calls.
 _REGIMES = {r.case_id: r for r in (
     _Regime("1", lambda t: t < 1, admits=lambda p: p.q == 1,
             order=lambda p: p.a_scaled + p.b_scaled, nonham=NONHAM_BIPARTITE,
@@ -378,7 +380,7 @@ _REGIMES = {r.case_id: r for r in (
     _Regime("3", lambda t: 1 < t < Fraction(3, 2),
             # the count fails for b_scaled = 1, where matched_layers is undefined
             admits=lambda p: argument_holds(NONHAM_EDGE_COUNT, p),
-            order=lambda p: p.a_scaled + p.b_scaled + 1, nonham=NONHAM_EDGE_COUNT,
+            nonham=NONHAM_EDGE_COUNT,
             builder=lambda p: matched_layers(p.a_scaled, p.b_scaled), cut=_layers_cutset,
             # matched_layers(A, B) is K_{A-B+1} joined onto B such edges
             gadgets=lambda p: (p.a_scaled - p.b_scaled + 1,
@@ -456,7 +458,7 @@ def verify_claim_formula(
     gap = regime.hypothesis_gap(counts)
     if gap is not None:
         raise ValueError(f"{family} needs {gap}")
-    runs = _block_gadgets(regime.kinds(counts))
+    runs = tuple(block(k).run(c) for k, c in regime.kinds(counts))
     return decomposition_below(l, runs, regime.formula(counts)) == 0
 
 

@@ -37,10 +37,10 @@ from typing import Callable, Optional
 from .graphs import (
     Graph,
     _bipartition,
+    _graph6_in_place,
     count_components_masked,
     decode_graph6,
     iter_graph6,
-    validate_graph6,
 )
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
@@ -177,8 +177,7 @@ def check_certificate(
     report is the one the decoded Graph would get.  max_oracle_n is the
     largest n whose toughness is decided exactly."""
     if not isinstance(g, Graph):
-        n, data = validate_graph6(g)
-        g = n, data, 0, len(data)
+        g = _graph6_in_place(g)
     return _check_certificate(g, cert, max_oracle_n)
 
 

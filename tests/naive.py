@@ -399,6 +399,19 @@ def naive_g_construct(l: int, blocks) -> Graph:
     return fm if l == 0 else naive_join(naive_complete_graph(l), fm)
 
 
+def naive_layout_graph(l: int, runs) -> Graph:
+    # K_l joined onto the runs' gadgets, their terminals made one clique
+    gadgets = [(h, mask) for h, mask, count in runs for _ in range(count)]
+    base = naive_disjoint_union([h for h, _ in gadgets])
+    terminals = []
+    offset = 0
+    for h, mask in gadgets:
+        terminals.extend(offset + v for v in range(h.n) if mask >> v & 1)
+        offset += h.n
+    f = make_graph(base.n, list(base.edges()) + list(combinations(terminals, 2)))
+    return naive_join(naive_complete_graph(l), f)
+
+
 def naive_complete_bipartite(a: int, b: int) -> Graph:
     return make_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 

@@ -10,6 +10,7 @@ from naive import (
     naive_f_m,
     naive_g_construct,
     naive_inflate_triangles,
+    naive_layout_graph,
     naive_matched_layers,
 )
 
@@ -27,6 +28,7 @@ from toughgraph import (
     inflate_triangles,
     inflation_cutset,
     join,
+    layout_graph,
     make_graph,
     matched_layers,
     petersen,
@@ -162,6 +164,30 @@ def test_f_m_and_g_construct_match_edge_tuple_reference():
             g = g_construct(l, blocks)
             ref = naive_g_construct(l, blocks)
             assert g == ref and g.edge_count == ref.edge_count
+
+
+def test_layout_graph_matches_the_naive_composition():
+    # random gadgets of 1-5 vertices with every terminal mask, the empty
+    # one included, in 1-3 runs of 1-4 copies, under K_l for l = 0..3
+    rng = random.Random(3434)
+    masks = set()
+    for trial in range(600):
+        runs = []
+        for _ in range(rng.randrange(1, 4)):
+            n = rng.randrange(1, 6)
+            p = rng.uniform(0.2, 0.8)
+            h = make_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                               if rng.random() < p])
+            mask = rng.randrange(1 << n)
+            masks.add((n, mask))
+            runs.append((h, mask, rng.randrange(1, 5)))
+        for l in range(4):
+            g, ref = layout_graph(l, runs), naive_layout_graph(l, runs)
+            assert g == ref and g.edge_count == ref.edge_count, (l, runs)
+    assert masks == {(n, mask) for n in range(1, 6) for mask in range(1 << n)}
+    # with no runs it is the complete graph
+    for l in range(4):
+        assert layout_graph(l, ()) == complete_graph(l)
 
 
 def _three_step(l, blocks):

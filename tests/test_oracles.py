@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import signal
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 
@@ -22,6 +23,7 @@ from naive import (
     naive_hamilton_cycle,
     naive_hamilton_dp,
     naive_hamilton_path,
+    naive_layout_graph,
     naive_toughness,
 )
 from toughgraph import (
@@ -40,13 +42,12 @@ from toughgraph import (
     independence_number,
     inflate_triangles,
     is_hamiltonian,
-    join,
     make_graph,
     matched_layers,
     petersen,
-    build,
     plan,
     plan_layout,
+    plan_order,
     synthesize,
     toughness_below,
     toughness_exact,
@@ -55,6 +56,7 @@ from toughgraph import (
 )
 from toughgraph import oracles
 from toughgraph.graphs import _bits, _reach
+from toughgraph.synth import plan_graph
 from toughgraph.oracles import (
     DEFAULT_NODE_LIMIT,
     _below_search,
@@ -617,42 +619,37 @@ def test_decomposition_matches_the_searches_on_matched_layers():
     assert cases == 81
 
 
-def _compose(l, runs):
-    # K_l joined onto the runs' gadgets, their terminals made one clique
-    gadgets = [(h, mask) for h, mask, count in runs for _ in range(count)]
-    f = disjoint_union([h for h, _ in gadgets])
-    terminals = offset = 0
-    for h, mask in gadgets:
-        terminals |= mask << offset
-        offset += h.n
-    f = Graph(tuple(
-        row | terminals & ~(1 << v) if terminals >> v & 1 else row
-        for v, row in enumerate(f.neighbor_masks)
-    ))
-    return join(complete_graph(l), f) if l else f
-
-
 def test_plan_layout_describes_the_built_graph():
     # the engine decides the layout, so the layout must be the graph the
-    # plan builds: in the block regimes label for label, and in case 3 up
-    # to moving y_i, z_i from l + 2i, l + 2i + 1 to l + i, l + B + i
-    cases = set()
-    for target in ("6/5", "13/10", "8/5", "13/8", "9/5", "7/4", "2", "11/5", "17/8"):
-        p = plan(target)
-        l, runs = plan_layout(p)
-        g, f = build(p)[0], _compose(l, runs)
-        if p.case_id == "3":
-            b = p.b_scaled
-            where = list(range(l)) + [l + i + b * s for i in range(b) for s in (0, 1)]
-            f = Graph(tuple(
-                sum(1 << where[u] for u in range(f.n) if row >> u & 1)
-                for _, row in sorted(zip(where, f.neighbor_masks))
-            ))
-        assert f == g, target
-        cases.add(p.case_id)
-    assert cases == {"3", "5.1", "5.2", "6.1", "6.2", "7.1", "7.2"}
-    for target in ("2/3", "1", "3/2"):
-        assert plan_layout(plan(target)) is None
+    # plan builds, for every reduced t with b <= 40: in the block regimes
+    # label for label, and in case 3 up to moving y_i, z_i from l + 2i,
+    # l + 2i + 1 to l + i, l + B + i.  Every plan's order is its graph's
+    cases = Counter()
+    for b in range(1, 41):
+        for a in range(1, 9 * b // 4 + 1):
+            t = Fraction(a, b)
+            if t.denominator != b or t >= Fraction(9, 4):
+                continue
+            p = plan(t)
+            g = plan_graph(p)
+            assert plan_order(p) == g.n, t
+            layout = plan_layout(p)
+            cases[p.case_id] += 1
+            assert (layout is None) == (p.case_id in ("1", "2", "4")), t
+            if layout is None:
+                continue
+            l, runs = layout
+            f = naive_layout_graph(l, runs)
+            if p.case_id == "3":
+                B = p.b_scaled
+                where = list(range(l)) + [l + i + B * s for i in range(B) for s in (0, 1)]
+                f = Graph(tuple(
+                    sum(1 << where[u] for u in _bits(row))
+                    for _, row in sorted(zip(where, f.neighbor_masks))
+                ))
+            assert f == g, t
+    assert cases == {"1": 489, "2": 1, "3": 244, "4": 1, "5.1": 80, "5.2": 41,
+                     "6.1": 79, "6.2": 45, "7.1": 78, "7.2": 44}
 
 
 def test_decomposition_matches_exact_toughness_on_random_gadgets():
@@ -670,7 +667,7 @@ def test_decomposition_matches_exact_toughness_on_random_gadgets():
         if l + sum(h.n * c for h, _, c in runs) > 14:
             continue
         runs = tuple(runs)
-        g = _compose(l, runs)
+        g = naive_layout_graph(l, runs)
         tau = toughness_exact(g).value
         if tau is None:
             assert decomposition_below(l, runs, Fraction(g.n)) is None

@@ -28,7 +28,7 @@ from toughgraph import (
     verify_claim_formula,
 )
 from toughgraph import verify
-from toughgraph.graphs import _bipartition
+from toughgraph.graphs import _G6_CHUNK, _bipartition
 
 
 def _check_named(report, name):
@@ -298,7 +298,7 @@ def test_a_forged_certificate_is_rejected_before_any_graph_exists(monkeypatch, t
     def refuse(*args):
         pytest.fail("verifier built a graph for a forged certificate")
 
-    for name in ("g_construct", "complete_bipartite", "matched_layers",
+    for name in ("layout_graph", "complete_bipartite", "matched_layers",
                  "inflate_triangles", "unit_toughness_graph"):
         monkeypatch.setattr(synth, name, refuse)
     _refuse_checks(monkeypatch)
@@ -653,6 +653,30 @@ def test_genuine_graph6_bytes_are_matched_without_a_decode(monkeypatch):
             report = check_certificate(given, cert)
             assert report.accepted, target
             assert report.to_json() == want, target
+
+
+class _NoCopyBytes(bytes):
+    """Bytes that refuse any slice longer than a graph6 chunk, so that a
+    stripped copy of the whole string cannot be taken."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and len(range(*key.indices(len(self)))) > _G6_CHUNK:
+            pytest.fail(f"verifier copied {key} of the graph6 input")
+        return super().__getitem__(key)
+
+
+def test_graph6_bytes_with_a_header_and_whitespace_are_read_in_place():
+    # the library path finds the string's bounds in place, as the CLI
+    # does: a genuine and a forged pair get the Graph's report, and no
+    # slice of the input is longer than a chunk
+    g, cert = synthesize("449/200")
+    forged = dataclasses.replace(cert, components=cert.components + 1)
+    data = b" >>graph6<<" + encode_graph6(g) + b"\n"
+    assert len(data) > 3 * _G6_CHUNK
+    for claim in (cert, forged):
+        want = check_certificate(g, claim).to_json()
+        assert check_certificate(_NoCopyBytes(data), claim).to_json() == want
+    assert check_certificate(_NoCopyBytes(data), cert).accepted
 
 
 def test_forged_fields_after_the_rebuild_are_rejected_without_a_decode(monkeypatch):
