@@ -6,145 +6,25 @@ with a certificate that check_certificate() can confirm independently.
 Exact oracles for toughness, Hamiltonicity, and independence number
 back everything at small sizes; structural arguments take over beyond
 the enumeration limits.
+
+Each module's __all__ is its public surface; the package re-exports
+them all, so a public name is listed once, in its module.
 """
 
-from .blocks import (
-    Block,
-    BlockKind,
-    block,
-    complete_bipartite,
-    complete_graph,
-    f_m,
-    g_construct,
-    inflate_triangles,
-    inflation_cutset,
-    layout_graph,
-    matched_layers,
-    petersen,
-    unit_toughness_graph,
-)
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    components,
-    decode_graph6,
-    disjoint_union,
-    encode_graph6,
-    from_edge_json,
-    iter_graph6,
-    join,
-    make_graph,
-    to_dot,
-    to_edge_json,
-    validate_graph6,
-)
-from .oracles import (
-    CutsetWitness,
-    HamiltonResult,
-    SizeLimitError,
-    ToughnessResult,
-    cutset_witness,
-    decomposition_below,
-    has_hamilton_path,
-    independence_number,
-    is_hamiltonian,
-    toughness_below,
-    toughness_exact,
-    toughness_upper_search,
-)
-from .synth import (
-    Certificate,
-    CertificateError,
-    NonHamiltonicityArgument,
-    PlanError,
-    SynthesisPlan,
-    build,
-    certificate_from_json,
-    certificate_to_json,
-    parse_rational,
-    plan,
-    plan_certificate,
-    plan_layout,
-    plan_order,
-    predicted_toughness,
-    synthesize,
-    verify_claim_formula,
-)
-from .verify import (
-    FAILED,
-    ORACLE_EXACT,
-    ORACLE_EXHAUSTIVE,
-    STRUCTURAL,
-    WITNESS_UPPER_BOUND_ONLY,
-    CheckOutcome,
-    VerificationReport,
-    check_certificate,
-)
+from .blocks import *
+from .graphs import *
+from .oracles import *
+from .synth import *
+from .verify import *
 
 __version__ = "0.1.0"
 
+# each star import also binds its submodule's name here, as in asyncio's __init__
 __all__ = [
-    "Block",
-    "BlockKind",
-    "block",
-    "complete_bipartite",
-    "complete_graph",
-    "f_m",
-    "g_construct",
-    "inflate_triangles",
-    "inflation_cutset",
-    "layout_graph",
-    "matched_layers",
-    "petersen",
-    "unit_toughness_graph",
-    "Graph",
-    "GraphFormatError",
-    "components",
-    "decode_graph6",
-    "disjoint_union",
-    "encode_graph6",
-    "from_edge_json",
-    "iter_graph6",
-    "join",
-    "make_graph",
-    "to_dot",
-    "to_edge_json",
-    "validate_graph6",
-    "CutsetWitness",
-    "HamiltonResult",
-    "SizeLimitError",
-    "ToughnessResult",
-    "cutset_witness",
-    "decomposition_below",
-    "has_hamilton_path",
-    "independence_number",
-    "is_hamiltonian",
-    "toughness_exact",
-    "toughness_below",
-    "toughness_upper_search",
-    "Certificate",
-    "CertificateError",
-    "NonHamiltonicityArgument",
-    "PlanError",
-    "SynthesisPlan",
-    "build",
-    "certificate_from_json",
-    "certificate_to_json",
-    "parse_rational",
-    "plan",
-    "plan_certificate",
-    "plan_layout",
-    "plan_order",
-    "predicted_toughness",
-    "synthesize",
-    "FAILED",
-    "ORACLE_EXACT",
-    "ORACLE_EXHAUSTIVE",
-    "STRUCTURAL",
-    "WITNESS_UPPER_BOUND_ONLY",
-    "CheckOutcome",
-    "VerificationReport",
-    "check_certificate",
-    "verify_claim_formula",
+    *blocks.__all__,
+    *graphs.__all__,
+    *oracles.__all__,
+    *synth.__all__,
+    *verify.__all__,
     "__version__",
 ]

@@ -434,69 +434,62 @@ def toughness_upper_search(
 # -- Hamilton cycle / path ---------------------------------------------
 
 
-def _dense(g: Graph) -> bool:
-    return 4 * g.edge_count >= g.n * (g.n - 1)
-
-
 def is_hamiltonian(g: Graph, node_limit: int = DEFAULT_NODE_LIMIT) -> HamiltonResult:
     """Decide Hamiltonicity exactly, or return verdict None on budget.
 
     A Hamilton cycle is a spanning path that starts and ends at one
-    root, so this runs has_hamilton_path's engines with both endpoints
-    at the root, after screens that decide without search (n < 3, a
-    disconnected graph, a vertex of degree below 2, a bipartite graph
-    with unequal sides): on dense graphs up to DP_LIMIT vertices the
-    subset dynamic program, rooted at 0 and evaluated lazily (exact, no
-    budget, an 8 * 2^n-byte memo; the witness closes at the lowest
-    possible neighbor of 0 and takes the lowest possible predecessor at
-    each step), otherwise pruned backtracking under node_limit from the
-    (degree, label)-minimal vertex.  The witness lists every vertex
-    once, root first.
+    root, so below n = 3 there is none, and otherwise this is
+    has_hamilton_path's question with both endpoints at the root: 0 for
+    the subset dynamic program (the witness closes at the lowest
+    possible neighbor of 0), the (degree, label)-minimal vertex for
+    backtracking.  The witness lists every vertex once, root first.
     """
     n = g.n
     if n < 3:
         return HamiltonResult(False, None, "trivial", 0)
-    if not g.is_connected() or any(g.degree(v) < 2 for v in range(n)):
-        return HamiltonResult(False, None, "trivial", 0)
-    # a cycle alternates the sides of a bipartite graph, so it needs them equal
-    sides = _bipartition(g)
-    if sides is not None and sides[0].bit_count() != sides[1].bit_count():
-        return HamiltonResult(False, None, "trivial", 0)
-    if n <= DP_LIMIT and _dense(g):
-        return _hamilton_dp(g, 0, 0)
-    root = min(range(n), key=lambda v: (g.degree(v), v))
-    return _hamilton_backtrack(g, root, root, node_limit)
+    root = 0 if _by_dp(g) else min(range(n), key=lambda v: (g.degree(v), v))
+    return _spanning_path(g, root, root, node_limit)
 
 
 def has_hamilton_path(
     g: Graph, x: int, y: int, node_limit: int = DEFAULT_NODE_LIMIT
 ) -> HamiltonResult:
     """Decide whether a spanning x-y path exists; None verdict on budget.
-
-    Screens decide without search: a disconnected graph, an inner
-    vertex of degree below 2, and a bipartite graph whose side sizes do
-    not fit the ends.  Then the subset dynamic program, evaluated lazily
-    backward from y (exact, no budget, an 8 * 2^n-byte memo), decides
-    dense graphs up to DP_LIMIT vertices, pruned backtracking under
-    node_limit everything else; the witness runs from x to y.
-    """
-    n = g.n
-    if not (0 <= x < n and 0 <= y < n):
+    _spanning_path screens and searches; the witness runs from x to y."""
+    if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("path endpoints out of range")
     if x == y:
         raise ValueError("path endpoints must differ")
-    if not g.is_connected():
-        return HamiltonResult(False, None, "trivial", 0)
-    if any(g.degree(v) < 2 for v in range(n) if v != x and v != y):
+    return _spanning_path(g, x, y, node_limit)
+
+
+def _by_dp(g: Graph) -> bool:
+    """Whether the subset dynamic program, not backtracking, decides g."""
+    return g.n <= DP_LIMIT and 4 * g.edge_count >= g.n * (g.n - 1)
+
+
+def _spanning_path(g: Graph, x: int, y: int, node_limit: int) -> HamiltonResult:
+    """Spanning x-y paths, or for y == x Hamilton cycles through x.
+
+    Screens decide without search: a disconnected graph, a vertex of
+    degree below 2 other than a path's ends, and a bipartite graph whose
+    side sizes do not fit.  Then the subset dynamic program, evaluated
+    lazily backward from y (exact, no budget, an 8 * 2^n-byte memo),
+    decides dense graphs up to DP_LIMIT vertices, pruned backtracking
+    under node_limit everything else.
+    """
+    ends = 0 if x == y else 1 << x | 1 << y
+    if not g.is_connected() or any(g.degree(v) < 2 for v in range(g.n) if not ends >> v & 1):
         return HamiltonResult(False, None, "trivial", 0)
     # a path alternates the sides of a bipartite graph, so x's side has
-    # one vertex more than the other when y is on it too, else as many
+    # one vertex more than the other when y is on it too, else as many;
+    # a cycle ends next to x, on the other side
     sides = _bipartition(g)
     if sides is not None:
         mine, other = sides if sides[0] >> x & 1 else sides[::-1]
-        if mine.bit_count() - other.bit_count() != mine >> y & 1:
+        if mine.bit_count() - other.bit_count() != (mine ^ 1 << x) >> y & 1:
             return HamiltonResult(False, None, "trivial", 0)
-    if n <= DP_LIMIT and _dense(g):
+    if _by_dp(g):
         return _hamilton_dp(g, x, y)
     return _hamilton_backtrack(g, x, y, node_limit)
 

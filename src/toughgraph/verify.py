@@ -20,10 +20,12 @@ proves the predicted toughness exact: the witness gives toughness
 toughness >= t.  For a plan of cases 3 or 5.1-7.2 the decision is
 decomposition_below on the plan's layout, K_l joined onto gadgets: a
 min-plus product over the gadgets' states, in milliseconds at any
-scale; cases 1 and 2 get toughness_below's cutset search.  Larger instances are honestly
-downgraded to WITNESS_UPPER_BOUND_ONLY: the cutset certifies
-toughness <= t, and the matching lower bound rests on the structural
-argument rather than enumeration.
+scale; every plan without a layout gets toughness_below's cutset
+search: cases 1 and 2, and case 4 (n = 30) under a max_oracle_n of at
+least 30.  Larger instances are honestly downgraded to
+WITNESS_UPPER_BOUND_ONLY: the cutset certifies toughness <= t, and the
+matching lower bound rests on the structural argument rather than
+enumeration.
 """
 
 from __future__ import annotations
@@ -131,8 +133,14 @@ _COUNTING_DETAILS = {
 def _encoded(payload: dict, key: str) -> Optional[str]:
     """A key's JSON value by its canonical encoding, None when the key is
     missing: so true is not 1, 1.0 is not 1, and a missing key is not
-    null."""
-    return json.dumps(payload[key], sort_keys=True) if key in payload else None
+    null.  A value JSON cannot encode (nested too deep, or of no JSON
+    type) is "", which no canonical value encodes to."""
+    if key not in payload:
+        return None
+    try:
+        return json.dumps(payload[key], sort_keys=True)
+    except (RecursionError, TypeError):
+        return ""
 
 
 def _encodes_to(g: Graph, data: bytes, start: int = 0, end: Optional[int] = None) -> bool:
@@ -219,9 +227,9 @@ def _check_certificate(
         cert2 = plan_certificate(fresh)
         claimed = certificate_payload(cert) if given_cert else cert
         canonical = certificate_payload(cert2)
-        if json.dumps(claimed, sort_keys=True) != json.dumps(canonical, sort_keys=True):
-            keys = sorted(claimed.keys() | canonical.keys())
-            forged = [k for k in keys if _encoded(claimed, k) != _encoded(canonical, k)]
+        keys = sorted(claimed.keys() | canonical.keys())
+        forged = [k for k in keys if _encoded(claimed, k) != _encoded(canonical, k)]
+        if forged:
             return False, (
                 f"certificate is not the canonical output of its plan: "
                 f"{', '.join(forged)} differ"

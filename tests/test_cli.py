@@ -611,6 +611,31 @@ def test_json_nested_too_deep_exits_2(tmp_path, capsys):
         assert "recursion" in err, err
 
 
+def test_a_certificate_nested_near_the_parser_limit_never_raises(tmp_path, capsys):
+    # a certificate nested just below the depth json.loads refuses parses,
+    # and its value must then be compared at a deeper stack: every depth
+    # around that boundary exits 1 (rejected) or 2 (bad JSON), never raises
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "c.json"
+    assert main(["synth", "2/3", "--out", str(gpath)]) == 0
+
+    def verify(depth):
+        cpath.write_text('{"t": "2/3", "x": ' + "[" * depth + "]" * depth + "}")
+        try:
+            return main(["verify", str(gpath), str(cpath)])
+        except RecursionError as exc:
+            return exc
+        finally:
+            capsys.readouterr()
+
+    lo, hi = 1, 100_000  # verify exits 1 at lo and 2 at hi
+    assert verify(lo) == 1 and verify(hi) == 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if verify(mid) == 2 else (mid, hi)
+    codes = {depth: verify(depth) for depth in range(max(1, hi - 60), hi + 6)}
+    assert {d: c for d, c in codes.items() if c not in (1, 2)} == {}
+
+
 def test_a_brace_file_is_json_or_graph6(tmp_path, capsys):
     # "{" starts both the JSON schema and graph6 for n = 60: a file that
     # is neither is named by its JSON fault when it holds a byte graph6

@@ -63,6 +63,21 @@ def test_no_module_imports_a_private_name_from_synth():
     assert found == []
 
 
+def test_the_package_reexports_each_modules_public_names():
+    # __init__ star-imports every module, so a name in two modules'
+    # __all__ would silently resolve to the later module's object
+    modules = [toughgraph.blocks, toughgraph.graphs, toughgraph.oracles,
+               toughgraph.synth, toughgraph.verify]
+    names = [name for module in modules for name in module.__all__]
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(toughgraph, name) is getattr(module, name), (module.__name__, name)
+    assert len(names) == len(set(names))
+    assert not set(names) & {path.stem for path in SOURCES}
+    assert len(toughgraph.__all__) == len(set(toughgraph.__all__))
+    assert set(toughgraph.__all__) == {*names, "__version__"}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))

@@ -331,6 +331,23 @@ def test_a_genuine_pair_counts_its_components_once(monkeypatch):
         assert len(calls) == 1
 
 
+def test_a_value_json_cannot_encode_is_a_forged_key():
+    # JSON cannot encode a list nested 100,000 deep, nor a set; such a
+    # claimed value differs from the canonical one, so the pair is
+    # rejected naming its key, never with an exception
+    from toughgraph import certificate_to_json
+
+    g, cert = synthesize("2/3")
+    payload = json.loads(certificate_to_json(cert))
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    for key, value in (("cutset", deep), ("extra", deep), ("cutset", {0, 1})):
+        forged = dict(payload, **{key: value})
+        for graph in (g, encode_graph6(g)):
+            _assert_rebuild_only(check_certificate(graph, forged), _NOT_CANONICAL.format(key))
+
+
 def test_a_rebuilt_graph_with_a_cut_below_t_is_rejected(monkeypatch):
     # the decision is what proves toughness >= t: a rebuilt graph whose
     # engine (6/5) or cutset search (2/3) reports a cut below t is
