@@ -81,22 +81,20 @@ from .verify import _check_certificate
 
 __all__ = ["main"]
 
-_FORMATS = ("g6", "dot", "edges", "json")
+# the --format names, in help order, and each one's writer of (graph, highlight)
+_WRITERS = {
+    "g6": lambda g, highlight: itertools.chain(iter_graph6(g), (b"\n",)),
+    "dot": _iter_dot,
+    "edges": lambda g, highlight: _iter_edge_list(g),
+    "json": lambda g, highlight: itertools.chain(_iter_edge_json(g), (b"\n",)),
+}
 
 
 def _render(g: Graph, fmt: str, highlight=()) -> Iterator[bytes]:
     """The graph in a format, as byte pieces of at most a row's edges or
     a graph6 chunk each.  A graph that graph6 cannot encode is refused
     here, before anything is written."""
-    if fmt == "g6":
-        return itertools.chain(iter_graph6(g), (b"\n",))
-    if fmt == "dot":
-        return _iter_dot(g, highlight)
-    if fmt == "edges":
-        return _iter_edge_list(g)
-    if fmt == "json":
-        return itertools.chain(_iter_edge_json(g), (b"\n",))
-    raise ValueError(f"unknown format {fmt!r}")
+    return _WRITERS[fmt](g, highlight)
 
 
 def _read_file(path: str) -> bytes:
@@ -164,7 +162,7 @@ def _read_edge_list(path: str, data: bytes, start: int, end: int) -> Graph:
         start, end = _strip_bounds(data)
     pos = data.find(b"\n", start, end) + 1 or end
     try:
-        n, m = _pair(data[start:pos], "header")
+        n, m = _pair(data[start:pos])
         return make_graph(n, _edge_pairs(data, pos, end, m))
     except ValueError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
@@ -180,34 +178,32 @@ _EDGE_CHUNK = 1 << 13
 def _edge_pairs(data: bytes, pos: int, end: int, m: int) -> Iterator[tuple[int, int]]:
     """The edges of the lines in data[pos:end], which follow an LF at
     pos - 1, a chunk of whole lines at a time; past the last line, a
-    count other than the header's m is refused.  A chunk in which every
-    line has an edge line's shape is split once and its numbers
-    converted by map; any other is walked a line at a time, which names
-    its first bad line."""
+    count other than the header's m is refused.  Each chunk's lines up
+    to the first one without an edge line's shape are split once and
+    their numbers converted by map; that line is then refused, after
+    make_graph has taken every edge before it."""
     found = 0
     while pos < end:
         stop = data.find(b"\n", pos + _EDGE_CHUNK, end)
         if stop < 0:
             stop = end
-        if _NOT_AN_EDGE.search(data, pos - 1, stop) is None:
-            numbers = data[pos:stop].split()
-            found += len(numbers) // 2
-            numbers = map(int, numbers)
-            yield from zip(numbers, numbers)
-        else:
-            for line in data[pos:stop].split(b"\n"):
-                yield _pair(line, "edge")
-                found += 1
+        bad = _NOT_AN_EDGE.search(data, pos - 1, stop)
+        numbers = data[pos : bad.start() if bad else stop].split()
+        found += len(numbers) // 2
+        numbers = map(int, numbers)
+        yield from zip(numbers, numbers)
+        if bad:
+            raise _bad_line(data[bad.end() : stop].partition(b"\n")[0], "edge")
         pos = stop + 1
     if found != m:
         raise ValueError(f"header says {m} edges, found {found}")
 
 
-def _pair(line: bytes, kind: str) -> tuple[int, int]:
-    """The two numbers of an edge-list line."""
+def _pair(line: bytes) -> tuple[int, int]:
+    """The two numbers of an edge list's header line."""
     uv = line.split()
     if len(uv) != 2 or not (uv[0].isdigit() and uv[1].isdigit()):
-        raise _bad_line(line, kind)
+        raise _bad_line(line, "header")
     return int(uv[0]), int(uv[1])
 
 
@@ -335,21 +331,22 @@ def _cmd_alpha(args) -> int:
     return 0
 
 
-def _named_graph(kind: str) -> tuple[Graph, tuple[int, ...]]:
-    if kind in ("l1", "l2", "l3", "l4"):
-        b = block(BlockKind(kind.upper()))
-        return b.graph, (b.x, b.y)
-    if kind == "unit":
-        return unit_toughness_graph(), ()
-    if kind == "petersen":
-        return petersen(), ()
-    if kind == "inflated-petersen":
-        return inflate_triangles(petersen()), ()
-    raise ValueError(f"unknown block kind {kind!r}")
+def _terminal_block(kind: BlockKind) -> tuple[Graph, tuple[int, ...]]:
+    b = block(kind)
+    return b.graph, (b.x, b.y)
+
+
+# the block names, in help order, and each one's (graph, highlight)
+_BLOCKS = {
+    **{kind.lower(): functools.partial(_terminal_block, kind) for kind in BlockKind},
+    "unit": lambda: (unit_toughness_graph(), ()),
+    "petersen": lambda: (petersen(), ()),
+    "inflated-petersen": lambda: (inflate_triangles(petersen()), ()),
+}
 
 
 def _cmd_block(args) -> int:
-    g, highlight = _named_graph(args.kind)
+    g, highlight = _BLOCKS[args.kind]()
     _emit(_render(g, args.format, highlight=highlight), args.out)
     return 0
 
@@ -376,7 +373,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("t", help="target toughness, written a/b or a")
     p.add_argument("--out", help="write the graph to this file")
     p.add_argument("--cert", help="write the certificate JSON to this file")
-    p.add_argument("--format", choices=_FORMATS, default="g6")
+    p.add_argument("--format", choices=_WRITERS, default="g6")
     p.set_defaults(func=_cmd_synth)
 
     p = command("verify", "check a graph/certificate pair")
@@ -387,7 +384,8 @@ def _parser() -> argparse.ArgumentParser:
                         "lambda-decision at t on a rebuilt graph, a min-plus "
                         "product over the plan's gadgets for cases 3 and "
                         "5.1-7.2, a pruned depth-first cutset search over "
-                        "the non-universal vertices for cases 1 and 2")
+                        "the non-universal vertices for cases 1 and 2, and "
+                        "for case 4 (n = 30) at a limit of 30 or more")
     p.set_defaults(func=_cmd_verify)
 
     p = command("tau", "exact toughness (heuristic bound past --max-n)")
@@ -412,11 +410,9 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_alpha)
 
     p = command("block", "emit a named building block")
-    p.add_argument("kind",
-                   choices=("l1", "l2", "l3", "l4", "unit", "petersen",
-                            "inflated-petersen"))
+    p.add_argument("kind", choices=_BLOCKS)
     p.add_argument("--out")
-    p.add_argument("--format", choices=_FORMATS, default="g6")
+    p.add_argument("--format", choices=_WRITERS, default="g6")
     p.set_defaults(func=_cmd_block)
     return parser
 

@@ -12,8 +12,9 @@ count to |S| / t, all without building a graph.  build() realizes
 exactly plan(t) as a concrete graph (plan_graph), pairs it with that
 certificate, and checks the count on the graph.  certificate_to_json
 writes the certificate, and certificate_from_json checks only that the
-text is a JSON object with a rational "t", leaving every other field to
-the verifier's comparison with the canonical one.
+text is a JSON object with a rational "t" (certificate_target, which the
+verifier also applies to a certificate given as a dict), leaving every
+other field to the verifier's comparison with the canonical one.
 
 Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
@@ -82,6 +83,7 @@ __all__ = [
     "certificate_payload",
     "certificate_to_json",
     "certificate_from_json",
+    "certificate_target",
     "NONHAM_BIPARTITE",
     "NONHAM_EDGE_COUNT",
     "NONHAM_BLOCK_COUNT",
@@ -621,10 +623,19 @@ def certificate_from_json(text: str) -> dict:
     # a RecursionError is nesting too deep for the parser
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CertificateError(f"bad JSON: {exc}") from None
-    if not isinstance(payload, dict) or not isinstance(payload.get("t"), str):
+    certificate_target(payload)
+    return payload
+
+
+def certificate_target(payload) -> Fraction:
+    """The "t" of a certificate object, the one field read before the
+    whole certificate is compared with the canonical one.  Raises
+    CertificateError unless payload is a dict with string keys, as JSON
+    objects have, whose "t" is a rational string."""
+    if not (isinstance(payload, dict) and isinstance(payload.get("t"), str)
+            and all(isinstance(key, str) for key in payload)):
         raise CertificateError('certificate must be a JSON object with a rational "t"')
     try:
-        parse_rational(payload["t"])
+        return parse_rational(payload["t"])
     except ValueError as exc:
         raise CertificateError(str(exc)) from None
-    return payload

@@ -12,8 +12,8 @@ second body-sized buffer exists, and the input is decoded only when
 the bytes differ.  That rebuild is a gate: a pair that fails it is
 rejected on that one check, and nothing is counted or searched on a
 graph that is not its plan's.  On the rebuilt graph it then
-re-verifies the witness cutset by counting components, the verifier's
-only count (polynomial, runs at any size), re-derives the
+re-verifies the witness cutset by counting components (cutset_witness,
+the verifier's only count, polynomial, runs at any size), re-derives the
 nonhamiltonicity argument, and, whenever the graph is small enough,
 proves the predicted toughness exact: the witness gives toughness
 <= t, and one exact decision that no cutset has ratio below t gives
@@ -33,20 +33,19 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .graphs import (
     Graph,
     _bipartition,
     _graph6_in_place,
-    count_components_masked,
     decode_graph6,
     iter_graph6,
 )
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
     DEFAULT_TOUGHNESS_LIMIT,
+    cutset_witness,
     decomposition_below,
     independence_number,
     is_hamiltonian,
@@ -62,7 +61,7 @@ from .synth import (
     argument_holds,
     argument_params,
     certificate_payload,
-    parse_rational,
+    certificate_target,
     plan,
     plan_certificate,
     plan_graph,
@@ -164,12 +163,14 @@ def check_certificate(
 
     The certificate is a Certificate or the JSON object that
     certificate_from_json returns; only its "t" is read before the
-    rebuild.  The rebuild check comes first and gates the rest: plan(t)
-    must build a graph of the given order, the certificate must equal
-    plan_certificate's key for key as JSON values (a Certificate is
-    taken as certificate_payload's object), which is decided before
-    any graph is built, and then the plan's graph must equal the given
-    one.  The witness check that follows is the only component count.
+    rebuild.  A dict goes through certificate_target, as the text does
+    in certificate_from_json, so one without string keys and a rational
+    "t" fails the rebuild check.  The rebuild check comes first and
+    gates the rest: plan(t) must build a graph of the given order, the
+    certificate must equal plan_certificate's key for key as JSON values
+    (a Certificate is taken as certificate_payload's object), which is
+    decided before any graph is built, and then the plan's graph must
+    equal the given one.  The witness check that follows is the only component count.
     A pair that fails it gets a report holding only that check,
     rejected with both statuses FAILED and alpha None, whose detail
     names the mismatch.  Every later check runs on the rebuilt graph
@@ -217,7 +218,7 @@ def _check_certificate(
         # the plan, so a sound certificate is exactly what its own target
         # regenerates; any drift in any field is tampering
         given_cert = isinstance(cert, Certificate)
-        fresh = plan(cert.plan.t if given_cert else parse_rational(cert["t"]))
+        fresh = plan(cert.plan.t if given_cert else certificate_target(cert))
         # compare orders before anything else, so a small graph cannot
         # make the verifier realize a huge plan
         order = plan_order(fresh)
@@ -250,22 +251,19 @@ def _check_certificate(
         return VerificationReport(False, FAILED, FAILED, None, checks)
 
     def chk_witness() -> tuple[bool, str]:
-        alive = (1 << g.n) - 1 ^ sum(1 << v for v in cert.cutset)
-        omega = count_components_masked(g.neighbor_masks, alive)
-        if omega < 2:
-            return False, f"cutset leaves {omega} component(s); not a cut"
+        w = cutset_witness(g, cert.cutset)
+        omega = w.component_count
         if omega != cert.components:
             return False, (
                 f"component count mismatch: certificate says {cert.components}, "
                 f"recount gives {omega}"
             )
-        ratio = Fraction(len(cert.cutset), omega)
-        if ratio != cert.predicted_tau:
+        if w.ratio != cert.predicted_tau:
             return False, (
-                f"witness ratio mismatch: |S|/omega = {ratio} but certificate "
+                f"witness ratio mismatch: |S|/omega = {w.ratio} but certificate "
                 f"predicts {cert.predicted_tau}"
             )
-        return True, f"cutset of {len(cert.cutset)} leaves {omega} components; ratio {ratio}"
+        return True, f"cutset of {len(w.cutset)} leaves {omega} components; ratio {w.ratio}"
 
     witness_ok = run("witness", chk_witness)
 

@@ -542,10 +542,11 @@ def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
 
 
 def test_an_edge_list_is_parsed_a_chunk_of_lines_at_a_time(tmp_path):
-    # a chunk of whole lines in which every line has an edge line's shape
-    # (two digit runs, any whitespace of bytes.split around them) is split
-    # at once; a chunk with any other line is walked a line at a time and
-    # gives the message that a line-at-a-time reader gives
+    # a chunk of whole lines is split at once up to its first line without
+    # an edge line's shape (two digit runs, any whitespace of bytes.split
+    # around them), which is then refused; the message is the one a
+    # line-at-a-time reader gives, so an out-of-range edge before a bad
+    # line in the same chunk is the fault reported
     n = 250
     edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (7 * u + 3 * v) % 5 == 0]
     want = make_graph(n, edges)
@@ -572,6 +573,9 @@ def test_an_edge_list_is_parsed_a_chunk_of_lines_at_a_time(tmp_path):
                     # a blank last line is whitespace after the edges
                     message = f"header says {len(edges)} edges, found {len(edges) - 1}"
                 assert read(end, lines[:at] + [bad] + lines[at + 1:]) == f"{gpath}: {message}"
+            faults = [b"%d 0" % n, b"0 x"]
+            message = f"edge ({n}, 0) out of range for n={n}"
+            assert read(end, lines[:at] + faults + lines[at + 2:]) == f"{gpath}: {message}"
 
 
 def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):

@@ -350,6 +350,30 @@ def test_certificate_json_rejects_bad_payloads():
             certificate_from_json(text)
 
 
+def test_a_certificate_object_is_checked_as_its_text_is():
+    # certificate_target is certificate_from_json's check of the parsed
+    # object: it gives the target, and refuses with the parser's messages
+    # an object whose keys are not all strings, which no JSON text parses to
+    from toughgraph import certificate_target
+
+    _, cert = synthesize("6/5")
+    good = json.loads(certificate_to_json(cert))
+    assert certificate_target(good) == Fraction(6, 5)
+    shape = 'certificate must be a JSON object with a rational "t"'
+    for text, message in (("[1, 2]", shape),
+                          (_corrupt(good, t=_DROP), shape),
+                          (_corrupt(good, t=5), shape),
+                          (_corrupt(good, t="3/"), "rational must look like a/b or a, got '3/'"),
+                          (_corrupt(good, t="1/0"), "rational has zero denominator")):
+        for check in (certificate_from_json, lambda text: certificate_target(json.loads(text))):
+            with pytest.raises(CertificateError) as exc:
+                check(text)
+            assert str(exc.value) == message, text
+    with pytest.raises(CertificateError) as exc:
+        certificate_target({**good, 1: 0})
+    assert str(exc.value) == shape
+
+
 def _bad_payloads(good: dict) -> list[tuple[str, dict]]:
     """(key, changes) for payloads that parse but are not the canonical
     certificate, each in the one key named."""

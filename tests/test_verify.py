@@ -186,7 +186,7 @@ def _refuse_checks(monkeypatch):
         pytest.fail("verifier checked a graph that failed the rebuild")
 
     for name in ("toughness_below", "decomposition_below", "is_hamiltonian",
-                 "count_components_masked"):
+                 "cutset_witness"):
         monkeypatch.setattr(verify, name, refuse)
 
 
@@ -317,18 +317,30 @@ def test_a_genuine_pair_counts_its_components_once(monkeypatch):
 
     g, cert = synthesize("449/200")
     calls = []
-    original = verify.count_components_masked
+    original = oracles.count_components_masked
 
     def counted(nbr, alive):
         calls.append(alive)
         return original(nbr, alive)
 
-    for module in (verify, oracles):
-        monkeypatch.setattr(module, "count_components_masked", counted)
+    monkeypatch.setattr(oracles, "count_components_masked", counted)
     for graph in (g, encode_graph6(g)):
         calls.clear()
         assert check_certificate(graph, cert).accepted
         assert len(calls) == 1
+
+
+def test_a_dict_without_a_rational_t_is_rejected_on_the_rebuild(monkeypatch):
+    # a dict certificate is checked by certificate_target, as its text is
+    # by certificate_from_json: a payload that check refuses gets the
+    # one-check rejection, never an exception, and nothing is planned
+    g, _ = synthesize("2/3")
+    monkeypatch.setattr(verify, "plan", lambda t: pytest.fail("verifier planned a target"))
+    _refuse_checks(monkeypatch)
+    shape = 'CertificateError: certificate must be a JSON object with a rational "t"'
+    for payload in ({"t": 5}, {}, {"t": "2/3", 1: 0}, [1]):
+        for graph in (g, encode_graph6(g)):
+            _assert_rebuild_only(check_certificate(graph, payload), shape)
 
 
 def test_a_value_json_cannot_encode_is_a_forged_key():
