@@ -3,24 +3,21 @@
 Subcommands: synth (build a graph of prescribed toughness plus its
 certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
-the named building blocks).  A graph file is read once, as bytes, by
-one unbuffered read, and kept whole: surrounding whitespace is skipped
-by its bounds, and graph6 is validated and compared with the rebuilt
-graph inside that one buffer, so no stripped copy is made.  The first
-byte past the whitespace names the format: a digit the plain "n m" +
-edge-per-line text, "{" the JSON edge schema when the bytes parse as
-JSON, anything else graph6; no graph file is decoded as text.  A
-certificate file is read the same way and decoded as UTF-8.  Output
-format is chosen with --format (default g6).  Every output, graph or
-certificate, is a sequence of byte pieces that one writer sends to a
-file or to stdout's byte stream as they come, so no graph's whole text
-is held.  A file is overwritten in place, without O_TRUNC, and a
-regular one is cut to length when the writing ends: ext4 and XFS flush
-a file to disk when it is closed after a truncation to zero, and a
-temporary file renamed over the old one costs the same.  A crash
-partway leaves new bytes over old ones, which verify refuses by their
-bytes.  "-" means stdin for graph arguments and stdout for
---out/--cert, so subcommands compose in pipes.
+the named building blocks).  A graph file, or stdin, is read once, as
+bytes, by one unbuffered read, and graphs.read_graph takes those bytes
+and decides their format (verify's reader, the same but for keeping a
+graph6 file as its validated bytes, stands in for verify); the graph
+goes out in a --format (default g6) by graphs.WRITERS.  A certificate file is read the same way and
+decoded as UTF-8.  Every output, graph or certificate, is a sequence
+of byte pieces that one writer sends to a file or to stdout's byte
+stream as they come, so no graph's whole text is held.  A file is
+overwritten in place, without O_TRUNC, and a regular one is cut to
+length when the writing ends: ext4 and XFS flush a file to disk when
+it is closed after a truncation to zero, and a temporary file renamed
+over the old one costs the same.  A crash partway leaves new bytes
+over old ones, which verify refuses by their bytes.  "-" means stdin
+for graph arguments and stdout for --out/--cert, so subcommands
+compose in pipes.
 The argument parser is built once per process, on the first call of
 main, and reused: parsing writes only a fresh namespace, and help and
 usage text take their width (COLUMNS) when they are printed.  argv is
@@ -42,29 +39,14 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
-import re
 import stat
 import sys
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .blocks import BlockKind, block, inflate_triangles, petersen, unit_toughness_graph
-from .graphs import (
-    Graph,
-    GraphFormatError,
-    _G6_VALID,
-    _edge_json_graph,
-    _graph6_span,
-    _iter_dot,
-    _iter_edge_json,
-    _iter_edge_list,
-    _strip_bounds,
-    decode_graph6,
-    iter_graph6,
-    make_graph,
-)
+from .graphs import WRITERS, Graph, read_graph
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
     DEFAULT_NODE_LIMIT,
@@ -77,24 +59,9 @@ from .oracles import (
     toughness_upper_search,
 )
 from .synth import certificate_from_json, certificate_to_json, parse_rational, synthesize
-from .verify import _check_certificate
+from .verify import _check_certificate, _read_in_place
 
 __all__ = ["main"]
-
-# the --format names, in help order, and each one's writer of (graph, highlight)
-_WRITERS = {
-    "g6": lambda g, highlight: itertools.chain(iter_graph6(g), (b"\n",)),
-    "dot": _iter_dot,
-    "edges": lambda g, highlight: _iter_edge_list(g),
-    "json": lambda g, highlight: itertools.chain(_iter_edge_json(g), (b"\n",)),
-}
-
-
-def _render(g: Graph, fmt: str, highlight=()) -> Iterator[bytes]:
-    """The graph in a format, as byte pieces of at most a row's edges or
-    a graph6 chunk each.  A graph that graph6 cannot encode is refused
-    here, before anything is written."""
-    return _WRITERS[fmt](g, highlight)
 
 
 def _read_file(path: str) -> bytes:
@@ -103,113 +70,10 @@ def _read_file(path: str) -> bytes:
         return f.readall()
 
 
-def _read_graph(path: str, decode: bool = True) -> Graph | tuple[int, bytes, int, int]:
-    """The graph in a file, or stdin for "-".  The file is read once, as
-    bytes, and kept whole: surrounding whitespace is skipped by bounds,
-    not stripped off a copy.  The first byte past it names the format:
-    a digit starts an edge list (no graph6 byte, 63-126, is a digit),
-    "{" starts JSON when the bytes parse as UTF-8 JSON (graph6 for
-    n = 60 also starts with "{"), and anything else is graph6.  A "{"
-    file that is neither is reported by its JSON fault when it holds a
-    byte that graph6 never does, a line break aside.  With decode=False
-    a graph6 file is only validated and comes back as (n, bytes, start,
-    end), the graph6 string's order and its bounds in the file's bytes."""
-    data = sys.stdin.buffer.read() if path == "-" else _read_file(path)
-    start, end = _strip_bounds(data)
-    if start == end:
-        raise GraphFormatError(f"{path}: empty graph file")
-    first = data[start : start + 1]
-    if first.isdigit():
-        return _read_edge_list(path, data, start, end)
-    json_fault = None
-    if first == b"{":
-        try:
-            # JSON text is UTF-8; json.loads would guess UTF-16 or -32 from bytes
-            payload = json.loads(str(memoryview(data)[start:end], "utf-8"))
-        except (ValueError, RecursionError) as exc:
-            json_fault = exc
-        else:
-            return _edge_json_graph(payload)
-    try:
-        if decode:
-            return decode_graph6(data)
-        return _graph6_span(data, start, end)
-    except GraphFormatError:
-        if json_fault is not None and data[start:end].translate(None, _G6_VALID + b"\r\n"):
-            raise GraphFormatError(f"{path}: bad JSON: {json_fault}") from None
-        # a line break fails validation, and only then are breaks counted
-        breaks = (data.count(b"\n", start, end) + data.count(b"\r", start, end)
-                  - data.count(b"\r\n", start, end))
-        if breaks:
-            raise GraphFormatError(
-                f'{path}: not a graph6, JSON or "n m" edge-list file '
-                f"(graph6 is one line; this file holds {breaks + 1})"
-            ) from None
-        raise
-
-
-def _read_edge_list(path: str, data: bytes, start: int, end: int) -> Graph:
-    """The "n m" header line, then one "u v" line per edge, in
-    data[start:end]; the edges are parsed a chunk of lines at a time as
-    make_graph takes them.  A line ends where bytes.splitlines ends it:
-    at LF, CR LF or CR.  Lines are found at LF, and the CR of a CR LF is
-    whitespace to a split, so only a file with a lone CR is read from a
-    copy with its line ends made LF."""
-    if data.find(b"\r", start, end) >= 0 and (
-        data.count(b"\r", start, end) != data.count(b"\r\n", start, end)
-    ):
-        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        start, end = _strip_bounds(data)
-    pos = data.find(b"\n", start, end) + 1 or end
-    try:
-        n, m = _pair(data[start:pos])
-        return make_graph(n, _edge_pairs(data, pos, end, m))
-    except ValueError as exc:
-        raise GraphFormatError(f"{path}: {exc}") from None
-
-
-# an LF not followed by an edge line: two digit runs in the whitespace
-# of bytes.split, LF aside, up to the next LF or the end
-_NOT_AN_EDGE = re.compile(rb"\n(?![ \t\v\f\r]*[0-9]+[ \t\v\f\r]+[0-9]+[ \t\v\f\r]*(?:\n|\Z))")
-# the bytes of an edge list parsed per call, then up to the next LF
-_EDGE_CHUNK = 1 << 13
-
-
-def _edge_pairs(data: bytes, pos: int, end: int, m: int) -> Iterator[tuple[int, int]]:
-    """The edges of the lines in data[pos:end], which follow an LF at
-    pos - 1, a chunk of whole lines at a time; past the last line, a
-    count other than the header's m is refused.  Each chunk's lines up
-    to the first one without an edge line's shape are split once and
-    their numbers converted by map; that line is then refused, after
-    make_graph has taken every edge before it."""
-    found = 0
-    while pos < end:
-        stop = data.find(b"\n", pos + _EDGE_CHUNK, end)
-        if stop < 0:
-            stop = end
-        bad = _NOT_AN_EDGE.search(data, pos - 1, stop)
-        numbers = data[pos : bad.start() if bad else stop].split()
-        found += len(numbers) // 2
-        numbers = map(int, numbers)
-        yield from zip(numbers, numbers)
-        if bad:
-            raise _bad_line(data[bad.end() : stop].partition(b"\n")[0], "edge")
-        pos = stop + 1
-    if found != m:
-        raise ValueError(f"header says {m} edges, found {found}")
-
-
-def _pair(line: bytes) -> tuple[int, int]:
-    """The two numbers of an edge list's header line."""
-    uv = line.split()
-    if len(uv) != 2 or not (uv[0].isdigit() and uv[1].isdigit()):
-        raise _bad_line(line, "header")
-    return int(uv[0]), int(uv[1])
-
-
-def _bad_line(line: bytes, kind: str) -> ValueError:
-    text = line.rstrip(b"\r\n").decode(errors="backslashreplace")
-    return ValueError(f"bad {kind} line {text!r}")
+def _read_graph(path: str, read=read_graph):
+    """The graph in a file, or stdin for "-", by read (read_graph or
+    verify's in-place reader) on its bytes, named by path."""
+    return read(sys.stdin.buffer.read() if path == "-" else _read_file(path), path)
 
 
 def _open_in_place(path: str, flags: int) -> int:
@@ -248,7 +112,7 @@ def _cmd_synth(args) -> int:
     t = parse_rational(args.t)
     g, cert = synthesize(t)
     if args.out:
-        _emit(_render(g, args.format), args.out)
+        _emit(WRITERS[args.format](g), args.out)
     if args.cert:
         _emit((certificate_to_json(cert).encode(),), args.cert)
     # keep stdout clean for piping when the graph itself goes there
@@ -262,8 +126,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_verify(args) -> int:
     # the verifier matches graph6 to the rebuilt graph by its bytes,
-    # which _read_graph has validated
-    g = _read_graph(args.graph, decode=False)
+    # which _read_in_place has validated
+    g = _read_graph(args.graph, _read_in_place)
     cert = certificate_from_json(_read_file(args.cert).decode())
     report = _check_certificate(g, cert, args.max_oracle_n)
     sys.stdout.write(report.to_json())
@@ -347,7 +211,7 @@ _BLOCKS = {
 
 def _cmd_block(args) -> int:
     g, highlight = _BLOCKS[args.kind]()
-    _emit(_render(g, args.format, highlight=highlight), args.out)
+    _emit(WRITERS[args.format](g, highlight), args.out)
     return 0
 
 
@@ -373,7 +237,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("t", help="target toughness, written a/b or a")
     p.add_argument("--out", help="write the graph to this file")
     p.add_argument("--cert", help="write the certificate JSON to this file")
-    p.add_argument("--format", choices=_WRITERS, default="g6")
+    p.add_argument("--format", choices=WRITERS, default="g6")
     p.set_defaults(func=_cmd_synth)
 
     p = command("verify", "check a graph/certificate pair")
@@ -412,7 +276,7 @@ def _parser() -> argparse.ArgumentParser:
     p = command("block", "emit a named building block")
     p.add_argument("kind", choices=_BLOCKS)
     p.add_argument("--out")
-    p.add_argument("--format", choices=_WRITERS, default="g6")
+    p.add_argument("--format", choices=WRITERS, default="g6")
     p.set_defaults(func=_cmd_block)
     return parser
 

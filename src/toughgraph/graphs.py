@@ -19,16 +19,23 @@ bytes nor the verifier's input needs a stripped copy.  The text formats
 draw the edges from one row iterator, _later_rows, a piece per vertex
 with its later neighbors, whose decimal labels are made once per graph,
 not once per edge.  No transient buffer grows with the graph's text.
-On the read side, from_edge_json parses the JSON schema once and
-make_graph takes each edge entry as it is checked.
+WRITERS is the table of the writers by format name.
+
+The read side is read_graph, which takes a file's bytes and keeps them
+whole: the first byte past the whitespace names the format, an edge
+list is parsed a chunk of lines at a time as make_graph takes the
+edges, and a graph6 file is validated in place.  JSON, there and in
+from_edge_json, is parsed once, from text or from bytes decoded as
+strict UTF-8, and make_graph takes each edge entry as it is checked.
 """
 
 from __future__ import annotations
 
 import binascii
 import json
+import re
 from dataclasses import dataclass, field
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 __all__ = [
@@ -45,6 +52,8 @@ __all__ = [
     "to_dot",
     "to_edge_json",
     "from_edge_json",
+    "WRITERS",
+    "read_graph",
 ]
 
 # graph6 cannot address more vertices than this (36-bit size field)
@@ -523,9 +532,143 @@ def to_edge_json(g: Graph) -> str:
     return b"".join(_iter_edge_json(g)).decode()
 
 
-def from_edge_json(text: str | bytes) -> Graph:
+# each format's writer of (graph, highlight) as byte pieces of at most a
+# row's edges or a graph6 chunk each, by name, in help order; graph6 and
+# JSON end with a line break, and only DOT draws the highlight.  A graph
+# that graph6 cannot encode is refused on the call, before any piece
+WRITERS = {
+    "g6": lambda g, highlight=(): chain(iter_graph6(g), (b"\n",)),
+    "dot": _iter_dot,
+    "edges": lambda g, highlight=(): _iter_edge_list(g),
+    "json": lambda g, highlight=(): chain(_iter_edge_json(g), (b"\n",)),
+}
+
+
+# -- reading -----------------------------------------------------------
+
+
+def read_graph(data: bytes, source: str) -> Graph:
+    """The graph in a file's bytes, whose faults are reported as
+    "{source}: ..." (graph6 and JSON schema faults as they are).  The
+    bytes are kept whole: surrounding whitespace is skipped by bounds,
+    not stripped off a copy.  The first byte past it names the format:
+    a digit starts an edge list (no graph6 byte, 63-126, is a digit),
+    "{" starts JSON when the bytes parse as UTF-8 JSON (graph6 for
+    n = 60 also starts with "{"), and anything else is graph6.  A "{"
+    file that is neither is reported by its JSON fault when it holds a
+    byte that graph6 never does, a line break aside."""
+    return _read_graph(data, source, True)
+
+
+def _read_graph(
+    data: bytes, source: str, decode: bool
+) -> Graph | tuple[int, bytes, int, int]:
+    """read_graph; with decode False a graph6 file is only validated
+    and comes back as (n, bytes, start, end), the graph6 string's order
+    and its bounds in data, for the verifier to compare with the
+    rebuilt graph in place."""
+    start, end = _strip_bounds(data)
+    if start == end:
+        raise GraphFormatError(f"{source}: empty graph file")
+    first = data[start : start + 1]
+    if first.isdigit():
+        try:
+            return _read_edge_list(data, start, end)
+        except ValueError as exc:
+            raise GraphFormatError(f"{source}: {exc}") from None
+    json_fault = None
+    if first == b"{":
+        try:
+            payload = _loads(memoryview(data)[start:end])
+        except (ValueError, RecursionError) as exc:
+            json_fault = exc
+        else:
+            return _edge_json_graph(payload)
     try:
-        payload = json.loads(text)
+        if decode:
+            return decode_graph6(data)
+        return _graph6_span(data, start, end)
+    except GraphFormatError:
+        if json_fault is not None and data[start:end].translate(None, _G6_VALID + b"\r\n"):
+            raise GraphFormatError(f"{source}: bad JSON: {json_fault}") from None
+        # a line break fails validation, and only then are breaks counted
+        breaks = (data.count(b"\n", start, end) + data.count(b"\r", start, end)
+                  - data.count(b"\r\n", start, end))
+        if breaks:
+            raise GraphFormatError(
+                f'{source}: not a graph6, JSON or "n m" edge-list file '
+                f"(graph6 is one line; this file holds {breaks + 1})"
+            ) from None
+        raise
+
+
+def _read_edge_list(data: bytes, start: int, end: int) -> Graph:
+    """The "n m" header line, then one "u v" line per edge, in
+    data[start:end]; the edges are parsed a chunk of lines at a time as
+    make_graph takes them.  A line ends where bytes.splitlines ends it:
+    at LF, CR LF or CR.  Lines are found at LF, and the CR of a CR LF is
+    whitespace to a split, so only a file with a lone CR is read from a
+    copy with its line ends made LF."""
+    if data.find(b"\r", start, end) >= 0 and (
+        data.count(b"\r", start, end) != data.count(b"\r\n", start, end)
+    ):
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        start, end = _strip_bounds(data)
+    pos = data.find(b"\n", start, end) + 1 or end
+    header = data[start:pos].split()
+    if len(header) != 2 or not (header[0].isdigit() and header[1].isdigit()):
+        raise _bad_line(data[start:pos], "header")
+    return make_graph(int(header[0]), _edge_pairs(data, pos, end, int(header[1])))
+
+
+# an LF not followed by an edge line: two digit runs in the whitespace
+# of bytes.split, LF aside, up to the next LF or the end
+_NOT_AN_EDGE = re.compile(rb"\n(?![ \t\v\f\r]*[0-9]+[ \t\v\f\r]+[0-9]+[ \t\v\f\r]*(?:\n|\Z))")
+# the bytes of an edge list parsed per call, then up to the next LF
+_EDGE_CHUNK = 1 << 13
+
+
+def _edge_pairs(data: bytes, pos: int, end: int, m: int) -> Iterator[tuple[int, int]]:
+    """The edges of the lines in data[pos:end], which follow an LF at
+    pos - 1, a chunk of whole lines at a time; past the last line, a
+    count other than the header's m is refused.  Each chunk's lines up
+    to the first one without an edge line's shape are split once and
+    their numbers converted by map; that line is then refused, after
+    make_graph has taken every edge before it."""
+    found = 0
+    while pos < end:
+        stop = data.find(b"\n", pos + _EDGE_CHUNK, end)
+        if stop < 0:
+            stop = end
+        bad = _NOT_AN_EDGE.search(data, pos - 1, stop)
+        numbers = data[pos : bad.start() if bad else stop].split()
+        found += len(numbers) // 2
+        numbers = map(int, numbers)
+        yield from zip(numbers, numbers)
+        if bad:
+            raise _bad_line(data[bad.end() : stop].partition(b"\n")[0], "edge")
+        pos = stop + 1
+    if found != m:
+        raise ValueError(f"header says {m} edges, found {found}")
+
+
+def _bad_line(line: bytes, kind: str) -> ValueError:
+    text = line.rstrip(b"\r\n").decode(errors="backslashreplace")
+    return ValueError(f"bad {kind} line {text!r}")
+
+
+def _loads(text: str | bytes | memoryview):
+    """JSON text parsed once.  Bytes are decoded as strict UTF-8 first,
+    as RFC 8259 asks of JSON exchanged between systems: json.loads would
+    guess UTF-16 or -32 from them.  A decode fault is a ValueError."""
+    return json.loads(text if isinstance(text, str) else str(text, "utf-8"))
+
+
+def from_edge_json(text: str | bytes) -> Graph:
+    """The graph of to_edge_json's schema, from its text or its UTF-8
+    bytes; anything else is a GraphFormatError."""
+    try:
+        payload = _loads(text)
     # a JSONDecodeError, bytes that are not UTF-8, or nesting too deep
     except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad JSON: {exc}") from None

@@ -17,14 +17,21 @@ from pathlib import Path
 import pytest
 
 from toughgraph import (
+    WRITERS,
+    GraphFormatError,
     decode_graph6,
     encode_graph6,
+    from_edge_json,
     inflate_triangles,
     make_graph,
     petersen,
+    read_graph,
+    to_edge_json,
     unit_toughness_graph,
 )
-from toughgraph.cli import _EDGE_CHUNK, _emit, _parser, _read_graph, main
+from toughgraph.cli import _emit, _parser, main
+from toughgraph.graphs import _EDGE_CHUNK
+from toughgraph.verify import _read_in_place
 
 
 def run_cli(*args, stdin=None):
@@ -506,11 +513,11 @@ def test_an_edge_list_reads_alike_with_any_line_end(tmp_path):
     assert lf.count(b"\n") == g.edge_count + 1
     for end in (b"\r\n", b"\r"):
         gpath.write_bytes(lf.replace(b"\n", end))
-        assert _read_graph(str(gpath)) == g, end
+        assert read_graph(gpath.read_bytes(), str(gpath)) == g, end
     # a bad line is named without its line end
     gpath.write_bytes(b"3 1\r\n0 x\r\n")
     with pytest.raises(ValueError) as info:
-        _read_graph(str(gpath))
+        read_graph(gpath.read_bytes(), str(gpath))
     assert str(info.value) == f"{gpath}: bad edge line '0 x'"
 
 
@@ -532,7 +539,7 @@ def test_an_edge_list_is_read_in_bounded_memory(tmp_path):
         gpath.write_bytes(lf.replace(b"\n", end))
         tracemalloc.start()
         try:
-            g = _read_graph(str(gpath))
+            g = read_graph(gpath.read_bytes(), str(gpath))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -558,7 +565,7 @@ def test_an_edge_list_is_parsed_a_chunk_of_lines_at_a_time(tmp_path):
     def read(end: bytes, body: list[bytes], header: bytes = b"%d %d" % (n, len(edges))):
         gpath.write_bytes(end.join([header] + body) + end)
         try:
-            return _read_graph(str(gpath))
+            return read_graph(gpath.read_bytes(), str(gpath))
         except ValueError as exc:
             return str(exc)
 
@@ -590,7 +597,7 @@ def test_a_json_graph_is_parsed_once(tmp_path, monkeypatch):
     gpath = tmp_path / "g.json"
     g = petersen()
     assert main(["block", "petersen", "--format", "json", "--out", str(gpath)]) == 0
-    assert _read_graph(str(gpath)) == g
+    assert read_graph(gpath.read_bytes(), str(gpath)) == g
     assert calls == [len(gpath.read_bytes().strip())]
 
 
@@ -662,8 +669,28 @@ def test_a_brace_file_is_json_or_graph6(tmp_path, capsys):
     data = encode_graph6(g)
     assert data[:1] == b"{"
     gpath.write_bytes(data + b"\n")
-    assert _read_graph(str(gpath)) == g
-    assert _read_graph(str(gpath), decode=False) == (60, data + b"\n", 0, len(data))
+    assert read_graph(gpath.read_bytes(), str(gpath)) == g
+    assert _read_in_place(data + b"\n", str(gpath)) == (60, data + b"\n", 0, len(data))
+
+
+@pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-16-be",
+                                      "utf-32", "utf-32-le", "utf-32-be", "utf-8-sig"])
+def test_json_graphs_are_utf8_to_the_api_and_the_cli_alike(tmp_path, capsys, encoding):
+    # JSON exchanged between systems is UTF-8 (RFC 8259, 8.1): the API
+    # refuses the other encodings of a valid JSON graph as the CLI does,
+    # rather than guess the encoding as json.loads does on bytes
+    text = to_edge_json(petersen())
+    assert from_edge_json(text) == from_edge_json(text.encode()) == petersen()
+    data = text.encode(encoding)
+    with pytest.raises(GraphFormatError):
+        from_edge_json(data)
+    gpath = tmp_path / "g.json"
+    gpath.write_bytes(data)
+    with pytest.raises(GraphFormatError):
+        read_graph(data, str(gpath))
+    assert main(["alpha", str(gpath)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
 
 
 # -- tau ---------------------------------------------------------------------
@@ -951,13 +978,12 @@ def test_text_formats_are_written_in_bounded_memory(tmp_path, fmt):
     import tracemalloc
 
     from toughgraph import synthesize
-    from toughgraph.cli import _render
 
     g, _ = synthesize("449/200")
     path = str(tmp_path / "g")
     tracemalloc.start()
     try:
-        _emit(_render(g, fmt), path)
+        _emit(WRITERS[fmt](g), path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

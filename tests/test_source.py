@@ -63,6 +63,21 @@ def test_no_module_imports_a_private_name_from_synth():
     assert found == []
 
 
+def test_the_cli_imports_no_private_name_from_graphs():
+    # graphs owns the graph formats, their reader and their writers; the
+    # command line reaches them through its public names only
+    cli = Path(toughgraph.__file__).parent / "cli.py"
+    found = [
+        f"{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli)))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module, node.level) in (("graphs", 1), ("toughgraph.graphs", 0))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
 def test_the_package_reexports_each_modules_public_names():
     # __init__ star-imports every module, so a name in two modules'
     # __all__ would silently resolve to the later module's object
