@@ -16,11 +16,11 @@ component per triangle.
 
 Every family is built directly as neighbor-mask rows: layout_graph
 writes each row once at its final offset, complete_bipartite and
-matched_layers go through join, and the rest through row arithmetic;
-edge lists appear only in the fixed tables of the blocks, the unit
-graph and the Petersen graph.  matched_layers is K_{A-B+1} joined onto
-B matched edges, a layout too, but numbered layer by layer rather than
-gadget by gadget.
+matched_layers go through join, and the rest through row arithmetic,
+inflation_cutset's Euler walk included; edge lists appear only in the
+fixed tables of the blocks, the unit graph and the Petersen graph.
+matched_layers is K_{A-B+1} joined onto B matched edges, a layout too,
+but numbered layer by layer rather than gadget by gadget.
 """
 
 from __future__ import annotations
@@ -256,14 +256,19 @@ def inflate_triangles(g: Graph) -> Graph:
     3n vertices with 3n + m edges.
     """
     _require_cubic(g)
-    nbrs = [g.neighbors(v) for v in range(g.n)]
+    nbr = g.neighbor_masks
     # row 3v+i: the rest of v's triangle, and the vertex of the triangle
-    # of u = nbrs[v][i] dedicated to v
+    # of v's i-th neighbor u dedicated to v
     return Graph(tuple(
-        (7 << 3 * v) ^ (1 << 3 * v + i) | 1 << 3 * u + nbrs[u].index(v)
+        (7 << 3 * v) ^ (1 << 3 * v + i) | 1 << 3 * u + _rank(nbr[u], v)
         for v in range(g.n)
-        for i, u in enumerate(nbrs[v])
+        for i, u in enumerate(_bits(nbr[v]))
     ))
+
+
+def _rank(row: int, v: int) -> int:
+    """v's place among the neighbors in row, ascending: those below it."""
+    return (row & ((1 << v) - 1)).bit_count()
 
 
 def inflation_cutset(g: Graph) -> frozenset[int]:
@@ -281,36 +286,28 @@ def inflation_cutset(g: Graph) -> frozenset[int]:
     if not g.is_connected():
         raise ValueError("inflation cutset needs a connected graph")
     n = g.n
-    aux = n
-    adj: dict[int, list[int]] = {v: list(g.neighbors(v)) + [aux] for v in range(n)}
-    adj[aux] = list(range(n))
-    used: set[tuple[int, int]] = set()
-    ptr = {v: 0 for v in adj}
+    nbr = g.neighbor_masks
+    # the auxiliary vertex is bit n, above every neighbor: each vertex
+    # walks its unwalked edges lowest first, the tie to it last
+    unwalked = [row | 1 << n for row in nbr] + [(1 << n) - 1]
     stack = [0]
     walk: list[int] = []
     while stack:
         v = stack[-1]
-        lst = adj[v]
-        i = ptr[v]
-        while i < len(lst) and (min(v, lst[i]), max(v, lst[i])) in used:
-            i += 1
-        ptr[v] = i
-        if i < len(lst):
-            u = lst[i]
-            used.add((min(v, u), max(v, u)))
+        if unwalked[v]:
+            u = (unwalked[v] & -unwalked[v]).bit_length() - 1
+            unwalked[v] ^= 1 << u
+            unwalked[u] ^= 1 << v
             stack.append(u)
         else:
             walk.append(stack.pop())
-    indeg = [0] * n
-    picked = []
+    picked = count = 0
     for w1, w2 in zip(walk, walk[1:]):
-        if w1 == aux or w2 == aux:
-            continue
-        indeg[w2] += 1
-        j = g.neighbors(w2).index(w1)
-        picked.append(3 * w2 + j)
-    if len(picked) != g.edge_count or len(set(picked)) != len(picked):
+        if n not in (w1, w2):
+            picked |= 1 << 3 * w2 + _rank(nbr[w2], w1)
+            count += 1
+    if count != g.edge_count or picked.bit_count() != count:
         raise RuntimeError("Euler circuit does not pick each cross edge once")
-    if any(d > 2 for d in indeg):
+    if any((picked >> 3 * v) & 7 == 7 for v in range(n)):
         raise RuntimeError("orientation puts three cross edges on one triangle")
-    return frozenset(picked)
+    return frozenset(_bits(picked))

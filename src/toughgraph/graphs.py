@@ -24,7 +24,11 @@ WRITERS is the table of the writers by format name.
 The read side is read_graph, which takes a file's bytes and keeps them
 whole: the first byte past the whitespace names the format, an edge
 list is parsed a chunk of lines at a time as make_graph takes the
-edges, and a graph6 file is validated in place.  JSON, there and in
+edges, and a graph6 file is validated once, in place, to its span: its
+order and its bounds in the bytes.  read_graph decodes the span; the
+verifier keeps it, and _differs, the one comparison of an input with a
+rebuilt graph, matches it with the graph's iter_graph6 pieces in place
+and decodes it only when they differ.  JSON, there and in
 from_edge_json, is parsed once, from text or from bytes decoded as
 strict UTF-8, and make_graph takes each edge entry as it is checked.
 """
@@ -434,16 +438,21 @@ def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, bytes, int, in
 
 def decode_graph6(data: bytes | str) -> Graph:
     """Decode one graph6 string; the optional >>graph6<< header is allowed.
+    validate_graph6 checks the input first."""
+    return _decode_span(*_graph6_in_place(data))
 
-    validate_graph6 checks the input first.  The body is base64-decoded
-    and each byte bit-reversed, so byte i bit b holds stream bit 8i + b
-    and column j (row j's neighbors below j) is read from the few bytes
-    it spans.  The columns are then packed as an n x n bit matrix,
-    nb = ceil(n/8) bytes per row, and every 8x8 bit block is transposed
-    in place.  In the result the neighbors of v above v, one byte per
-    8-row block, sit nb * 8 bytes apart from byte (v & 7) * nb + (v >> 3):
-    a single stride slice."""
-    n, data, _, end = _graph6_in_place(data)
+
+def _decode_span(n: int, data: bytes, start: int, end: int) -> Graph:
+    """The graph of the validated graph6 string of order n in
+    data[start:end], as _graph6_span returns it.
+
+    The body is base64-decoded and each byte bit-reversed, so byte i
+    bit b holds stream bit 8i + b and column j (row j's neighbors below
+    j) is read from the few bytes it spans.  The columns are then packed
+    as an n x n bit matrix, nb = ceil(n/8) bytes per row, and every 8x8
+    bit block is transposed in place.  In the result the neighbors of v
+    above v, one byte per 8-row block, sit nb * 8 bytes apart from byte
+    (v & 7) * nb + (v >> 3): a single stride slice."""
     need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return Graph((0,) * n)
@@ -452,9 +461,9 @@ def decode_graph6(data: bytes | str) -> Graph:
     xb = raw.translate(_REVERSE_BITS)
     cols = []
     for j in range(n):
-        start = j * (j - 1) // 2
-        chunk = int.from_bytes(xb[start >> 3 : (start + j + 7) >> 3], "little")
-        cols.append((chunk >> (start & 7)) & ((1 << j) - 1))
+        first = j * (j - 1) // 2  # column j's first stream bit
+        chunk = int.from_bytes(xb[first >> 3 : (first + j + 7) >> 3], "little")
+        cols.append((chunk >> (first & 7)) & ((1 << j) - 1))
     # row j of the matrix is column j.  Round b swaps each in-block bit
     # (r, c) with r & b clear and c & b set with (r + b, c - b), which
     # sits b * (stride - 1) bits higher; after the three rounds bit i of
@@ -476,6 +485,26 @@ def decode_graph6(data: bytes | str) -> Graph:
         for v in range(n)
     )
     return Graph(rows)
+
+
+def _differs(given: Graph | tuple[int, bytes, int, int], g: Graph) -> Optional[Graph]:
+    """None when given, a Graph or a validated graph6 span (n, data,
+    start, end) as _graph6_span returns it, is the graph g; otherwise
+    given as a Graph.  A span is compared with g's encoding in place,
+    one iter_graph6 piece at a time, so no copy of either is ever whole.
+    Equal bytes are the same graph, since graph6 is injective; only
+    differing bytes (a different graph, or a noncanonical size field)
+    are decoded, from the span, to tell which."""
+    if isinstance(given, Graph):
+        return None if given == g else given
+    _, data, pos, end = given
+    for piece in iter_graph6(g):
+        if not data.startswith(piece, pos, end):
+            given = _decode_span(*given)
+            return None if given == g else given
+        pos += len(piece)
+    # every piece matched, so the size fields agree and so do the lengths
+    return None
 
 
 # -- DOT, JSON and the edge list ---------------------------------------
@@ -557,16 +586,14 @@ def read_graph(data: bytes, source: str) -> Graph:
     n = 60 also starts with "{"), and anything else is graph6.  A "{"
     file that is neither is reported by its JSON fault when it holds a
     byte that graph6 never does, a line break aside."""
-    return _read_graph(data, source, True)
+    g = _read_graph(data, source)
+    return g if isinstance(g, Graph) else _decode_span(*g)
 
 
-def _read_graph(
-    data: bytes, source: str, decode: bool
-) -> Graph | tuple[int, bytes, int, int]:
-    """read_graph; with decode False a graph6 file is only validated
-    and comes back as (n, bytes, start, end), the graph6 string's order
-    and its bounds in data, for the verifier to compare with the
-    rebuilt graph in place."""
+def _read_graph(data: bytes, source: str) -> Graph | tuple[int, bytes, int, int]:
+    """read_graph, save that a graph6 file is only validated and comes
+    back as its span (n, data, start, end), which read_graph decodes and
+    _differs compares in place."""
     start, end = _strip_bounds(data)
     if start == end:
         raise GraphFormatError(f"{source}: empty graph file")
@@ -585,8 +612,6 @@ def _read_graph(
         else:
             return _edge_json_graph(payload)
     try:
-        if decode:
-            return decode_graph6(data)
         return _graph6_span(data, start, end)
     except GraphFormatError:
         if json_fault is not None and data[start:end].translate(None, _G6_VALID + b"\r\n"):

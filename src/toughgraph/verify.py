@@ -5,11 +5,10 @@ pair sound?  The graph is a Graph or its graph6 bytes.  A certificate
 is a function of its target t, so the verifier first derives the
 canonical certificate from plan(t) alone (plan_certificate) and
 compares the two as JSON values before any graph is built; only then
-does it build the plan's graph and compare the graphs.  graph6 input
-is matched to the rebuild by its bytes: the rebuilt graph is encoded a
-fixed-size chunk at a time and each piece compared in place, so no
-second body-sized buffer exists, and the input is decoded only when
-the bytes differ.  That rebuild is a gate: a pair that fails it is
+does it build the plan's graph and ask graphs whether the input is
+that graph.  graph6 input stays a validated span of its bytes, which
+graphs compares with the rebuild's encoding in place and decodes only
+when the two differ.  That rebuild is a gate: a pair that fails it is
 rejected on that one check, and nothing is counted or searched on a
 graph that is not its plan's.  On the rebuilt graph it then
 re-verifies the witness cutset by counting components (cutset_witness,
@@ -35,14 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .graphs import (
-    Graph,
-    _bipartition,
-    _graph6_in_place,
-    _read_graph,
-    decode_graph6,
-    iter_graph6,
-)
+from .graphs import Graph, _bipartition, _differs, _graph6_in_place, _read_graph
 from .oracles import (
     DEFAULT_ALPHA_LIMIT,
     DEFAULT_TOUGHNESS_LIMIT,
@@ -142,19 +134,6 @@ def _encoded(payload: dict, key: str) -> Optional[str]:
         return ""
 
 
-def _encodes_to(g: Graph, data: bytes, start: int = 0, end: Optional[int] = None) -> bool:
-    """Whether data[start:end] is g's graph6 encoding, compared in place
-    one piece of iter_graph6 at a time, so no copy of the encoding or of
-    the input is ever whole."""
-    end = len(data) if end is None else end
-    pos = start
-    for piece in iter_graph6(g):
-        if not data.startswith(piece, pos, end):
-            return False
-        pos += len(piece)
-    return pos == end
-
-
 def check_certificate(
     g: Graph | bytes, cert: Certificate | dict, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
 ) -> VerificationReport:
@@ -177,14 +156,12 @@ def check_certificate(
     and certificate.
 
     The graph may also be given as graph6 bytes, which are validated
-    first (a malformed string raises GraphFormatError, as decode_graph6
-    does).  The rebuild check then compares the rebuilt graph's graph6
-    encoding with those bytes, one iter_graph6 piece at a time: graph6
-    is injective and decodes its own encoding back to the graph, so
-    equal bytes mean the input is the rebuilt graph.  The bytes are
-    decoded only when they differ, to report the graph they hold; the
-    report is the one the decoded Graph would get.  max_oracle_n is the
-    largest n whose toughness is decided exactly."""
+    once, first (a malformed string raises GraphFormatError, as
+    decode_graph6 does).  The rebuild check then compares the rebuilt
+    graph's graph6 encoding with those bytes in place, and decodes them
+    only when they differ, to report the graph they hold; the report is
+    the one the decoded Graph would get.  max_oracle_n is the largest n
+    whose toughness is decided exactly."""
     if not isinstance(g, Graph):
         g = _graph6_in_place(g)
     return _check_certificate(g, cert, max_oracle_n)
@@ -192,9 +169,9 @@ def check_certificate(
 
 def _read_in_place(data: bytes, source: str) -> Graph | tuple[int, bytes, int, int]:
     """A graph file's bytes read as graphs.read_graph reads them, save
-    that a graph6 file is only validated and given as
-    _check_certificate's (n, data, start, end)."""
-    return _read_graph(data, source, False)
+    that a graph6 file stays its validated span (n, data, start, end),
+    which _check_certificate takes as it is."""
+    return _read_graph(data, source)
 
 
 def _check_certificate(
@@ -204,10 +181,7 @@ def _check_certificate(
     (n, data, start, end): a validated graph6 string of order n in
     data[start:end], header and whitespace outside the bounds."""
     checks: list[CheckOutcome] = []
-    if isinstance(g, Graph):
-        n, data, start, end = g.n, None, 0, 0
-    else:
-        n, data, start, end = g
+    n = g.n if isinstance(g, Graph) else g[0]
 
     def run(name: str, fn: Callable[[], tuple[bool, str]]) -> bool:
         t0 = time.perf_counter()
@@ -243,14 +217,12 @@ def _check_certificate(
                 f"{', '.join(forged)} differ"
             )
         g2 = plan_graph(fresh)
-        # only a noncanonical size field or a different graph decodes
-        if data is None or not _encodes_to(g2, data, start, end):
-            given = g if data is None else decode_graph6(data)
-            if given != g2:
-                return False, (
-                    f"plan rebuilds to a different graph "
-                    f"(n={g2.n}, m={g2.edge_count} vs n={given.n}, m={given.edge_count})"
-                )
+        given = _differs(g, g2)
+        if given is not None:
+            return False, (
+                f"plan rebuilds to a different graph "
+                f"(n={g2.n}, m={g2.edge_count} vs n={given.n}, m={given.edge_count})"
+            )
         g, cert = g2, cert2
         return True, f"plan reproduces the graph: n={g2.n}, m={g2.edge_count}"
 

@@ -437,6 +437,31 @@ def naive_inflate_triangles(g: Graph) -> Graph:
     return make_graph(3 * g.n, edges)
 
 
+def naive_inflation_cutset(g: Graph) -> frozenset[int]:
+    """Walk an Euler circuit of g plus one vertex n tied to every vertex,
+    from 0, always along the first unwalked edge of a vertex's list
+    (its neighbors ascending, then n), and cut the triangle vertex that
+    each edge of g enters, the one dedicated to the edge's tail."""
+    n = g.n
+    adj = {v: sorted(nbrs) + [n] for v, nbrs in _adjacency(g).items()}
+    adj[n] = list(range(n))
+    used: set[frozenset[int]] = set()
+    stack, walk = [0], []
+    while stack:
+        v = stack[-1]
+        free = [u for u in adj[v] if frozenset((u, v)) not in used]
+        if free:
+            used.add(frozenset((v, free[0])))
+            stack.append(free[0])
+        else:
+            walk.append(stack.pop())
+    return frozenset(
+        3 * head + adj[head].index(tail)
+        for tail, head in zip(walk, walk[1:])
+        if n not in (tail, head)
+    )
+
+
 def naive_graph6_size_field(n: int) -> bytes:
     """One byte n + 63 up to 62, else 126 and 3 six-bit groups up to
     258047, else 126 126 and 6 groups."""

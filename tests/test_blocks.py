@@ -10,6 +10,7 @@ from naive import (
     naive_f_m,
     naive_g_construct,
     naive_inflate_triangles,
+    naive_inflation_cutset,
     naive_layout_graph,
     naive_matched_layers,
 )
@@ -315,6 +316,30 @@ def test_inflation_cutset_ratio():
         assert len(parts) == base.n
         # nothing bigger than a triangle survives
         assert all(1 <= len(p) <= 3 for p in parts)
+
+
+def _connected_cubic(rng: random.Random, n: int) -> Graph:
+    """A random connected simple 3-regular graph on an even n, by
+    rejection from random pairings of the vertices' three ends."""
+    while True:
+        ends = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(ends)
+        pairs = {tuple(sorted(ends[i : i + 2])) for i in range(0, len(ends), 2)}
+        if len(pairs) == len(ends) // 2 and all(u != v for u, v in pairs):
+            g = make_graph(n, pairs)
+            if g.is_connected():
+                return g
+
+
+def test_inflation_cutset_matches_the_adjacency_list_walk(petersen_graph):
+    # the 3/2 certificate lists the cutset's vertices, so the mask walk
+    # must pick the very vertices the adjacency-list walk picks
+    rng = random.Random(38)
+    bases = [petersen_graph, complete_graph(4)]
+    bases += [_connected_cubic(rng, rng.randrange(4, 40, 2)) for _ in range(120)]
+    for base in bases:
+        assert inflation_cutset(base) == naive_inflation_cutset(base), base.edges()
+        assert inflate_triangles(base) == naive_inflate_triangles(base), base.edges()
 
 
 def test_inflation_cutset_needs_connected():

@@ -724,6 +724,10 @@ def test_tau_falls_back_to_search_above_cap(tmp_path):
     payload = json.loads(r.stdout)
     assert payload["exact"] is False
     assert "tau_upper_bound" in payload
+    # no budget: the search above the cap finds no cutset (C_5)
+    r = run_cli("tau", "-", "--max-n", "3", "--budget", "0", stdin="Dhc\n")
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == "error: n=5 exceeds the exact limit 3 and the heuristic found no cutset\n"
 
 
 def test_tau_reads_stdin():
@@ -824,6 +828,11 @@ def test_alpha_bad_inputs_exit_2(tmp_path):
     r2 = run_cli("alpha", str(gpath), "--max-n", "3")
     assert r2.returncode == 2
     assert r2.stderr.startswith("error:")
+
+    bad.write_text('{"n": 2, "edges": 5}\n')
+    r3 = run_cli("alpha", str(bad))
+    assert (r3.returncode, r3.stdout) == (2, "")
+    assert r3.stderr == 'error: "edges" must be a list\n'
 
 
 # -- block ----------------------------------------------------------------------

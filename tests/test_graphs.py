@@ -453,6 +453,16 @@ def test_graph6_size_field_forms_and_checks_before_allocation():
         assert perf_counter() - start < 0.5
 
 
+def test_the_size_field_writer_and_reader_agree_at_each_forms_bounds():
+    # the last order of each form and the first of the next: the parser
+    # reads back the order the writer wrote, and refuses the missing body
+    for n in (62, 63, 258047, 258048, 2**36 - 1):
+        need = (n * (n - 1) // 2 + 5) // 6
+        with pytest.raises(GraphFormatError) as err:
+            validate_graph6(graphs._g6_size_bytes(n))
+        assert str(err.value) == f"truncated graph6 body: need {need} bytes for n={n}, got 0"
+
+
 # every malformed input the decoder tests above use, with its message;
 # the earliest failing check names the error
 _G6_ERRORS = [

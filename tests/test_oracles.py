@@ -1166,6 +1166,7 @@ def test_alpha_known_values():
     assert independence_number(petersen()) == 4
     assert independence_number(_cycle(7)) == 3
     assert independence_number(make_graph(4, [])) == 4
+    assert independence_number(make_graph(0, [])) == 0
 
 
 def test_alpha_matches_naive_random():

@@ -78,6 +78,25 @@ def test_the_cli_imports_no_private_name_from_graphs():
     assert found == []
 
 
+def test_the_verifier_names_no_graph6_coder():
+    # graphs validates, compares and decodes graph6 input; the verifier
+    # only asks it whether its input is the rebuilt graph
+    verify = Path(toughgraph.__file__).parent / "verify.py"
+    coders = {"iter_graph6", "encode_graph6", "decode_graph6"}
+    found = [
+        f"{node.lineno} {name}"
+        for node in ast.walk(ast.parse(verify.read_text(), filename=str(verify)))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else []
+        )
+        if name in coders
+    ]
+    assert found == []
+
+
 def test_the_package_reexports_each_modules_public_names():
     # __init__ star-imports every module, so a name in two modules'
     # __all__ would silently resolve to the later module's object

@@ -27,7 +27,7 @@ from toughgraph import (
     synthesize,
     verify_claim_formula,
 )
-from toughgraph import verify
+from toughgraph import graphs, verify
 from toughgraph.graphs import _G6_CHUNK, _bipartition
 
 
@@ -259,6 +259,63 @@ def test_a_pair_that_fails_the_rebuild_gets_a_one_check_report(monkeypatch, case
     _assert_rebuild_only(check_certificate(data, cert), detail)
     forged_graph = not detail.startswith("certificate")
     assert calls == ([data] if forged_graph else [])
+
+
+def _cycle(n):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _side(cert, size):
+    arg = cert.nonhamiltonicity
+    return dataclasses.replace(cert, nonhamiltonicity=NonHamiltonicityArgument(
+        arg.kind, dict(arg.params, independent_side=size)))
+
+
+# target, the graph its plan is made to build and the certificate it is
+# made to derive (None: the real ones), whether the counting argument
+# holds, and the failing check's name and detail, with both statuses
+_CANONICAL_FAULTS = {
+    "witness_count": ("1", None, lambda c: dataclasses.replace(c, components=3), True,
+                      "witness", "component count mismatch: certificate says 3, "
+                      "recount gives 2", FAILED, ORACLE_EXHAUSTIVE),
+    "not_bipartite": ("2/3", lambda g: make_graph(5, g.edges() + [(0, 1)]), None, True,
+                      "nonhamiltonicity", "graph is not bipartite", ORACLE_EXACT, FAILED),
+    "side_size": ("2/3", None, lambda c: _side(c, 4), True, "nonhamiltonicity",
+                  "independent side has 3 vertices, certificate says 4", ORACLE_EXACT, FAILED),
+    "side_at_half": ("1/3", lambda g: _cycle(4), lambda c: _side(c, 2), True,
+                     "nonhamiltonicity", "independent side 2 does not exceed n/2 = 4/2",
+                     FAILED, FAILED),
+    # K_{1,3} and an isolated vertex: its larger side is 3, alpha is 4
+    "alpha": ("2/3", lambda g: make_graph(5, [(0, 1), (0, 2), (0, 3)]), None, True,
+              "nonhamiltonicity", "independence oracle gives 4, expected 3", FAILED, FAILED),
+    "edge_count": ("6/5", None, None, False, "nonhamiltonicity",
+                   "counting argument fails: needs 10 > 9", ORACLE_EXACT, FAILED),
+    "block_count": ("9/5", None, None, False, "nonhamiltonicity",
+                    "only 7 path-free blocks, need 7", WITNESS_UPPER_BOUND_ONLY, FAILED),
+    # C_7 has the order of t = 1's graph, and {0, 3} leaves 2 components
+    "hamiltonian": ("1", lambda g: _cycle(7), None, True, "nonhamiltonicity",
+                    "graph is hamiltonian; certificate is wrong", ORACLE_EXACT, FAILED),
+}
+
+
+@pytest.mark.parametrize("case", list(_CANONICAL_FAULTS))
+def test_a_canonical_pair_that_fails_a_later_check_is_rejected(monkeypatch, case):
+    # no input passes the rebuild and then fails a check, so the plan is
+    # made to build and derive a faulty pair, which the gate then passes
+    target, graph, derive, holds, name, detail, tau, nonham = _CANONICAL_FAULTS[case]
+    g, cert = synthesize(target)
+    g = graph(g) if graph else g
+    cert = derive(cert) if derive else cert
+    monkeypatch.setattr(verify, "plan_graph", lambda p: g)
+    monkeypatch.setattr(verify, "plan_certificate", lambda p: cert)
+    monkeypatch.setattr(verify, "argument_holds", lambda kind, p: holds)
+    for given in (g, encode_graph6(g)):
+        report = check_certificate(given, cert)
+        assert _check_named(report, "rebuild").ok
+        check = _check_named(report, name)
+        assert (check.ok, check.detail) == (False, detail)
+        assert not report.accepted
+        assert (report.toughness_status, report.nonhamiltonicity_status) == (tau, nonham)
 
 
 def _forge(payload: dict, field: str, n: int) -> tuple[str, str]:
@@ -647,24 +704,24 @@ def test_limits_downgrade_toughness_tier():
 
 
 def _refuse_decode(monkeypatch):
-    from toughgraph import verify
-
     monkeypatch.setattr(
-        verify, "decode_graph6",
-        lambda data: pytest.fail("verifier decoded the graph6 input"),
+        graphs, "_decode_span",
+        lambda *span: pytest.fail("verifier decoded the graph6 input"),
     )
 
 
 def _count_decodes(monkeypatch) -> list:
-    from toughgraph import decode_graph6, verify
-
+    """The graph6 strings decoded from here on, each as the bytes of its
+    span: every decode, graphs' comparison's and decode_graph6's, goes
+    through graphs._decode_span."""
+    decode = graphs._decode_span
     calls = []
 
-    def counted(data):
-        calls.append(data)
-        return decode_graph6(data)
+    def counted(n, data, start, end):
+        calls.append(data[start:end])
+        return decode(n, data, start, end)
 
-    monkeypatch.setattr(verify, "decode_graph6", counted)
+    monkeypatch.setattr(graphs, "_decode_span", counted)
     return calls
 
 
@@ -784,6 +841,33 @@ def test_one_flipped_edge_bit_is_rejected_after_a_decode(monkeypatch):
     _assert_rebuild_only(report, detail)
 
 
+def test_a_tampered_graph6_input_is_validated_once(monkeypatch, tmp_path, capsys):
+    # the span validated first is the one compared and decoded, through
+    # the API and through the command line's reader alike
+    from toughgraph import certificate_to_json
+    from toughgraph.cli import main
+
+    weaker, cert, detail = _minus_edge("6/5", (0, 2))
+    flipped = encode_graph6(weaker)
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "c.json"
+    gpath.write_bytes(flipped + b"\n")
+    cpath.write_text(certificate_to_json(cert))
+    validate = graphs._graph6_span
+    calls = []
+
+    def counted(data, start, end):
+        calls.append(data[start:end])
+        return validate(data, start, end)
+
+    monkeypatch.setattr(graphs, "_graph6_span", counted)
+    _assert_rebuild_only(check_certificate(flipped, cert), detail)
+    assert calls == [flipped]
+    calls.clear()
+    assert main(["verify", str(gpath), str(cpath)]) == 1
+    assert detail in capsys.readouterr().out
+    assert calls == [flipped]
+
+
 def _flip(data: bytes, at: int) -> bytes:
     """data with the top bit of byte at's 6-bit group flipped: a matrix
     bit in every body byte, never padding."""
@@ -797,7 +881,7 @@ def test_the_piecewise_comparison_agrees_with_whole_bytes_equality(monkeypatch, 
     # piece boundary, is a different graph, rejected after one decode
     # with the decoded Graph's report; a body one byte short or long
     # fails validation; the header is stripped before the comparison
-    from toughgraph import GraphFormatError, decode_graph6, graphs
+    from toughgraph import GraphFormatError, decode_graph6
 
     if chunk:
         monkeypatch.setattr(graphs, "_G6_CHUNK", chunk)
@@ -810,8 +894,13 @@ def test_the_piecewise_comparison_agrees_with_whole_bytes_equality(monkeypatch, 
         body, body + piece - 1, body + piece, body + 4 * piece + 7, len(data) - 1
     )]
     short, long = data[:-1], data + b"?"
-    for given in (data, *flips, short, long, b">>graph6<<" + data):
-        assert verify._encodes_to(g, given) is (given == data)
+    for given in (data, b">>graph6<<" + data):
+        assert graphs._differs(graphs._graph6_in_place(given), g) is None
+    for flipped in flips:
+        assert graphs._differs(graphs._graph6_in_place(flipped), g) == decode_graph6(flipped)
+    for given in (short, long):
+        with pytest.raises(GraphFormatError):
+            graphs._graph6_in_place(given)
     want = check_certificate(g, cert).to_json()
     rejects = [check_certificate(decode_graph6(f), cert).to_json() for f in flips]
     calls = _count_decodes(monkeypatch)
