@@ -10,8 +10,8 @@ cross-multiplication; no verdict ever passes through a float.
 from __future__ import annotations
 
 import functools
+import mmap
 import random
-from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -472,15 +472,28 @@ def _spanning_path(g: Graph, x: int, y: int, node_limit: int) -> HamiltonResult:
     """Spanning x-y paths, or for y == x Hamilton cycles through x.
 
     Screens decide without search: a disconnected graph, a vertex of
-    degree below 2 other than a path's ends, and a bipartite graph whose
-    side sizes do not fit.  Then the subset dynamic program, evaluated
-    lazily backward from y (exact, no budget, an 8 * 2^n-byte memo),
-    decides dense graphs up to DP_LIMIT vertices, pruned backtracking
-    under node_limit everything else.
+    degree below 2 other than a path's ends, universal vertices whose
+    removal leaves too many components, and a bipartite graph whose side
+    sizes do not fit.  Then the subset dynamic program, evaluated lazily
+    backward from y (exact, no budget, a memo backed only where the
+    search writes), decides dense graphs up to DP_LIMIT vertices, pruned
+    backtracking under node_limit everything else.
     """
+    n = g.n
+    nbr = g.neighbor_masks
     ends = 0 if x == y else 1 << x | 1 << y
-    if not g.is_connected() or any(g.degree(v) < 2 for v in range(g.n) if not ends >> v & 1):
+    degrees = [row.bit_count() for row in nbr]
+    if not g.is_connected() or any(d < 2 for v, d in enumerate(degrees) if not ends >> v & 1):
         return HamiltonResult(False, None, "trivial", 0)
+    # a hamiltonian graph is 1-tough (Chvatal 1973): removing a set S
+    # leaves at most |S| components, at most |S| + 1 for a spanning
+    # path.  S is the universal vertices U; with U empty a connected
+    # graph leaves 1 > 0, so the bound says nothing
+    if n - 1 in degrees:
+        universal = sum(1 << v for v, d in enumerate(degrees) if d == n - 1)
+        spare = universal.bit_count() + (x != y)
+        if count_components_masked(nbr, ((1 << n) - 1) ^ universal) > spare:
+            return HamiltonResult(False, None, "trivial", 0)
     # a path alternates the sides of a bipartite graph, so x's side has
     # one vertex more than the other when y is on it too, else as many;
     # a cycle ends next to x, on the other side
@@ -606,41 +619,43 @@ def _hamilton_dp(g: Graph, x: int, y: int) -> HamiltonResult:
       taken or exhausted, and an exhausted one is never entered again.
       There are (n - 1) * 2^(n-2) states (R, v).
 
-    dead is an array of 2^n end bitmasks, 8 * 2^n bytes.  The witness
-    lists the path from x; nodes is 0, as for the table.
+    dead holds 2^n end bitmasks of 4 bytes each (n <= DP_LIMIT < 32) in
+    an anonymous mapping, so the OS backs only the pages the search
+    writes: a witness found in a few steps costs no 4 * 2^n bytes.  The
+    witness lists the path from x; nodes is 0, as for the table.
     """
     n = g.n
     nbr = g.neighbor_masks
     start = 1 << x
     rest = ((1 << n) - 1) ^ start
-    dead = array("q", [0]) * (1 << n)
     cand = rest & (nbr[x] if x == y else 1 << y)
     ends = []  # ends[i]: the end of the path over {x} + rest + ends[i:]
     untried = []  # untried[i]: the candidates left beside ends[i]
-    while True:
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            r = rest ^ b
-            preds = nbr[v] & (r & ~dead[r] if r else start)
-            if not preds:
-                dead[rest] |= b
-            elif r:
-                untried.append(cand)
-                ends.append(v)
-                rest = r
-                cand = preds
-            else:
-                ends += (v, x)
-                ends.reverse()
-                return HamiltonResult(True, tuple(ends), "subset-dp", 0)
-        if not ends:
-            return HamiltonResult(False, None, "subset-dp", 0)
-        b = 1 << ends.pop()
-        rest |= b
-        dead[rest] |= b
-        cand = untried.pop()
+    with mmap.mmap(-1, 4 << n) as memo, memoryview(memo).cast("I") as dead:
+        while True:
+            while cand:
+                b = cand & -cand
+                cand ^= b
+                v = b.bit_length() - 1
+                r = rest ^ b
+                preds = nbr[v] & (r & ~dead[r] if r else start)
+                if not preds:
+                    dead[rest] |= b
+                elif r:
+                    untried.append(cand)
+                    ends.append(v)
+                    rest = r
+                    cand = preds
+                else:
+                    ends += (v, x)
+                    ends.reverse()
+                    return HamiltonResult(True, tuple(ends), "subset-dp", 0)
+            if not ends:
+                return HamiltonResult(False, None, "subset-dp", 0)
+            b = 1 << ends.pop()
+            rest |= b
+            dead[rest] |= b
+            cand = untried.pop()
 
 
 # -- independence number -----------------------------------------------

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import random
 import signal
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
@@ -42,6 +45,7 @@ from toughgraph import (
     independence_number,
     inflate_triangles,
     is_hamiltonian,
+    join,
     make_graph,
     matched_layers,
     petersen,
@@ -851,6 +855,60 @@ def test_spanning_path_side_count_is_decided_without_search():
                for a in range(1, 7))
 
 
+def test_universal_vertices_screen_matches_naive():
+    # graphs with n <= 9 and one or two universal vertices, so the
+    # 1-tough screen looks at every one; a "trivial" verdict on a graph
+    # of minimum degree 2 is the screen's (a universal vertex makes the
+    # graph connected and, with a triangle, not bipartite)
+    rng = random.Random(1973)
+    verdicts = set()
+    screened = 0
+    for trial in range(80):
+        n = rng.randrange(3, 10)
+        hubs = rng.sample(range(n), rng.randrange(1, 3))
+        edges = {
+            (u, v) for u in range(n) for v in range(u + 1, n)
+            if u in hubs or v in hubs or rng.random() < 0.25
+        }
+        g = make_graph(n, edges)
+        x, y = rng.sample(range(n), 2)
+        for res, truth in (
+            (is_hamiltonian(g), naive_hamilton_cycle(g)),
+            (has_hamilton_path(g, x, y), naive_hamilton_path(g, x, y)),
+        ):
+            assert res.verdict is truth, (n, sorted(edges), x, y)
+            verdicts.add(truth)
+            screened += res.method == "trivial" and min(map(g.degree, range(n))) >= 2
+    assert verdicts == {True, False}
+    assert screened >= 10
+
+
+def test_universal_vertices_screen_decides_without_search():
+    # K_l + E_k: removing the clique's l universal vertices leaves k
+    # isolated ones, so K_l + E_{l+1} has no Hamilton cycle and
+    # K_l + E_{l+2} no spanning path.  For l = 8..10 the subset program
+    # took 0.08-3.1 s; at l = 11 (n = 23 > DP_LIMIT) backtracking spent
+    # its node budget, about 10 s
+    def timeout(signum, frame):
+        raise TimeoutError("K_l + E_k Hamiltonicity took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    try:
+        signal.alarm(1)
+        results = [
+            is_hamiltonian(join(complete_graph(l), make_graph(l + 1, []))) for l in range(8, 12)
+        ]
+        results += [
+            has_hamilton_path(join(complete_graph(l), make_graph(l + 2, [])), l, 2 * l + 1)
+            for l in range(8, 12)
+        ]
+        signal.alarm(0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert all(r.verdict is False and r.method == "trivial" and r.nodes == 0 for r in results)
+
+
 def test_spanning_path_matches_naive_on_random_bipartite():
     # every pair of ends on relabeled random bipartite graphs with n <= 9,
     # so each of the side conditions meets graphs the earlier screens pass
@@ -1096,6 +1154,37 @@ def test_hamilton_dp_stops_at_its_first_witness():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_hamilton_dp_memo_is_backed_only_where_the_search_writes():
+    # a memo entry holds an end mask, so every vertex needs a bit of it
+    assert oracles.DP_LIMIT < 32
+    # the two G(22, 0.6) queries above, in a fresh process: a memo of
+    # 2^22 entries allocated up front (32 MB as 8-byte words) shows in
+    # its peak resident set; one the OS backs only where the search
+    # writes does not.  The peak is the process's own VmHWM in kilobytes:
+    # its ru_maxrss starts at the high-water mark of the process that
+    # spawned it, so it would hide the memo under pytest's own peak
+    g = _random_graph(random.Random(2222), 22, 0.6)
+    code = (
+        "import json, sys\n"
+        "from toughgraph import has_hamilton_path, is_hamiltonian, make_graph\n"
+        "def peak():\n"
+        "    with open('/proc/self/status') as f:\n"
+        "        return next(int(s.split()[1]) for s in f if s.startswith('VmHWM:'))\n"
+        "g = make_graph(22, json.loads(sys.argv[1]))\n"
+        "before = peak()\n"
+        "found = is_hamiltonian(g).verdict, has_hamilton_path(g, 0, 21).verdict\n"
+        "print(found, peak() - before)\n"
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(g.edges())],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert r.returncode == 0, r.stderr
+    found, grown = r.stdout.rsplit(maxsplit=1)
+    assert found == "(True, True)"
+    assert int(grown) < 4 * 1024
 
 
 def test_path_matches_naive_random():
