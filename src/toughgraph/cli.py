@@ -5,10 +5,11 @@ certificate), verify (check a graph/certificate pair), tau / hamilton /
 alpha (run the exact oracles on a graph file), and block (emit one of
 the named building blocks).  A graph file, or stdin, is read once, as
 bytes, by one unbuffered read, and graphs.read_graph takes those bytes
-and decides their format (verify's reader, the same but for keeping a
-graph6 file as its validated bytes, stands in for verify); the graph
-goes out in a --format (default g6) by graphs.WRITERS.  A certificate file is read the same way and
-decoded as UTF-8.  Every output, graph or certificate, is a sequence
+and decides their format; verify's reader, the same but for keeping a
+graph6 file as its validated span, hands that span to check_certificate
+as it is.  The graph goes out in a --format (default g6) by
+graphs.WRITERS.  A certificate file is read the same way and decoded
+as UTF-8.  Every output, graph or certificate, is a sequence
 of byte pieces that one writer sends to a file or to stdout's byte
 stream as they come, so no graph's whole text is held.  A file is
 overwritten in place, without O_TRUNC, and a regular one is cut to
@@ -59,7 +60,7 @@ from .oracles import (
     toughness_upper_search,
 )
 from .synth import certificate_from_json, certificate_to_json, parse_rational, synthesize
-from .verify import _check_certificate, _read_in_place
+from .verify import _read_in_place, check_certificate
 
 __all__ = ["main"]
 
@@ -125,11 +126,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    # the verifier matches graph6 to the rebuilt graph by its bytes,
-    # which _read_in_place has validated
+    # check_certificate matches graph6 to the rebuilt graph by its
+    # bytes, which _read_in_place has validated
     g = _read_graph(args.graph, _read_in_place)
     cert = certificate_from_json(_read_file(args.cert).decode())
-    report = _check_certificate(g, cert, args.max_oracle_n)
+    report = check_certificate(g, cert, args.max_oracle_n)
     sys.stdout.write(report.to_json())
     return 0 if report.accepted else 1
 

@@ -25,12 +25,14 @@ The read side is read_graph, which takes a file's bytes and keeps them
 whole: the first byte past the whitespace names the format, an edge
 list is parsed a chunk of lines at a time as make_graph takes the
 edges, and a graph6 file is validated once, in place, to its span: its
-order and its bounds in the bytes.  read_graph decodes the span; the
-verifier keeps it, and _differs, the one comparison of an input with a
-rebuilt graph, matches it with the graph's iter_graph6 pieces in place
-and decodes it only when they differ.  JSON, there and in
-from_edge_json, is parsed once, from text or from bytes decoded as
-strict UTF-8, and make_graph takes each edge entry as it is checked.
+order and its bounds in the bytes.  decode_graph6 takes that span as
+it takes a string, and every decode goes through it: read_graph's, and
+that of _differs, the one comparison of an input with a rebuilt graph.
+The verifier keeps the span, and _differs matches it with the graph's
+iter_graph6 pieces in place and decodes it only when they differ.
+JSON, there and in from_edge_json, is parsed once, from text or from
+bytes decoded as strict UTF-8, and make_graph takes each edge entry as
+it is checked.
 """
 
 from __future__ import annotations
@@ -436,15 +438,11 @@ def _graph6_span(data: bytes, start: int, end: int) -> tuple[int, bytes, int, in
     return n, data, start, end
 
 
-def decode_graph6(data: bytes | str) -> Graph:
-    """Decode one graph6 string; the optional >>graph6<< header is allowed.
-    validate_graph6 checks the input first."""
-    return _decode_span(*_graph6_in_place(data))
-
-
-def _decode_span(n: int, data: bytes, start: int, end: int) -> Graph:
-    """The graph of the validated graph6 string of order n in
-    data[start:end], as _graph6_span returns it.
+def decode_graph6(data: bytes | str | tuple[int, bytes, int, int]) -> Graph:
+    """Decode one graph6 string; the optional >>graph6<< header is
+    allowed.  validate_graph6 checks the input first, unless it is given
+    as the validated span (n, data, start, end) that _graph6_span
+    returns: a graph6 string of order n in data[start:end].
 
     The body is base64-decoded and each byte bit-reversed, so byte i
     bit b holds stream bit 8i + b and column j (row j's neighbors below
@@ -453,6 +451,7 @@ def _decode_span(n: int, data: bytes, start: int, end: int) -> Graph:
     bit block is transposed in place.  In the result the neighbors of v
     above v, one byte per 8-row block, sit nb * 8 bytes apart from byte
     (v & 7) * nb + (v >> 3): a single stride slice."""
+    n, data, _, end = data if isinstance(data, tuple) else _graph6_in_place(data)
     need = (n * (n - 1) // 2 + 5) // 6
     if not need:
         return Graph((0,) * n)
@@ -500,7 +499,7 @@ def _differs(given: Graph | tuple[int, bytes, int, int], g: Graph) -> Optional[G
     _, data, pos, end = given
     for piece in iter_graph6(g):
         if not data.startswith(piece, pos, end):
-            given = _decode_span(*given)
+            given = decode_graph6(given)
             return None if given == g else given
         pos += len(piece)
     # every piece matched, so the size fields agree and so do the lengths
@@ -587,7 +586,7 @@ def read_graph(data: bytes, source: str) -> Graph:
     file that is neither is reported by its JSON fault when it holds a
     byte that graph6 never does, a line break aside."""
     g = _read_graph(data, source)
-    return g if isinstance(g, Graph) else _decode_span(*g)
+    return g if isinstance(g, Graph) else decode_graph6(g)
 
 
 def _read_graph(data: bytes, source: str) -> Graph | tuple[int, bytes, int, int]:

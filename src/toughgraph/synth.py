@@ -10,11 +10,13 @@ plan_certificate(p) reads the toughness witness cutset and a checkable
 nonhamiltonicity argument off the regime table, and sets the component
 count to |S| / t, all without building a graph.  build() realizes
 exactly plan(t) as a concrete graph (plan_graph), pairs it with that
-certificate, and checks the count on the graph.  certificate_to_json
-writes the certificate, and certificate_from_json checks only that the
-text is a JSON object with a rational "t" (certificate_target, which the
-verifier also applies to a certificate given as a dict), leaving every
-other field to the verifier's comparison with the canonical one.
+certificate, and checks the count on the graph; it takes t itself,
+planned once, or a plan, which must be plan(t).  synthesize(t) is
+build(t).  certificate_to_json writes the certificate, and
+certificate_from_json checks only that the text is a JSON object with
+a rational "t" (certificate_target, which the verifier also applies to
+a certificate given as a dict), leaving every other field to the
+verifier's comparison with the canonical one.
 
 Each regime is one record of the table _REGIMES, the one place where
 its range, scale step, derivation, block kinds, formula and the
@@ -549,16 +551,14 @@ def plan_certificate(p: SynthesisPlan) -> Certificate:
     return Certificate(p, arg, cut, components.numerator, predicted)
 
 
-def build(p: SynthesisPlan) -> tuple[Graph, Certificate]:
-    """Realize a plan, which must equal plan(p.t): its graph, and its
-    certificate, whose component count is checked on the graph."""
-    if p != plan(p.t):
+def build(p: Union[SynthesisPlan, Fraction, int, str]) -> tuple[Graph, Certificate]:
+    """Realize a target t, planned once, or a plan, which must equal
+    plan(p.t): its graph, and its certificate, whose component count is
+    checked on the graph."""
+    if not isinstance(p, SynthesisPlan):
+        p = plan(p)
+    elif p != plan(p.t):
         raise PlanError(f"plan is not the canonical plan for t={p.t}")
-    return _realize(p)
-
-
-def _realize(p: SynthesisPlan) -> tuple[Graph, Certificate]:
-    """build's graph and certificate of a plan known to be canonical."""
     g = plan_graph(p)
     cert = plan_certificate(p)
     count = cutset_witness(g, cert.cutset).component_count
@@ -572,8 +572,8 @@ def _realize(p: SynthesisPlan) -> tuple[Graph, Certificate]:
 
 
 def synthesize(t: Union[Fraction, int, str]) -> tuple[Graph, Certificate]:
-    """build(plan(t)), planned once: plan's own result is canonical."""
-    return _realize(plan(t))
+    """build(t): the graph and certificate of target t."""
+    return build(t)
 
 
 # -- certificate JSON ---------------------------------------------------

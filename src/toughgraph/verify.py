@@ -1,7 +1,8 @@
 """Certificate verification against the graph it claims to describe.
 
 check_certificate answers one question: is this (graph, certificate)
-pair sound?  The graph is a Graph or its graph6 bytes.  A certificate
+pair sound?  The graph is a Graph, its graph6 bytes, or their
+validated span, as the command line reads a graph6 file.  A certificate
 is a function of its target t, so the verifier first derives the
 canonical certificate from plan(t) alone (plan_certificate) and
 compares the two as JSON values before any graph is built; only then
@@ -134,8 +135,17 @@ def _encoded(payload: dict, key: str) -> Optional[str]:
         return ""
 
 
+def _read_in_place(data: bytes, source: str) -> Graph | tuple[int, bytes, int, int]:
+    """A graph file's bytes read as graphs.read_graph reads them, save
+    that a graph6 file stays its validated span (n, data, start, end),
+    which check_certificate takes as it is."""
+    return _read_graph(data, source)
+
+
 def check_certificate(
-    g: Graph | bytes, cert: Certificate | dict, max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT
+    g: Graph | bytes | str | tuple[int, bytes, int, int],
+    cert: Certificate | dict,
+    max_oracle_n: int = DEFAULT_TOUGHNESS_LIMIT,
 ) -> VerificationReport:
     """Verify a certificate against a graph; every failure mode is a
     rejection with its own check entry, never an exception.
@@ -155,31 +165,18 @@ def check_certificate(
     names the mismatch.  Every later check runs on the rebuilt graph
     and certificate.
 
-    The graph may also be given as graph6 bytes, which are validated
-    once, first (a malformed string raises GraphFormatError, as
-    decode_graph6 does).  The rebuild check then compares the rebuilt
-    graph's graph6 encoding with those bytes in place, and decodes them
-    only when they differ, to report the graph they hold; the report is
-    the one the decoded Graph would get.  max_oracle_n is the largest n
-    whose toughness is decided exactly."""
-    if not isinstance(g, Graph):
-        g = _graph6_in_place(g)
-    return _check_certificate(g, cert, max_oracle_n)
-
-
-def _read_in_place(data: bytes, source: str) -> Graph | tuple[int, bytes, int, int]:
-    """A graph file's bytes read as graphs.read_graph reads them, save
-    that a graph6 file stays its validated span (n, data, start, end),
-    which _check_certificate takes as it is."""
-    return _read_graph(data, source)
-
-
-def _check_certificate(
-    g: Graph | tuple[int, bytes, int, int], cert: Certificate | dict, max_oracle_n: int
-) -> VerificationReport:
-    """check_certificate on a Graph or on graph6 input given as
+    The graph may also be given as graph6 bytes or str, which are
+    validated once, first (a malformed string raises GraphFormatError,
+    as decode_graph6 does), or as the span that validation leaves,
     (n, data, start, end): a validated graph6 string of order n in
-    data[start:end], header and whitespace outside the bounds."""
+    data[start:end], as _read_in_place returns a graph6 file.  The
+    rebuild check then compares the rebuilt graph's graph6 encoding with
+    those bytes in place, and decodes them only when they differ, to
+    report the graph they hold; the report is the one the decoded Graph
+    would get.  max_oracle_n is the largest n whose toughness is decided
+    exactly."""
+    if not isinstance(g, (Graph, tuple)):
+        g = _graph6_in_place(g)
     checks: list[CheckOutcome] = []
     n = g.n if isinstance(g, Graph) else g[0]
 

@@ -285,6 +285,24 @@ def test_verify_structural_tier(tmp_path):
     assert report["nonhamiltonicity_status"] == "STRUCTURAL"
 
 
+@pytest.mark.parametrize("fmt", ["g6", "edges", "json"])
+@pytest.mark.parametrize("t", ["2/3", "7/6", "9/5"])
+def test_verify_prints_the_apis_report_for_every_graph_format(tmp_path, capsys, t, fmt):
+    # in-process: verify's stdout is check_certificate's report on the
+    # file's graph and the certificate object, whatever the format
+    from toughgraph import certificate_from_json, check_certificate
+
+    gpath, cpath = tmp_path / f"g.{fmt}", tmp_path / "c.json"
+    assert main(["synth", t, "--out", str(gpath), "--format", fmt, "--cert", str(cpath)]) == 0
+    capsys.readouterr()
+    assert main(["verify", str(gpath), str(cpath)]) == 0
+    data, cert = gpath.read_bytes(), certificate_from_json(cpath.read_text())
+    want = check_certificate(read_graph(data, str(gpath)), cert).to_json()
+    assert capsys.readouterr().out == want
+    if fmt == "g6":
+        assert check_certificate(data, cert).to_json() == want
+
+
 def test_verify_rejects_a_nine_digit_forgery_in_bounded_memory(tmp_path):
     # the 2/3 certificate with t = 174999999/100000000 plans 150M blocks;
     # under a 1.5 GB address-space limit it must still get a JSON report

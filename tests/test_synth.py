@@ -257,7 +257,8 @@ def test_synthesis_bytes_golden():
 
 def test_the_plan_alone_gives_the_built_certificate():
     # plan_certificate's component count is |S| / t, with no graph; build
-    # counts the cutset's components on the graph and must agree
+    # counts the cutset's components on the graph and must agree, given
+    # the plan or the target alike
     targets = {
         Fraction(a, b)
         for b in range(1, 31)
@@ -269,7 +270,10 @@ def test_the_plan_alone_gives_the_built_certificate():
     assert len(targets) == 628
     for t in targets:
         p = plan(t)
-        assert certificate_to_json(plan_certificate(p)) == certificate_to_json(build(p)[1]), t
+        g, cert = build(p)
+        assert certificate_to_json(plan_certificate(p)) == certificate_to_json(cert), t
+        g2, cert2 = build(t)
+        assert g2 == g and certificate_to_json(cert2) == certificate_to_json(cert), t
 
 
 # -- certificates -------------------------------------------------------------

@@ -705,24 +705,35 @@ def test_limits_downgrade_toughness_tier():
 
 def _refuse_decode(monkeypatch):
     monkeypatch.setattr(
-        graphs, "_decode_span",
-        lambda *span: pytest.fail("verifier decoded the graph6 input"),
+        graphs, "decode_graph6",
+        lambda data: pytest.fail("verifier decoded the graph6 input"),
     )
 
 
 def _count_decodes(monkeypatch) -> list:
-    """The graph6 strings decoded from here on, each as the bytes of its
-    span: every decode, graphs' comparison's and decode_graph6's, goes
-    through graphs._decode_span."""
-    decode = graphs._decode_span
+    """The graph6 strings decoded by graphs from here on, each as the
+    bytes of its span: every decode there, the comparison's and
+    read_graph's, goes through graphs.decode_graph6 with the span."""
+    decode = graphs.decode_graph6
     calls = []
 
-    def counted(n, data, start, end):
+    def counted(span):
+        _, data, start, end = span
         calls.append(data[start:end])
-        return decode(n, data, start, end)
+        return decode(span)
 
-    monkeypatch.setattr(graphs, "_decode_span", counted)
+    monkeypatch.setattr(graphs, "decode_graph6", counted)
     return calls
+
+
+def test_read_graph_decodes_a_graph6_file_once(monkeypatch):
+    # read_graph validates a graph6 file to its span and decodes that
+    # span through decode_graph6, once
+    g, _ = synthesize("6/5")
+    data = encode_graph6(g)
+    calls = _count_decodes(monkeypatch)
+    assert graphs.read_graph(b" >>graph6<<" + data + b"\n", "g.g6") == g
+    assert calls == [data]
 
 
 def test_genuine_graph6_bytes_are_matched_without_a_decode(monkeypatch):
